@@ -491,7 +491,7 @@ class RemoteBackend(CacheBackend):
 
     def __init__(self, address: str, timeout: float = 2.0):
         super().__init__()
-        from ..service.http import parse_address
+        from ..service.aserver import parse_address
         from ..service.ring import HashRing
         self.endpoints: list[str] = []
         for part in str(address).split(";"):

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import random
 
+from ..datasets.design2sva.arbiter_gen import (
+    arbiter_correct_response, arbiter_flawed_response,
+)
 from ..datasets.design2sva.pipeline_gen import GeneratedDesign
 
 
@@ -194,30 +197,44 @@ def pipeline_flawed_response(design: GeneratedDesign,
         "  in_vld |-> out_vld\n);")
 
 
+#: per design category: (correct template, flawed template)
+_TEMPLATES = {
+    "fsm": (fsm_correct_response, fsm_flawed_response),
+    "pipeline": (pipeline_correct_response, pipeline_flawed_response),
+    "arbiter": (arbiter_correct_response, arbiter_flawed_response),
+}
+
+
 def correct_response(design: GeneratedDesign, rng: random.Random) -> str:
-    if design.category == "fsm":
-        return fsm_correct_response(design, rng)
-    return pipeline_correct_response(design, rng)
+    return _TEMPLATES[design.category][0](design, rng)
 
 
 def flawed_response(design: GeneratedDesign, rng: random.Random) -> str:
-    if design.category == "fsm":
-        return fsm_flawed_response(design, rng)
-    return pipeline_flawed_response(design, rng)
+    return _TEMPLATES[design.category][1](design, rng)
+
+
+#: per design category, what the broken templates misuse: (observed
+#: output, data input, trigger, unbalanced-parentheses property)
+_BROKEN_SIGNALS = {
+    "pipeline": ("out_vld", "in_data", "in_vld",
+                 "(in_vld |-> ##2 out_vld"),
+    "fsm": ("fsm_out", "in_A", "in_A[0]",
+            "(state == S0 |-> ##1 (state == S1"),
+    "arbiter": ("gnt", "req", "req[0]", "(|req |-> ##1 (|gnt"),
+}
 
 
 def broken_response(design: GeneratedDesign, rng: random.Random) -> str:
     """A response the formal front end rejects."""
+    sig, data, drive, unbalanced = _BROKEN_SIGNALS[design.category]
     roll = rng.random()
     if roll < 0.3:
         # hallucinated liveness operator (Figure 7 failure mode)
-        sig = "out_vld" if design.category == "pipeline" else "fsm_out"
         return _fenced(
             f"assert property (@(posedge clk) disable iff (tb_reset)\n"
             f"  eventually({sig})\n);")
     if roll < 0.55:
         # simulation-style stimulus in a formal testbench
-        data = "in_data" if design.category == "pipeline" else "in_A"
         return _fenced(
             f"always @(posedge clk) begin\n"
             f"  tb_{data} <= $random;\n"
@@ -225,15 +242,10 @@ def broken_response(design: GeneratedDesign, rng: random.Random) -> str:
             f"assert property (@(posedge clk) tb_{data} == {data});")
     if roll < 0.8:
         # malformed delay range
-        sig = "out_vld" if design.category == "pipeline" else "fsm_out"
-        drive = "in_vld" if design.category == "pipeline" else "in_A[0]"
         return _fenced(
             f"assert property (@(posedge clk) disable iff (tb_reset)\n"
             f"  {drive} |-> ##[4] {sig}\n);")
     # unbalanced parentheses
     return _fenced(
-        "assert property (@(posedge clk) disable iff (tb_reset)\n"
-        "  (in_vld |-> ##2 out_vld\n);"
-        if design.category == "pipeline" else
-        "assert property (@(posedge clk) disable iff (tb_reset)\n"
-        "  (state == S0 |-> ##1 (state == S1\n);")
+        f"assert property (@(posedge clk) disable iff (tb_reset)\n"
+        f"  {unbalanced}\n);")

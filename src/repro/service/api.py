@@ -41,6 +41,7 @@ frontend; in-process callers may additionally attach parsed objects
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 #: recognized request kinds
@@ -219,6 +220,34 @@ def request_from_json(obj: dict) -> VerifyRequest:
     return request
 
 
+def requests_from_body(body: bytes) -> tuple[bool, list, list]:
+    """Decode one POSTed ``/v1/verify`` body: ``(single, items,
+    parsed)``.
+
+    *single* says the body was one object rather than an array; *items*
+    are the raw wire objects (what a router forwards); ``parsed[i]`` is
+    the validated :class:`VerifyRequest` of ``items[i]``, or -- for a
+    position that fails validation -- the :func:`error_wire` ``dict``
+    that answers it, so invalid items never cost a unit or a forward.
+    Raises :class:`RequestError` when the body as a whole is unusable.
+    """
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError):
+        raise RequestError("body is not valid JSON") from None
+    single = not isinstance(payload, list)
+    items = [payload] if single else payload
+    if not items:
+        raise RequestError("empty batch")
+    parsed: list = []
+    for position, item in enumerate(items):
+        try:
+            parsed.append(request_from_json(item))
+        except (RequestError, TypeError) as exc:
+            parsed.append(error_wire(item, str(exc), index=position))
+    return single, items, parsed
+
+
 def response_to_json(response: VerifyResponse) -> dict:
     """Wire form of a response (stable key order for JSON-lines)."""
     return {
@@ -238,3 +267,24 @@ def response_to_json(response: VerifyResponse) -> dict:
         "worker_id": response.worker_id,
         "degraded": list(response.degraded),
     }
+
+
+def error_wire(source, detail: str, index: int | None = None,
+               degraded=(), meta: dict | None = None) -> dict:
+    """The ``ok=false`` / ``verdict="error"`` wire object answering
+    *source*: a :class:`VerifyRequest`, or a decoded wire item that
+    never became one (its ``request_id``/``kind`` are echoed whenever
+    the JSON got far enough to carry them, so correlation survives
+    validation failures).  *degraded* is the fault provenance, *meta*
+    extra response metadata such as ``retry_after_s``."""
+    if isinstance(source, VerifyRequest):
+        request_id, kind = source.request_id or "", source.kind
+    elif isinstance(source, dict):
+        request_id = source.get("request_id", "")
+        kind = str(source.get("kind", ""))
+    else:
+        request_id = kind = ""
+    return response_to_json(VerifyResponse(
+        request_id=request_id, kind=kind, ok=False, verdict="error",
+        detail=detail[:200], meta=dict(meta or {}), index=index,
+        degraded=list(degraded)))

@@ -2,9 +2,9 @@
 
 A tiny content-addressed HTTP store for verdict-cache entries, so N
 ``python -m repro serve`` replicas (or N benchmark runs) share one warm
-tier through :class:`~repro.core.cache.RemoteBackend`.  Stdlib-only
-asyncio, reusing the :mod:`repro.service.http` request parser/encoder --
-the no-new-hard-deps rule applies to the cache edge too.
+tier through :class:`~repro.core.cache.RemoteBackend`.  A route table
+over the shared server kernel (:mod:`repro.service.aserver`: listener,
+keep-alive loop, framing errors, drain, signals -- docs/service.md).
 
 Wire protocol (docs/cache.md):
 
@@ -18,8 +18,9 @@ Wire protocol (docs/cache.md):
     204, or 404 when absent (both are success to the client).
 ``GET /v1/keys/<ns>``
     ``{"keys": [...]}`` -- the namespace's stored keys.
-``GET /healthz`` / ``GET /metrics``
-    Liveness / JSON counters (per-backend stats, request totals).
+``GET /healthz`` / ``GET /readyz`` / ``GET /metrics``
+    The kernel's built-ins; ``/metrics`` adds per-backend stats and TTL
+    counters to the request totals.
 
 Storage is a :class:`~repro.core.cache.MemoryBackend` with the usual
 ``FVEVAL_CACHE_MEM_MAX``-style entry/byte caps, optionally write-through
@@ -35,12 +36,12 @@ from __future__ import annotations
 
 import asyncio
 import json
-import signal
-import sys
-import threading
 import time
 
-from .http import _encode, _HttpError, _HttpRequest, _read_request
+from .aserver import (
+    AsyncJsonServer, BackgroundHarness, Connection, HttpError, HttpRequest,
+    parse_address, run,
+)
 
 # ..core.cache is imported lazily (inside CacheServer.__init__ and the
 # routing path): repro.core's package init imports repro.service, so a
@@ -51,7 +52,7 @@ from .http import _encode, _HttpError, _HttpRequest, _read_request
 __all__ = ["CacheServer", "BackgroundCacheServer", "serve_cache"]
 
 
-class CacheServer:
+class CacheServer(AsyncJsonServer):
     """One listening socket over a memory (+ optional disk) store.
 
     Reads check memory first, then disk (promoting the entry); writes go
@@ -67,11 +68,10 @@ class CacheServer:
                  disk_dir: str | None = None,
                  ttl_s: float | None = None):
         from ..core.cache import DiskBackend, MemoryBackend
+        super().__init__(host, port)
         self.memory = MemoryBackend(max_entries=max_entries,
                                     max_bytes=max_bytes)
         self.disk = DiskBackend(disk_dir) if disk_dir else None
-        self.host = host
-        self.port = port
         #: entry time-to-live (None = entries never expire).  Expiry is
         #: lazy -- a stale entry found on GET is dropped and answered
         #: 404 -- plus a periodic sweep so untouched entries do not
@@ -82,119 +82,32 @@ class CacheServer:
         self._stamps: dict[tuple[str, str], float] = {}
         self.expired = 0
         self._sweep_task: asyncio.Task | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._drain_event: asyncio.Event | None = None
-        self._writers: set = set()
-        self._conn_tasks: set = set()
-        # counters -- mutated on the event-loop thread only
-        self.http_requests = 0
-        self.status_totals: dict[str, int] = {}
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- lifecycle hooks -----------------------------------------------------
 
-    async def start(self) -> None:
-        self._drain_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self.port)
+    async def on_start(self) -> None:
         if self.ttl_s is not None:
             self._sweep_task = asyncio.get_running_loop().create_task(
                 self._sweep_loop())
 
-    @property
-    def address(self) -> tuple[str, int]:
-        assert self._server is not None and self._server.sockets
-        name = self._server.sockets[0].getsockname()
-        return name[0], name[1]
-
-    def install_signal_handlers(self) -> None:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.begin_drain)
-            except (NotImplementedError, RuntimeError):
-                signal.signal(signum, lambda *_: self.begin_drain())
-
-    def begin_drain(self) -> None:
-        if self._drain_event is not None:
-            self._drain_event.set()
-
-    async def wait_drained(self) -> int:
-        assert self._drain_event is not None
-        await self._drain_event.wait()
+    async def on_drained(self) -> None:
         if self._sweep_task is not None:
             self._sweep_task.cancel()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        # let handler tasks observe the closed transports and return,
-        # so loop teardown never cancels a task mid-await
-        lingering = set(self._conn_tasks)
-        if lingering:
-            await asyncio.wait(lingering, timeout=5)
-        return 0
-
-    # -- connection handling -------------------------------------------------
-
-    async def _handle_conn(self, reader, writer) -> None:
-        self._writers.add(writer)
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader)
-                except _HttpError as exc:
-                    await self._write(writer, exc.status,
-                                      {"ok": False, "error": exc.message},
-                                      close=True)
-                    return
-                except (ConnectionError, OSError):
-                    return
-                if request is None:
-                    return
-                self.http_requests += 1
-                status, body = self._route(request)
-                await self._write(writer, status, body,
-                                  close=request.wants_close)
-                if request.wants_close or (
-                        self._drain_event is not None
-                        and self._drain_event.is_set()):
-                    return
-        finally:
-            self._writers.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-            except Exception:
-                pass
 
     # -- routing -------------------------------------------------------------
 
-    def _route(self, request: _HttpRequest) -> tuple[int, object]:
-        path = request.path
-        if path == "/healthz":
-            if request.method != "GET":
-                return 405, {"ok": False, "error": "GET only"}
-            return 200, {"status": "alive"}
-        if path == "/metrics":
-            if request.method != "GET":
-                return 405, {"ok": False, "error": "GET only"}
-            return 200, self.metrics()
+    async def handle(self, request: HttpRequest, conn: Connection) -> None:
+        await conn.write(*self._route(request))
+
+    def _route(self, request: HttpRequest) -> tuple[int, object]:
         from ..core.cache import KEY_RE, NAMESPACE_RE
-        parts = path.strip("/").split("/")
+        parts = request.path.strip("/").split("/")
         if len(parts) == 3 and parts[0] == "v1" and parts[1] == "keys":
             if request.method != "GET":
-                return 405, {"ok": False, "error": "GET only"}
+                raise HttpError(405, "GET only")
             namespace = parts[2]
             if not NAMESPACE_RE.match(namespace):
-                return 400, {"ok": False, "error": "bad namespace"}
+                raise HttpError(400, "bad namespace")
             keys = set(self.memory.scan(namespace))
             if self.disk is not None:
                 keys.update(self.disk.scan(namespace))
@@ -202,35 +115,32 @@ class CacheServer:
         if len(parts) == 4 and parts[0] == "v1" and parts[1] == "cache":
             namespace, key = parts[2], parts[3]
             if not NAMESPACE_RE.match(namespace):
-                return 400, {"ok": False, "error": "bad namespace"}
+                raise HttpError(400, "bad namespace")
             if not KEY_RE.match(key):
-                return 400, {"ok": False,
-                             "error": "key must be a sha256 hex digest"}
+                raise HttpError(400, "key must be a sha256 hex digest")
             return self._route_entry(request, namespace, key)
-        return 404, {"ok": False, "error": f"no route {path}"}
+        raise HttpError(404, f"no route {request.path}")
 
-    def _route_entry(self, request: _HttpRequest, namespace: str,
+    def _route_entry(self, request: HttpRequest, namespace: str,
                      key: str) -> tuple[int, object]:
         if request.method == "GET":
             if self._expire_if_stale(namespace, key):
-                return 404, {"ok": False, "error": "expired"}
+                raise HttpError(404, "expired")
             value = self.memory.get(namespace, key)
             if value is None and self.disk is not None:
                 value = self.disk.get(namespace, key)
                 if value is not None:  # promote for the next reader
                     self.memory.put(namespace, key, value)
             if value is None:
-                return 404, {"ok": False, "error": "miss"}
+                raise HttpError(404, "miss")
             return 200, value
         if request.method == "PUT":
             try:
                 value = json.loads(request.body.decode("utf-8"))
             except (UnicodeDecodeError, ValueError):
-                return 400, {"ok": False,
-                             "error": "body is not valid JSON"}
+                raise HttpError(400, "body is not valid JSON")
             if not isinstance(value, dict):
-                return 400, {"ok": False,
-                             "error": "entry must be a JSON object"}
+                raise HttpError(400, "entry must be a JSON object")
             self.memory.put(namespace, key, value)
             if self.disk is not None:
                 self.disk.put(namespace, key, value)
@@ -246,7 +156,7 @@ class CacheServer:
                 self.disk.delete(namespace, key)
             self._stamps.pop((namespace, key), None)
             return (204, None) if present else (404, None)
-        return 405, {"ok": False, "error": "GET/PUT/DELETE only"}
+        raise HttpError(405, "GET/PUT/DELETE only")
 
     # -- entry TTLs ----------------------------------------------------------
 
@@ -297,41 +207,8 @@ class CacheServer:
         backends = {"memory": self.memory.stats()}
         if self.disk is not None:
             backends["disk"] = self.disk.stats()
-        return {
-            "http": {"requests": self.http_requests,
-                     "responses": dict(self.status_totals)},
-            "backends": backends,
-            "ttl_s": self.ttl_s,
-            "expired": self.expired,
-        }
-
-    async def _write(self, writer, status: int, body,
-                     close: bool = False) -> None:
-        bucket = f"{status // 100}xx"
-        self.status_totals[bucket] = self.status_totals.get(bucket, 0) + 1
-        try:
-            if status == 204:
-                payload = (f"HTTP/1.1 204 No Content\r\n"
-                           f"Content-Length: 0\r\nConnection: "
-                           f"{'close' if close else 'keep-alive'}"
-                           f"\r\n\r\n").encode("latin-1")
-                writer.write(payload)
-            else:
-                writer.write(_encode(status, body, close=close))
-            await writer.drain()
-        except (ConnectionError, OSError, RuntimeError):
-            pass  # the client went away; best-effort by design
-
-
-async def _serve_async(server: CacheServer) -> int:
-    await server.start()
-    server.install_signal_handlers()
-    host, port = server.address
-    # scraped by tests/CI to learn an ephemeral port; stderr so stdout
-    # stays clean for tooling
-    print(f"cache-serve on http://{host}:{port}", file=sys.stderr,
-          flush=True)
-    return await server.wait_drained()
+        return {"backends": backends, "ttl_s": self.ttl_s,
+                "expired": self.expired}
 
 
 def serve_cache(spec: str, max_entries: int | None = None,
@@ -340,82 +217,16 @@ def serve_cache(spec: str, max_entries: int | None = None,
                 ttl_s: float | None = None) -> int:
     """Run the cache server until a signal stops it; returns exit
     status (always 0 -- there is no forced-drain path to fail)."""
-    from .http import parse_address
     host, port = parse_address(spec)
     server = CacheServer(host=host, port=port, max_entries=max_entries,
                          max_bytes=max_bytes, disk_dir=disk_dir,
                          ttl_s=ttl_s)
-    return asyncio.run(_serve_async(server))
+    return run(server, "cache-serve")
 
 
-class BackgroundCacheServer:
-    """In-process cache server for tests and benchmarks.
+class BackgroundCacheServer(BackgroundHarness):
+    """In-process cache server for tests and benchmarks: takes
+    :class:`CacheServer`'s constructor arguments and runs it on a
+    :class:`~repro.service.aserver.BackgroundHarness` thread."""
 
-    Runs the event loop in a daemon thread; usable as a context manager.
-    ``address`` is available after ``start()`` (bind port 0 to get an
-    ephemeral port).
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 max_entries: int | None = None,
-                 max_bytes: int | None = None,
-                 disk_dir: str | None = None,
-                 ttl_s: float | None = None):
-        self.server = CacheServer(host=host, port=port,
-                                  max_entries=max_entries,
-                                  max_bytes=max_bytes, disk_dir=disk_dir,
-                                  ttl_s=ttl_s)
-        self.address: tuple[str, int] | None = None
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._error: BaseException | None = None
-
-    @property
-    def address_spec(self) -> str:
-        assert self.address is not None
-        return f"{self.address[0]}:{self.address[1]}"
-
-    def __enter__(self) -> "BackgroundCacheServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def start(self) -> None:
-        ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._main, args=(ready,),
-            name="fveval-cache-server", daemon=True)
-        self._thread.start()
-        if not ready.wait(30) or self._error is not None:
-            raise RuntimeError(
-                f"cache server failed to start: {self._error}")
-
-    def _main(self, ready: threading.Event) -> None:
-        try:
-            asyncio.run(self._arun(ready))
-        except BaseException as exc:  # surfaced by start()/stop()
-            self._error = exc
-        finally:
-            ready.set()
-
-    async def _arun(self, ready: threading.Event) -> None:
-        await self.server.start()
-        self.address = self.server.address
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        ready.set()
-        await self._stop.wait()
-        self.server.begin_drain()
-        await self.server.wait_drained()
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:
-                pass  # loop already closed
-        if self._thread is not None:
-            self._thread.join(60)
+    server_class = CacheServer

@@ -43,7 +43,9 @@ from __future__ import annotations
 import json
 
 from .admission import AdmissionController
-from .api import RequestError, request_from_json, response_to_json
+from .api import (
+    RequestError, error_wire, request_from_json, response_to_json,
+)
 from .service import VerificationService
 
 
@@ -96,10 +98,8 @@ def serve_stream(in_stream, out_stream,
                 if position in answered:
                     continue
                 bad += 1
-                emit({"request_id": request.request_id or "", "kind":
-                      request.kind, "ok": False, "verdict": "error",
-                      "detail": event["detail"], "index": position,
-                      "degraded": [event]})
+                emit(error_wire(request, event["detail"], index=position,
+                                degraded=[event]))
         finally:
             # finish-after-write: the admission layer's "idle" then
             # means every owed response line has been emitted
@@ -122,11 +122,9 @@ def serve_stream(in_stream, out_stream,
             failures += 1
             # echo the caller's id whenever the JSON decoded far enough
             # to carry one, so correlation survives validation failures
-            rid = (obj.get("request_id") if isinstance(obj, dict)
-                   else None) or f"line{lineno}"
-            kind = (obj.get("kind", "") if isinstance(obj, dict) else "")
-            emit({"request_id": rid, "kind": str(kind), "ok": False,
-                  "verdict": "error", "detail": str(exc)[:200]})
+            wire = error_wire(obj, str(exc))
+            wire["request_id"] = wire["request_id"] or f"line{lineno}"
+            emit(wire)
             continue
         if admission is not None:
             ticket = admission.try_admit(1)

@@ -1,9 +1,9 @@
 """Asyncio HTTP frontend of the verification service (``python -m repro
 serve --http HOST:PORT``).
 
-Stdlib only (``asyncio.start_server`` + a minimal HTTP/1.1 parser): the
-repo's no-new-hard-deps rule applies to the network edge too.  The
-frontend exposes:
+A route table over the shared server kernel
+(:mod:`repro.service.aserver`: listener, keep-alive loop, framing
+errors, drain, signals -- docs/service.md).  The frontend exposes:
 
 ``POST /v1/verify``
     One :class:`~repro.service.api.VerifyRequest` wire object -- or a
@@ -43,125 +43,25 @@ via the procpool backstop and exits nonzero immediately.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import os
-import signal
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 from .admission import AdmissionController
 from .api import (
-    RequestError, VerifyResponse, request_from_json, response_to_json,
+    RequestError, error_wire, requests_from_body, response_to_json,
+)
+# MAX_BODY_BYTES and parse_address stay importable from here: they are
+# part of this module's public surface
+from .aserver import (  # noqa: F401
+    MAX_BODY_BYTES, AsyncJsonServer, BackgroundHarness, Connection,
+    HttpError, HttpRequest, expect_route, parse_address, run,
 )
 from .service import VerificationService
 
-#: request-body ceiling (a design source is tens of KB; 8 MiB is loud
-#: misuse, not a workload)
-MAX_BODY_BYTES = 8 * 1024 * 1024
 
-#: per-header-section line cap
-_MAX_HEADERS = 100
-
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 411: "Length Required",
-            413: "Payload Too Large", 500: "Internal Server Error",
-            501: "Not Implemented", 502: "Bad Gateway",
-            503: "Service Unavailable"}
-
-
-class _HttpError(Exception):
-    """A connection-level protocol error (answered, then closed)."""
-
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-
-
-@dataclass
-class _HttpRequest:
-    method: str
-    path: str
-    headers: dict = field(default_factory=dict)
-    body: bytes = b""
-
-    @property
-    def wants_close(self) -> bool:
-        return self.headers.get("connection", "").lower() == "close"
-
-
-async def _read_request(reader) -> _HttpRequest | None:
-    """Parse one HTTP/1.1 request; None on a clean EOF."""
-    try:
-        line = await reader.readline()
-    except ValueError:
-        raise _HttpError(400, "request line too long")
-    if not line:
-        return None
-    text = line.decode("latin-1").strip()
-    if not text:
-        return await _read_request(reader)  # tolerate stray CRLFs
-    parts = text.split()
-    if len(parts) != 3:
-        raise _HttpError(400, "malformed request line")
-    method, target, version = parts
-    if not version.startswith("HTTP/1."):
-        raise _HttpError(400, f"unsupported protocol {version}")
-    headers: dict[str, str] = {}
-    while True:
-        try:
-            raw = await reader.readline()
-        except ValueError:
-            raise _HttpError(400, "header line too long")
-        if not raw:
-            raise _HttpError(400, "truncated headers")
-        text_line = raw.decode("latin-1").rstrip("\r\n")
-        if not text_line:
-            break
-        name, sep, value = text_line.partition(":")
-        if not sep:
-            raise _HttpError(400, "malformed header")
-        headers[name.strip().lower()] = value.strip()
-        if len(headers) > _MAX_HEADERS:
-            raise _HttpError(400, "too many headers")
-    body = b""
-    if method in ("POST", "PUT"):
-        if "transfer-encoding" in headers:
-            raise _HttpError(501, "chunked bodies are not supported")
-        raw_length = headers.get("content-length")
-        if raw_length is None:
-            raise _HttpError(411, "Content-Length required")
-        try:
-            length = int(raw_length)
-        except ValueError:
-            raise _HttpError(400, "bad Content-Length")
-        if length < 0:
-            raise _HttpError(400, "bad Content-Length")
-        if length > MAX_BODY_BYTES:
-            raise _HttpError(413,
-                             f"body exceeds {MAX_BODY_BYTES} bytes")
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise _HttpError(400, "truncated body")
-    return _HttpRequest(method, target.split("?", 1)[0], headers, body)
-
-
-def _encode(status: int, body_obj, close: bool = False,
-            extra: tuple = ()) -> bytes:
-    body = json.dumps(body_obj).encode()
-    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
-             "Content-Type: application/json",
-             f"Content-Length: {len(body)}",
-             f"Connection: {'close' if close else 'keep-alive'}"]
-    lines += [f"{name}: {value}" for name, value in extra]
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-class HttpVerificationServer:
+class HttpVerificationServer(AsyncJsonServer):
     """The asyncio server: admission-gated verify plus health/metrics.
 
     One instance owns one listening socket, one shared
@@ -176,219 +76,72 @@ class HttpVerificationServer:
     def __init__(self, service: VerificationService | None = None,
                  admission: AdmissionController | None = None,
                  host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host, port)
         self.service = service or VerificationService()
         self.admission = admission or AdmissionController()
         if self.service.admission is None:
             self.service.admission = self.admission
-        self.host = host
-        self.port = port
-        self._server: asyncio.base_events.Server | None = None
-        self._slots: asyncio.Condition | None = None
-        self._drain_event: asyncio.Event | None = None
-        self._forced = False
-        self._writers: set = set()
-        self._conn_tasks: set = set()
+        # binds to the serving loop on first use, not here
+        self._slots = asyncio.Condition()
         self._executor = ThreadPoolExecutor(
             max_workers=self.admission.max_inflight,
             thread_name_prefix="fveval-http")
         # metrics counters -- mutated on the event-loop thread only
-        self.http_requests = 0
-        self.status_totals: dict[str, int] = {}
         self.verdict_totals: dict[str, int] = {}
         self.fault_totals: dict[str, int] = {}
         self.retried_faults = 0
         self.degraded_responses = 0
         self.shed_responses = 0
 
-    # -- lifecycle -----------------------------------------------------------
-
-    async def start(self) -> None:
-        self._slots = asyncio.Condition()
-        self._drain_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self.port)
-
-    @property
-    def address(self) -> tuple[str, int]:
-        assert self._server is not None and self._server.sockets
-        name = self._server.sockets[0].getsockname()
-        return name[0], name[1]
-
-    def install_signal_handlers(self) -> None:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self._on_signal)
-            except (NotImplementedError, RuntimeError):
-                signal.signal(signum, lambda *_: self._on_signal())
-
-    def _on_signal(self) -> None:
-        if self._drain_event is not None and self._drain_event.is_set():
-            self.force_shutdown()
-        else:
-            self.begin_drain()
+    # -- lifecycle hooks -----------------------------------------------------
 
     def begin_drain(self) -> None:
         """Stop admitting and stop listening; in-flight work finishes.
-
-        Must be called on the event-loop thread (the signal handlers
-        and :class:`BackgroundServer` both arrange that).
-        """
+        Tickets finish only after their response bytes are flushed, so
+        the kernel's wait for in-flight handlers is also the wait for
+        every owed response index."""
         self.admission.begin_drain()
-        if self._drain_event is not None:
-            self._drain_event.set()
+        super().begin_drain()
 
     def force_shutdown(self) -> None:
         """Second-signal path: kill worker processes via the procpool
         backstop and abandon the drain."""
-        self._forced = True
+        self.forced = True
         try:
             self.service.close()
         except Exception:
             pass
-        if self._slots is not None:
-            asyncio.get_running_loop().create_task(self._notify_slots())
+        asyncio.get_running_loop().create_task(self._notify_slots())
 
-    @property
-    def forced(self) -> bool:
-        return self._forced
-
-    async def wait_drained(self) -> int:
-        """Block until a drain completes; 0 on graceful, 1 on forced."""
-        assert self._drain_event is not None
-        await self._drain_event.wait()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # every admitted unit must be answered (and written -- tickets
-        # finish after the response bytes are flushed) before exit
-        while not self.admission.idle() and not self._forced:
-            await asyncio.sleep(0.02)
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        # let handler tasks observe the closed transports and return,
-        # so loop teardown never cancels a task mid-await
-        lingering = set(self._conn_tasks)
-        if lingering and not self._forced:
-            await asyncio.wait(lingering, timeout=5)
+    async def on_drained(self) -> None:
         self._executor.shutdown(wait=False)
-        return 1 if self._forced else 0
 
     async def _notify_slots(self) -> None:
-        assert self._slots is not None
         async with self._slots:
             self._slots.notify_all()
 
-    # -- connection handling -------------------------------------------------
-
-    async def _handle_conn(self, reader, writer) -> None:
-        self._writers.add(writer)
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        conn = object()  # identity key for the per-connection unit cap
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader)
-                except _HttpError as exc:
-                    await self._write(writer, exc.status,
-                                      {"ok": False, "error": exc.message},
-                                      close=True)
-                    return
-                except (ConnectionError, OSError):
-                    return
-                if request is None:
-                    return
-                self.http_requests += 1
-                close = request.wants_close
-                if (request.method == "POST"
-                        and request.path == "/v1/verify"):
-                    await self._handle_verify(request, writer, conn, close)
-                else:
-                    status, body = self._route_simple(request)
-                    await self._write(writer, status, body, close=close)
-                if close or (self._drain_event is not None
-                             and self._drain_event.is_set()):
-                    return
-        finally:
-            self._writers.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    def _route_simple(self, request: _HttpRequest):
-        if request.path == "/healthz":
-            if request.method != "GET":
-                return 405, {"ok": False, "error": "GET only"}
-            # liveness must answer under overload and during drain:
-            # no admission check, no locks beyond the stats snapshot
-            return 200, {"status": "alive",
-                         "draining": self.admission.draining}
-        if request.path == "/readyz":
-            if request.method != "GET":
-                return 405, {"ok": False, "error": "GET only"}
-            if self.admission.ready():
-                return 200, {"status": "ready"}
-            state = ("draining" if self.admission.draining
-                     else "saturated")
-            return 503, {"status": state}
-        if request.path == "/metrics":
-            if request.method != "GET":
-                return 405, {"ok": False, "error": "GET only"}
-            return 200, self.metrics()
-        if request.path == "/v1/verify":
-            return 405, {"ok": False, "error": "POST only"}
-        return 404, {"ok": False, "error": f"no route {request.path}"}
+    def ready(self) -> tuple[bool, dict]:
+        if self.admission.ready():
+            return True, {"status": "ready"}
+        return False, {"status": ("draining" if self.admission.draining
+                                  else "saturated")}
 
     # -- the verify path -----------------------------------------------------
 
-    async def _handle_verify(self, request: _HttpRequest, writer, conn,
-                             close: bool) -> None:
+    async def handle(self, request: HttpRequest, conn: Connection) -> None:
+        expect_route(request, "/v1/verify", "POST")
         try:
-            payload = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            await self._write(writer, 400,
-                              {"ok": False,
-                               "error": "body is not valid JSON"},
-                              close=close)
-            return
-        single = not isinstance(payload, list)
-        items = [payload] if single else payload
-        if not items:
-            await self._write(writer, 400,
-                              {"ok": False, "error": "empty batch"},
-                              close=close)
-            return
-
-        # validate positions up front; invalid items never cost units
-        parsed: list[tuple[int, object, VerifyResponse | None]] = []
-        for position, item in enumerate(items):
-            try:
-                parsed.append((position, request_from_json(item), None))
-            except (RequestError, TypeError) as exc:
-                rid = (item.get("request_id", "")
-                       if isinstance(item, dict) else "")
-                kind = (str(item.get("kind", ""))
-                        if isinstance(item, dict) else "")
-                error = VerifyResponse(request_id=rid, kind=kind)
-                error.ok = False
-                error.verdict = "error"
-                error.detail = str(exc)[:200]
-                parsed.append((position, None, error))
-        live = [(pos, req) for pos, req, _err in parsed if req is not None]
+            single, _items, parsed = requests_from_body(request.body)
+        except RequestError as exc:
+            raise HttpError(400, str(exc))
+        # invalid positions were answered at parse time and never cost
+        # units; the rest are admitted as one ticket
+        live = [(pos, req) for pos, req in enumerate(parsed)
+                if not isinstance(req, dict)]
 
         if single and not live:
-            wire = response_to_json(parsed[0][2])
-            wire["index"] = 0
-            self._fold(wire)
-            await self._write(writer, 400, wire, close=close)
+            self._fold(parsed[0])
+            await conn.write(400, parsed[0])
             return
 
         ticket = None
@@ -403,53 +156,37 @@ class HttpVerificationServer:
                 wire["meta"]["shed_units"] = len(live)
                 self.shed_responses += 1
                 self._fold(wire)
-                await self._write(
-                    writer, 503, wire, close=close,
-                    extra=(("Retry-After",
-                            str(math.ceil(retry_after))),))
+                await conn.write(
+                    503, wire,
+                    extra=(("Retry-After", str(math.ceil(retry_after))),))
                 return
 
         status = 200
-        responses: list[VerifyResponse] = []
-        infra_failed = False
         try:
             if ticket is not None:
-                assert self._slots is not None
                 async with self._slots:
                     # the in-flight cap: dispatch only when this
                     # batch's units fit under max_inflight
                     await self._slots.wait_for(
-                        lambda: self._forced
+                        lambda: self.forced
                         or (self.admission.inflight + ticket.units
                             <= self.admission.max_inflight))
-                    if self._forced:
-                        await self._write(
-                            writer, 503,
-                            {"ok": False, "error": "shutting down"},
-                            close=True)
+                    if self.forced:
+                        conn.close = True
+                        await conn.write(
+                            503, {"ok": False, "error": "shutting down"})
                         return
                     ticket.start()
                 loop = asyncio.get_running_loop()
-                responses, infra_failed = await loop.run_in_executor(
+                wires, status = await loop.run_in_executor(
                     self._executor, self._run_batch,
                     [req for _pos, req in live])
-                if infra_failed:
-                    status = 500
-            wire_out: list[dict | None] = [None] * len(items)
-            for pos, _req, err in parsed:
-                if err is not None:
-                    wire = response_to_json(err)
+                for (pos, _req), wire in zip(live, wires):
                     wire["index"] = pos
-                    wire_out[pos] = wire
-            for (pos, _req), response in zip(live, responses):
-                wire = response_to_json(response)
-                wire["index"] = pos
-                wire_out[pos] = wire
-            for wire in wire_out:
+                    parsed[pos] = wire
+            for wire in parsed:
                 self._fold(wire)
-            await self._write(writer, status,
-                              wire_out[0] if single else wire_out,
-                              close=close)
+            await conn.write(status, parsed[0] if single else parsed)
         finally:
             if ticket is not None:
                 # finish-after-write: drain's "idle" implies every owed
@@ -457,30 +194,22 @@ class HttpVerificationServer:
                 ticket.finish()
                 await self._notify_slots()
 
-    def _run_batch(self, requests):
-        """Execute one admitted batch on a pool thread.
+    def _run_batch(self, requests) -> tuple[list[dict], int]:
+        """Execute one admitted batch on a pool thread: the wire
+        objects in request order, and the HTTP status.
 
         Never raises: an infrastructure failure maps to one ``ok=False``
         error response per index (the JSON-lines frontend's mid-batch
-        contract), flagged so the HTTP status becomes 500.
+        contract) under status 500.
         """
         try:
-            return self.service.run(requests), False
+            return [response_to_json(response)
+                    for response in self.service.run(requests)], 200
         except Exception as exc:
             from ..core.faults import classify
             event = classify(exc, stage="service").as_dict()
-            out = []
-            for index, request in enumerate(requests):
-                response = VerifyResponse(
-                    request_id=request.request_id or "",
-                    kind=request.kind)
-                response.ok = False
-                response.verdict = "error"
-                response.detail = event["detail"]
-                response.degraded = [event]
-                response.index = index
-                out.append(response)
-            return out, True
+            return [error_wire(request, event["detail"], degraded=[event])
+                    for request in requests], 500
 
     # -- metrics -------------------------------------------------------------
 
@@ -530,43 +259,9 @@ class HttpVerificationServer:
             "degraded_responses": self.degraded_responses,
             "timeout_responses": self.verdict_totals.get("timeout", 0),
             "shed_responses": self.shed_responses,
-            "http": {"requests": self.http_requests,
-                     "responses": dict(self.status_totals)},
             "cache": cache,
             "service": service_stats,
         }
-
-    async def _write(self, writer, status: int, body, close: bool = False,
-                     extra: tuple = ()) -> None:
-        bucket = f"{status // 100}xx"
-        self.status_totals[bucket] = self.status_totals.get(bucket, 0) + 1
-        try:
-            writer.write(_encode(status, body, close=close, extra=extra))
-            await writer.drain()
-        except (ConnectionError, OSError, RuntimeError):
-            pass  # the client went away; the work is still accounted
-
-
-def parse_address(spec: str) -> tuple[str, int]:
-    """``HOST:PORT`` (port 0 binds an ephemeral port)."""
-    host, sep, port = spec.rpartition(":")
-    if not sep:
-        raise ValueError(f"--http expects HOST:PORT, got {spec!r}")
-    try:
-        port_num = int(port)
-    except ValueError:
-        raise ValueError(f"--http port must be an integer, got {port!r}")
-    return host or "127.0.0.1", port_num
-
-
-async def _serve_async(server: HttpVerificationServer) -> int:
-    await server.start()
-    server.install_signal_handlers()
-    host, port = server.address
-    # scraped by tests/CI to learn an ephemeral port; stderr so stdout
-    # stays clean for tooling
-    print(f"serving on http://{host}:{port}", file=sys.stderr, flush=True)
-    return await server.wait_drained()
 
 
 def serve_http(spec: str, service: VerificationService | None = None,
@@ -576,7 +271,7 @@ def serve_http(spec: str, service: VerificationService | None = None,
     host, port = parse_address(spec)
     server = HttpVerificationServer(service=service, admission=admission,
                                     host=host, port=port)
-    status = asyncio.run(_serve_async(server))
+    status = run(server, "serving")
     if server.forced:
         # worker processes are already SIGKILLed; wedged executor
         # threads must not block the forced exit
@@ -585,62 +280,9 @@ def serve_http(spec: str, service: VerificationService | None = None,
     return status
 
 
-class BackgroundServer:
-    """In-process server for tests and benchmarks.
+class BackgroundServer(BackgroundHarness):
+    """In-process HTTP frontend for tests and benchmarks: takes
+    :class:`HttpVerificationServer`'s constructor arguments and runs it
+    on a :class:`~repro.service.aserver.BackgroundHarness` thread."""
 
-    Runs the event loop in a daemon thread; ``stop()`` performs the
-    graceful drain (every admitted unit answered) and joins the thread.
-    Usable as a context manager.
-    """
-
-    def __init__(self, service: VerificationService | None = None,
-                 admission: AdmissionController | None = None,
-                 host: str = "127.0.0.1", port: int = 0):
-        self.server = HttpVerificationServer(
-            service=service, admission=admission, host=host, port=port)
-        self.address: tuple[str, int] | None = None
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._error: BaseException | None = None
-
-    def __enter__(self) -> "BackgroundServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def start(self) -> None:
-        ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._main, args=(ready,),
-            name="fveval-http-server", daemon=True)
-        self._thread.start()
-        if not ready.wait(30) or self._error is not None:
-            raise RuntimeError(
-                f"HTTP server failed to start: {self._error}")
-
-    def _main(self, ready: threading.Event) -> None:
-        try:
-            asyncio.run(self._arun(ready))
-        except BaseException as exc:  # surfaced by start()/stop()
-            self._error = exc
-        finally:
-            ready.set()
-
-    async def _arun(self, ready: threading.Event) -> None:
-        await self.server.start()
-        self.address = self.server.address
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        ready.set()
-        await self._stop.wait()
-        self.server.begin_drain()
-        await self.server.wait_drained()
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(60)
+    server_class = HttpVerificationServer

@@ -2,8 +2,9 @@
 repro route --replicas HOST:PORT,... --listen HOST:PORT``).
 
 The router terminates the same ``/v1/verify`` wire schema as the
-single-replica frontend (:mod:`repro.service.http`, whose parser and
-encoder it reuses), but instead of executing requests it *places* them:
+single-replica frontend (:mod:`repro.service.http`; both are route
+tables over the server kernel, :mod:`repro.service.aserver`), but
+instead of executing requests it *places* them:
 at plan time each request's design signature is computed with the exact
 helper the service keys its prover pool with
 (:func:`repro.service.signature.routing_signature`), hashed, and looked
@@ -45,12 +46,13 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import signal
-import sys
-import threading
 import time
 
-from .http import _encode, _HttpError, _read_request, parse_address
+from .api import RequestError, error_wire, requests_from_body
+from .aserver import (
+    AsyncJsonServer, BackgroundHarness, Connection, HttpError, HttpRequest,
+    close_quietly, expect_route, parse_address, read_response, run,
+)
 from .ring import DEFAULT_VNODES, HashRing, stable_hash
 from .signature import routing_signature
 
@@ -90,45 +92,6 @@ def parse_replicas(spec: str) -> list[str]:
     return names
 
 
-async def _read_response(reader):
-    """Parse one HTTP/1.1 response from a replica: (status, headers,
-    body).  Raises ``ConnectionError`` on any framing problem -- the
-    caller treats the replica as failed and retries elsewhere."""
-    line = await reader.readline()
-    if not line:
-        raise ConnectionError("upstream closed before status line")
-    parts = line.decode("latin-1").split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise ConnectionError("malformed upstream status line")
-    try:
-        status = int(parts[1])
-    except ValueError:
-        raise ConnectionError("malformed upstream status code")
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if not raw:
-            raise ConnectionError("truncated upstream headers")
-        text = raw.decode("latin-1").rstrip("\r\n")
-        if not text:
-            break
-        name, sep, value = text.partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    length_raw = headers.get("content-length")
-    if length_raw is None:
-        raise ConnectionError("upstream response without Content-Length")
-    try:
-        length = int(length_raw)
-    except ValueError:
-        raise ConnectionError("bad upstream Content-Length")
-    try:
-        body = await reader.readexactly(length) if length > 0 else b""
-    except asyncio.IncompleteReadError:
-        raise ConnectionError("truncated upstream body")
-    return status, headers, body
-
-
 class _Replica:
     """Router-side state of one configured replica."""
 
@@ -152,7 +115,7 @@ class _Replica:
                 "backoff_s": round(backoff, 3)}
 
 
-class RouterServer:
+class RouterServer(AsyncJsonServer):
     """The asyncio routing tier: signature-affine placement + failover.
 
     All mutable state (ring membership, pools, counters) lives on the
@@ -163,89 +126,38 @@ class RouterServer:
                  max_hops: int = DEFAULT_MAX_HOPS,
                  health_interval: float = DEFAULT_HEALTH_INTERVAL,
                  vnodes: int = DEFAULT_VNODES):
-        names = (parse_replicas(replicas) if isinstance(replicas, str)
-                 else [f"{h}:{p}" for h, p in
-                       (parse_address(str(r)) for r in replicas)])
-        if not names:
-            raise ValueError("router needs at least one replica")
+        super().__init__(host, port)
+        names = parse_replicas(replicas if isinstance(replicas, str)
+                               else ",".join(map(str, replicas)))
         self.replicas: dict[str, _Replica] = {
             name: _Replica(name) for name in names}
         self.ring = HashRing(names, vnodes=vnodes)
-        self.host = host
-        self.port = port
         self.max_hops = max(1, int(max_hops))
         self.health_interval = max(0.05, float(health_interval))
-        self._server: asyncio.base_events.Server | None = None
-        self._drain_event: asyncio.Event | None = None
         self._health_task: asyncio.Task | None = None
-        self._writers: set = set()
-        self._conn_tasks: set = set()
         self._pools: dict[str, list] = {}
-        self._inflight = 0
         # counters -- event-loop thread only
-        self.http_requests = 0
-        self.status_totals: dict[str, int] = {}
         self.failovers = 0
         self.exhausted: dict[str, int] = {"overloaded": 0, "upstream": 0}
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- lifecycle hooks -----------------------------------------------------
 
-    async def start(self) -> None:
-        self._drain_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.host, self.port)
+    async def on_start(self) -> None:
         self._health_task = asyncio.get_running_loop().create_task(
             self._health_loop())
 
-    @property
-    def address(self) -> tuple[str, int]:
-        assert self._server is not None and self._server.sockets
-        name = self._server.sockets[0].getsockname()
-        return name[0], name[1]
-
-    @property
-    def draining(self) -> bool:
-        return (self._drain_event is not None
-                and self._drain_event.is_set())
-
-    def install_signal_handlers(self) -> None:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.begin_drain)
-            except (NotImplementedError, RuntimeError):
-                signal.signal(signum, lambda *_: self.begin_drain())
-
-    def begin_drain(self) -> None:
-        if self._drain_event is not None:
-            self._drain_event.set()
-
-    async def wait_drained(self) -> int:
-        assert self._drain_event is not None
-        await self._drain_event.wait()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        while self._inflight > 0:
-            await asyncio.sleep(0.02)
+    async def on_drained(self) -> None:
         if self._health_task is not None:
             self._health_task.cancel()
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        lingering = set(self._conn_tasks)
-        if lingering:
-            await asyncio.wait(lingering, timeout=5)
         for pool in self._pools.values():
             for _reader, writer in pool:
-                try:
-                    writer.close()
-                except Exception:
-                    pass
+                close_quietly(writer)
         self._pools.clear()
-        return 0
+
+    def ready(self) -> tuple[bool, dict]:
+        if len(self.ring) == 0:
+            return False, {"status": "no healthy replica"}
+        return True, {"status": "ready", "replicas": len(self.ring)}
 
     # -- health --------------------------------------------------------------
 
@@ -274,15 +186,12 @@ class RouterServer:
                          b"Connection: close\r\n\r\n")
             await writer.drain()
             status, _headers, _body = await asyncio.wait_for(
-                _read_response(reader), CONNECT_TIMEOUT_S)
+                read_response(reader), CONNECT_TIMEOUT_S)
             return status == 200
         except (OSError, ConnectionError, asyncio.TimeoutError):
             return False
         finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
+            close_quietly(writer)
 
     def _eject(self, name: str) -> None:
         replica = self.replicas[name]
@@ -292,10 +201,7 @@ class RouterServer:
             self.ring.remove(name)
         # a dead replica's pooled connections are dead too
         for _reader, writer in self._pools.pop(name, []):
-            try:
-                writer.close()
-            except Exception:
-                pass
+            close_quietly(writer)
 
     def _readmit(self, name: str) -> None:
         replica = self.replicas[name]
@@ -312,10 +218,7 @@ class RouterServer:
             reader, writer = pool.pop()
             if not writer.is_closing():
                 return reader, writer
-            try:
-                writer.close()
-            except Exception:
-                pass
+            close_quietly(writer)
         host, port = parse_address(name)
         return await asyncio.wait_for(
             asyncio.open_connection(host, port), CONNECT_TIMEOUT_S)
@@ -324,110 +227,29 @@ class RouterServer:
         if reuse and not writer.is_closing() and not self.draining:
             self._pools.setdefault(name, []).append((reader, writer))
         else:
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    # -- connection handling -------------------------------------------------
-
-    async def _handle_conn(self, reader, writer) -> None:
-        self._writers.add(writer)
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader)
-                except _HttpError as exc:
-                    await self._write(writer, exc.status,
-                                      {"ok": False, "error": exc.message},
-                                      close=True)
-                    return
-                except (ConnectionError, OSError):
-                    return
-                if request is None:
-                    return
-                self.http_requests += 1
-                close = request.wants_close
-                if (request.method == "POST"
-                        and request.path == "/v1/verify"):
-                    self._inflight += 1
-                    try:
-                        await self._handle_verify(request, writer, close)
-                    finally:
-                        self._inflight -= 1
-                else:
-                    status, body = self._route_simple(request)
-                    await self._write(writer, status, body, close=close)
-                if close or self.draining:
-                    return
-        finally:
-            self._writers.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    def _route_simple(self, request):
-        if request.path == "/healthz":
-            if request.method != "GET":
-                return 405, {"ok": False, "error": "GET only"}
-            return 200, {"status": "alive", "draining": self.draining}
-        if request.path == "/readyz":
-            if request.method != "GET":
-                return 405, {"ok": False, "error": "GET only"}
-            if len(self.ring) > 0 and not self.draining:
-                return 200, {"status": "ready",
-                             "replicas": len(self.ring)}
-            state = "draining" if self.draining else "no healthy replica"
-            return 503, {"status": state}
-        if request.path == "/metrics":
-            if request.method != "GET":
-                return 405, {"ok": False, "error": "GET only"}
-            return 200, self.metrics()
-        if request.path == "/v1/verify":
-            return 405, {"ok": False, "error": "POST only"}
-        return 404, {"ok": False, "error": f"no route {request.path}"}
+            close_quietly(writer)
 
     # -- the verify path -----------------------------------------------------
 
-    async def _handle_verify(self, request, writer, close: bool) -> None:
-        from .api import RequestError, request_from_json
-
+    async def handle(self, request: HttpRequest, conn: Connection) -> None:
+        expect_route(request, "/v1/verify", "POST")
         try:
-            payload = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            await self._write(writer, 400,
-                              {"ok": False,
-                               "error": "body is not valid JSON"},
-                              close=close)
-            return
-        single = not isinstance(payload, list)
-        items = [payload] if single else payload
-        if not items:
-            await self._write(writer, 400,
-                              {"ok": False, "error": "empty batch"},
-                              close=close)
-            return
+            single, items, parsed = requests_from_body(request.body)
+        except RequestError as exc:
+            raise HttpError(400, str(exc))
 
-        # validate and fingerprint every position up front; invalid
-        # items are answered locally and never forwarded
+        # fingerprint every valid position up front; invalid items were
+        # answered at parse time and are never forwarded
         results: dict[int, dict] = {}
         status_by_pos: dict[int, int] = {}
         live: list[tuple[int, int]] = []  # (position, routing key)
-        for position, item in enumerate(items):
-            try:
-                parsed = request_from_json(item)
-            except (RequestError, TypeError) as exc:
-                results[position] = self._local_error(
-                    item, code=None, detail=str(exc)[:200])
+        for position, entry in enumerate(parsed):
+            if isinstance(entry, dict):
+                results[position] = entry
                 status_by_pos[position] = 400
-                continue
-            live.append((position, stable_hash(routing_signature(parsed))))
+            else:
+                live.append((position,
+                             stable_hash(routing_signature(entry))))
 
         if live:
             await self._route_positions(items, live, results,
@@ -445,11 +267,10 @@ class RouterServer:
                 retry_after = (results[0].get("meta") or {}).get(
                     "retry_after_s", 1.0)
                 extra = (("Retry-After", str(math.ceil(retry_after))),)
-            await self._write(writer, status, wire_out[0], close=close,
-                              extra=extra)
+            await conn.write(status, wire_out[0], extra=extra)
         else:
             # batch: always 200, every index answered in the body
-            await self._write(writer, 200, wire_out, close=close)
+            await conn.write(200, wire_out)
 
     async def _route_positions(self, items, live, results,
                                status_by_pos) -> None:
@@ -573,12 +394,9 @@ class RouterServer:
             writer.write(head.encode("latin-1") + body)
             await writer.drain()
             status, headers, resp_body = await asyncio.wait_for(
-                _read_response(reader), READ_TIMEOUT_S)
+                read_response(reader), READ_TIMEOUT_S)
         except (OSError, ConnectionError, asyncio.TimeoutError):
-            try:
-                writer.close()
-            except Exception:
-                pass
+            close_quietly(writer)
             self._eject(node)
             return ("retry", None)
         keep = headers.get("connection", "").lower() != "close"
@@ -606,39 +424,20 @@ class RouterServer:
 
     # -- response shaping ----------------------------------------------------
 
-    def _local_error(self, item, code, detail: str,
-                     retryable: bool = False, meta: dict | None = None):
-        from ..core.faults import FaultEvent
-        from .api import VerifyResponse, response_to_json
-        rid = item.get("request_id", "") if isinstance(item, dict) else ""
-        kind = (str(item.get("kind", ""))
-                if isinstance(item, dict) else "")
-        response = VerifyResponse(request_id=rid, kind=kind)
-        response.ok = False
-        response.verdict = "error"
-        response.detail = detail
-        if code is not None:
-            response.degraded = [FaultEvent(
-                code, stage="router", retryable=retryable,
-                detail=detail).as_dict()]
-        wire = response_to_json(response)
-        if meta:
-            wire.setdefault("meta", {}).update(meta)
-        return wire
-
     def _exhausted_error(self, item, st: dict) -> dict:
+        from ..core.faults import FaultEvent
         hops = len(st["tried"])
         if st["saw_overload"]:
-            retry_after = max(1.0, st["retry_after"])
-            return self._local_error(
-                item, "overload",
-                f"every replica in the failover chain is saturated "
-                f"({hops} tried)", retryable=True,
-                meta={"retry_after_s": round(retry_after, 3)})
-        return self._local_error(
-            item, "upstream",
-            f"no replica answered after {hops} attempt(s)",
-            retryable=False)
+            code = "overload"
+            detail = (f"every replica in the failover chain is saturated "
+                      f"({hops} tried)")
+            meta = {"retry_after_s": round(max(1.0, st["retry_after"]), 3)}
+        else:
+            code, meta = "upstream", None
+            detail = f"no replica answered after {hops} attempt(s)"
+        event = FaultEvent(code, stage="router", detail=detail,
+                           retryable=st["saw_overload"]).as_dict()
+        return error_wire(item, detail, degraded=[event], meta=meta)
 
     def _mark_rerouted(self, wire: dict, st: dict) -> None:
         from ..core.faults import FaultEvent
@@ -665,29 +464,7 @@ class RouterServer:
             "exhausted": dict(self.exhausted),
             "max_hops": self.max_hops,
             "draining": self.draining,
-            "http": {"requests": self.http_requests,
-                     "responses": dict(self.status_totals)},
         }
-
-    async def _write(self, writer, status: int, body, close: bool = False,
-                     extra: tuple = ()) -> None:
-        bucket = f"{status // 100}xx"
-        self.status_totals[bucket] = self.status_totals.get(bucket, 0) + 1
-        try:
-            writer.write(_encode(status, body, close=close, extra=extra))
-            await writer.drain()
-        except (ConnectionError, OSError, RuntimeError):
-            pass
-
-
-async def _serve_async(router: RouterServer) -> int:
-    await router.start()
-    router.install_signal_handlers()
-    host, port = router.address
-    # scraped by tests/CI to learn an ephemeral port (cf. "serving on"
-    # and "cache-serve on"); stderr so stdout stays clean
-    print(f"routing on http://{host}:{port}", file=sys.stderr, flush=True)
-    return await router.wait_drained()
 
 
 def serve_route(replicas: str, listen: str,
@@ -702,63 +479,16 @@ def serve_route(replicas: str, listen: str,
                           max_hops=max_hops,
                           health_interval=health_interval,
                           vnodes=vnodes)
-    return asyncio.run(_serve_async(router))
+    return run(router, "routing")
 
 
-class BackgroundRouter:
-    """In-process router for tests and benchmarks (cf.
-    :class:`repro.service.http.BackgroundServer`)."""
+class BackgroundRouter(BackgroundHarness):
+    """In-process router for tests and benchmarks: takes
+    :class:`RouterServer`'s constructor arguments and runs it on a
+    :class:`~repro.service.aserver.BackgroundHarness` thread."""
 
-    def __init__(self, replicas, host: str = "127.0.0.1", port: int = 0,
-                 max_hops: int = DEFAULT_MAX_HOPS,
-                 health_interval: float = DEFAULT_HEALTH_INTERVAL,
-                 vnodes: int = DEFAULT_VNODES):
-        self.router = RouterServer(replicas, host=host, port=port,
-                                   max_hops=max_hops,
-                                   health_interval=health_interval,
-                                   vnodes=vnodes)
-        self.address: tuple[str, int] | None = None
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._error: BaseException | None = None
+    server_class = RouterServer
 
-    def __enter__(self) -> "BackgroundRouter":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def start(self) -> None:
-        ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._main, args=(ready,),
-            name="fveval-router", daemon=True)
-        self._thread.start()
-        if not ready.wait(30) or self._error is not None:
-            raise RuntimeError(f"router failed to start: {self._error}")
-
-    def _main(self, ready: threading.Event) -> None:
-        try:
-            asyncio.run(self._arun(ready))
-        except BaseException as exc:
-            self._error = exc
-        finally:
-            ready.set()
-
-    async def _arun(self, ready: threading.Event) -> None:
-        await self.router.start()
-        self.address = self.router.address
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        ready.set()
-        await self._stop.wait()
-        self.router.begin_drain()
-        await self.router.wait_drained()
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(60)
+    @property
+    def router(self) -> RouterServer:
+        return self.server

@@ -1,8 +1,39 @@
 """Shared fixtures for the test suite."""
 
+import json
+import time
+from http.client import HTTPConnection
+
 import pytest
 
 from repro.core.tasks import Nl2SvaHumanTask
+
+
+@pytest.fixture
+def wait_inflight():
+    """``wait(host, port, count)``: block until the server's
+    ``/metrics`` shows *count* requests inside handlers (the kernel's
+    ``http.inflight`` gauge) -- state, not ``time.sleep``, decides when
+    a storm test signals.  Fails the test loudly on timeout."""
+
+    def wait(host, port, count, timeout=30):
+        deadline = time.monotonic() + timeout
+        while True:
+            conn = HTTPConnection(host, port, timeout=10)
+            try:
+                conn.request("GET", "/metrics")
+                metrics = json.loads(conn.getresponse().read())
+            finally:
+                conn.close()
+            inflight = metrics["http"]["inflight"]
+            if inflight >= count:
+                return
+            if time.monotonic() > deadline:
+                pytest.fail(f"only {inflight} of {count} requests went "
+                            f"in-flight within {timeout}s")
+            time.sleep(0.01)
+
+    return wait
 
 
 @pytest.fixture(scope="session")

@@ -74,3 +74,24 @@ class TestEvaluation:
             rec = task.evaluate(d, arbiter_flawed_response(
                 d, random.Random(i)))
             assert rec.syntax_ok and not rec.func, d.instance_id
+
+    def test_simulated_model_runs_the_category(self):
+        """The SimulatedModel path dispatches arbiter designs to the
+        arbiter templates (it sent them to the pipeline ones and died on
+        ``KeyError: 'total_depth'``), and still separates right from
+        wrong."""
+        from repro.core.runner import RunConfig, run_model_on_task
+        result = run_model_on_task(
+            "gpt-4o", Design2SvaTask("arbiter", count=4),
+            RunConfig(n_samples=2, temperature=0.8))
+        verdicts = {record.verdict for record in result.records}
+        assert len(result.records) == 8
+        assert "proven" in verdicts and verdicts - {"proven"}
+
+    def test_broken_templates_use_arbiter_signals(self, task):
+        from repro.models.design_assist import broken_response
+        design = task.problems()[0]
+        for seed in range(12):  # every roll bracket of broken_response
+            response = broken_response(design, random.Random(seed))
+            assert "gnt" in response or "req" in response
+            assert not task.evaluate(design, response).syntax_ok

@@ -651,7 +651,7 @@ def _spawn(*args):
 
 
 class TestLiveFailover:
-    def test_sigkill_mid_storm_loses_no_indices(self):
+    def test_sigkill_mid_storm_loses_no_indices(self, wait_inflight):
         procs = []
         try:
             rep1, h1, p1 = _spawn("serve", "--http", "127.0.0.1:0",
@@ -683,7 +683,7 @@ class TestLiveFailover:
                        for i in range(4)]
             for t in threads:
                 t.start()
-            time.sleep(0.25)  # let forwards go in-flight
+            wait_inflight(rh, rp, len(threads))  # forwards in flight
             rep1.kill()  # SIGKILL one replica mid-storm
             for t in threads:
                 t.join(120)

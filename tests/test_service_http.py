@@ -3,6 +3,7 @@ bounded queue, Retry-After estimation, health/readiness transitions,
 metrics, SIGTERM drain, and the stdin frontend riding the same
 admission controller (docs/service.md, docs/robustness.md)."""
 
+import contextlib
 import io
 import json
 import os
@@ -18,6 +19,7 @@ import pytest
 
 from repro.service import (
     AdmissionController,
+    BackgroundRouter,
     BackgroundServer,
     VerificationService,
     VerifyRequest,
@@ -324,8 +326,15 @@ class TestHttpVerify:
             assert not out[1]["ok"] and out[1]["verdict"] == "error"
             assert out[2]["verdict"] == "proven"
 
-    def test_protocol_errors(self):
-        with BackgroundServer() as bg:
+    @pytest.mark.parametrize("front", ["serve", "route"])
+    def test_protocol_errors(self, front):
+        with contextlib.ExitStack() as stack:
+            bg = stack.enter_context(BackgroundServer())
+            if front == "route":
+                # the router terminates the same wire schema through
+                # the same decode helper: identical answers
+                bg = stack.enter_context(BackgroundRouter(
+                    bg.address_spec, health_interval=5.0))
             host, port = bg.address
             conn = HTTPConnection(host, port, timeout=10)
             conn.request("POST", "/v1/verify", "{not json")
@@ -540,7 +549,8 @@ class TestHealthReadiness:
 
 class TestSigtermDrain:
     @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_drain_loses_no_owed_indices(self, executor, tmp_path):
+    def test_drain_loses_no_owed_indices(self, executor, tmp_path,
+                                         wait_inflight):
         env = dict(os.environ, PYTHONPATH="src")
         for name in ("FVEVAL_WORKERS", "FVEVAL_EXECUTOR", "FVEVAL_FAULTS",
                      "FVEVAL_MAX_QUEUE", "FVEVAL_MAX_INFLIGHT"):
@@ -575,7 +585,7 @@ class TestSigtermDrain:
                        for i in range(3)]
             for t in threads:
                 t.start()
-            time.sleep(0.3)  # let requests go in-flight
+            wait_inflight(host, port, len(threads))
             proc.send_signal(signal.SIGTERM)
             for t in threads:
                 t.join(120)
