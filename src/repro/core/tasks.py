@@ -171,17 +171,13 @@ class Nl2SvaHumanTask(_EquivalenceTask):
                  workers: int | None = None):
         super().__init__("nl2sva_human", use_cache, service, batching,
                          workers)
-        self._design_cache: dict[str, Design] = {}
 
     def problems(self) -> list[HumanProblem]:
         return corpus.problems()
 
     def testbench_design(self, problem: HumanProblem) -> Design:
-        design = self._design_cache.get(problem.testbench)
-        if design is None:
-            design = elaborate(corpus.testbench_source(problem.testbench))
-            self._design_cache[problem.testbench] = design
-        return design
+        # text sources are memoised by the elaborator
+        return elaborate(corpus.testbench_source(problem.testbench))
 
     def context(self, problem: HumanProblem) -> dict:
         design = self.testbench_design(problem)
@@ -315,12 +311,6 @@ class Design2SvaTask:
     def prompt(self, problem: GeneratedDesign) -> str:
         return prompts.design2sva_prompt(problem.source, problem.tb_source)
 
-    def _prove_request(self, merged) -> VerifyRequest:
-        return VerifyRequest(kind="prove", source=merged.source_file,
-                             top=merged.top, engine=dict(self._engine),
-                             cache_ns=self._namespace,
-                             use_cache=self.use_cache)
-
     def prove_request(self, problem: GeneratedDesign,
                       response: str) -> VerifyRequest:
         """The service request one sample of *problem* evaluates as.
@@ -328,12 +318,20 @@ class Design2SvaTask:
         The single construction path (fence stripping, testbench splice,
         engine/cache configuration) shared by :meth:`evaluate_batch` and
         external workload builders like ``scripts/bench_prover.py
-        --workers``.  Raises :class:`SpliceError`/``ValueError`` when
-        the response cannot be spliced into the testbench.
+        --workers``.  An assertion-only response arrives already bound
+        onto the problem's shared base design and travels as ``design``;
+        one with support code travels as ``source`` and the service
+        elaborates it.  Raises :class:`SpliceError`/``ValueError`` when
+        the response cannot be spliced into the testbench or its
+        assertion does not resolve there.
         """
         merged = merge_for_eval(problem, problem.tb_source,
                                 strip_code_fences(response))
-        return self._prove_request(merged)
+        return VerifyRequest(
+            kind="prove", design=merged.design,
+            source="" if merged.design is not None else merged.source_file,
+            top=merged.top, engine=dict(self._engine),
+            cache_ns=self._namespace, use_cache=self.use_cache)
 
     def evaluate(self, problem: GeneratedDesign, response: str,
                  model: str = "", sample_idx: int = 0) -> EvalRecord:

@@ -10,29 +10,40 @@ elaborate/bind step plays in the paper's flow).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from ...rtl.ast_nodes import ModuleDecl, SourceFile
+from ...memo import LruMemo
+from ...rtl.ast_nodes import (
+    AlwaysBlock,
+    AssertionItem,
+    ContinuousAssign,
+    GenerateFor,
+    Instance,
+    ModuleDecl,
+    NetDecl,
+    PortDecl,
+    SourceFile,
+)
+from ...rtl.elaborate import Design, bind, elaborate
 from ...rtl.parser import RtlParser, parse_rtl, preprocess
 from ...sva.parser import ParseError
+from ...sva.unparse import unparse
 from .pipeline_gen import GeneratedDesign
 
 
 def generate_testbench(design: GeneratedDesign) -> str:
     """The formal testbench header accompanying a generated design."""
-    sf = parse_rtl(design.source)
-    top = sf.modules[design.top]
+    top = parse_rtl(design.source).modules[design.top]
     port_lines = []
     for pd in top.ports:
         dims = ""
         if pd.packed:
-            from ...sva.unparse import unparse
             r = pd.packed[0]
             dims = f" [{unparse(r.msb)}:{unparse(r.lsb)}]"
         for name in pd.names:
             port_lines.append(f"input{dims} {name};")
     params = "\n".join(
-        f"parameter {p.name} = {_param_text(design, p.name)};"
+        f"parameter {p.name} = {unparse(p.value)};"
         for p in top.params if not p.local)
     names = ",\n  ".join(top.port_order)
     return f"""module {design.top}_tb (
@@ -46,16 +57,6 @@ wire tb_reset;
 assign tb_reset = (reset_ == 1'b0);
 endmodule
 """
-
-
-def _param_text(design: GeneratedDesign, name: str) -> str:
-    sf = parse_rtl(design.source)
-    top = sf.modules[design.top]
-    from ...sva.unparse import unparse
-    for p in top.params:
-        if p.name == name:
-            return unparse(p.value)
-    raise KeyError(name)
 
 
 class SpliceError(ValueError):
@@ -82,6 +83,64 @@ class MergedBench:
 
     source_file: SourceFile
     top: str
+    #: the elaborated merge when the response is assertions only (bound
+    #: late onto the problem's shared base design); None when it brings
+    #: support code, which changes the design and must elaborate in full
+    design: Design | None = None
+
+
+@dataclass
+class _ProblemBase:
+    """What every response to one problem shares, read-only: the DUT's
+    submodules plus the DUT body inlined into the testbench module, and
+    that merge elaborated."""
+
+    modules: dict[str, ModuleDecl]
+    top: str
+    design: Design
+
+
+#: problem bases by (DUT text, testbench text, DUT top).  One is 20-150
+#: KB (both ASTs, the elaborated design, its signature) and a pass@k
+#: batch needs only its own, so the memo holds the problems in flight,
+#: not a whole benchmark: a sweep over more problems than this re-builds
+#: each base once per visit and still shares it between the samples.
+_BASES = LruMemo("design2sva.testbench", 32)
+
+
+def _problem_base(dut_source: str, tb_source: str, dut_top: str
+                  ) -> _ProblemBase:
+    return _BASES.get((dut_source, tb_source, dut_top),
+                      lambda: _build_base(dut_source, tb_source, dut_top))
+
+
+def _build_base(dut_source: str, tb_source: str, dut_top: str
+                ) -> _ProblemBase:
+    dut_sf = parse_rtl(dut_source)
+    dut = dut_sf.modules[dut_top]
+    top = dut_top + "_tb"
+    tb = parse_rtl(tb_source).modules[top]
+
+    merged = ModuleDecl(name=top)
+    merged.port_order = list(tb.port_order)
+    merged.ports = list(tb.ports)
+    seen_params = set()
+    for p in list(tb.params) + list(dut.params):
+        if p.name in seen_params:
+            continue
+        seen_params.add(p.name)
+        merged.params.append(p)
+    for source_mod in (tb, dut):
+        for item in source_mod.items:
+            if not isinstance(item, PortDecl):
+                _classify(merged, item)
+
+    modules = dict(dut_sf.modules)
+    del modules[dut_top]
+    modules[top] = merged
+    return _ProblemBase(
+        modules, top,
+        elaborate(SourceFile(modules=modules, defines={}), top=top))
 
 
 def merge_for_eval(design: GeneratedDesign, tb_source: str,
@@ -93,44 +152,36 @@ def merge_for_eval(design: GeneratedDesign, tb_source: str,
     input), reproducing the single-scope visibility a formal tool gives the
     testbench.  Submodules of the DUT (pipeline exec units) are kept for
     instantiation.  The model's support code and assertion are appended.
+
+    Everything but the response is fixed per problem and memoised, parsed
+    and elaborated once (:class:`_ProblemBase`); a response that is only
+    assertions costs one snippet parse and one late
+    :func:`~repro.rtl.elaborate.bind`.
     """
-    dut_sf = parse_rtl(design.source)
-    tb_sf = parse_rtl(tb_source)
-    dut = dut_sf.modules[design.top]
-    tb_name = design.top + "_tb"
-    tb = tb_sf.modules[tb_name]
-
-    merged = ModuleDecl(name=tb_name)
-    merged.port_order = list(tb.port_order)
-    merged.ports = list(tb.ports)
-    seen_params = set()
-    for p in list(tb.params) + list(dut.params):
-        if p.name in seen_params:
-            continue
-        seen_params.add(p.name)
-        merged.params.append(p)
-    for source_mod in (tb, dut):
-        for item in source_mod.items:
-            from ...rtl.ast_nodes import PortDecl
-            if isinstance(item, PortDecl):
-                continue
-            _classify(merged, item)
-    if response_code.strip():
-        snippet = parse_snippet_items(response_code)
-        for item in snippet.items:
-            _classify(merged, item)
-
-    modules = dict(dut_sf.modules)
-    del modules[design.top]
-    modules[tb_name] = merged
-    return MergedBench(
-        source_file=SourceFile(modules=modules, defines={}),
-        top=tb_name)
+    base = _problem_base(design.source, tb_source, design.top)
+    items = (parse_snippet_items(response_code).items
+             if response_code.strip() else [])
+    # fresh item lists around the shared item nodes: the base's are
+    # never appended to
+    shared = base.modules[base.top]
+    merged = replace(
+        shared, items=list(shared.items), nets=list(shared.nets),
+        assigns=list(shared.assigns),
+        always_blocks=list(shared.always_blocks),
+        generates=list(shared.generates), instances=list(shared.instances),
+        assertions=list(shared.assertions))
+    for item in items:
+        _classify(merged, item)
+    bench = MergedBench(
+        source_file=SourceFile(modules={**base.modules, base.top: merged},
+                               defines={}),
+        top=base.top)
+    if all(isinstance(item, AssertionItem) for item in items):
+        bench.design = bind(base.design, items)
+    return bench
 
 
 def _classify(mod: ModuleDecl, item) -> None:
-    from ...rtl.ast_nodes import (AlwaysBlock, AssertionItem, ContinuousAssign,
-                                  GenerateFor, Instance, NetDecl)
     mod.items.append(item)
     if isinstance(item, NetDecl):
         mod.nets.append(item)

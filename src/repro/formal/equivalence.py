@@ -134,6 +134,11 @@ class EquivSession:
         stats = {"conflicts": 0, "decisions": 0, "propagations": 0}
         touched: set[tuple[str, int]] = set()
         self.source._touched = touched
+        # the encoder memoises sampled expressions by node identity, and
+        # a hit reads no signal: every candidate starts cold, or one
+        # whose AST object was encoded before (parsed ASTs are shared)
+        # would record none of its keys and truncate its witness
+        self.encoder._bool_cache.clear()
         try:
             cand_lit = self.encoder.encode_assertion(cand)
         finally:

@@ -5,8 +5,10 @@ from .ast_nodes import ModuleDecl, SourceFile
 from .elaborate import (
     Design,
     ElaborationError,
+    bind,
     const_eval,
     elaborate,
+    elaborate_base,
     reset_inactive_value,
     rewrite,
     substitute,
@@ -16,6 +18,7 @@ from .simulator import Simulator, derive_init
 
 __all__ = [
     "Design", "ElaborationError", "ModuleDecl", "RtlParser", "Simulator",
-    "SourceFile", "const_eval", "derive_init", "elaborate", "parse_rtl",
-    "preprocess", "reset_inactive_value", "rewrite", "substitute",
+    "SourceFile", "bind", "const_eval", "derive_init", "elaborate",
+    "elaborate_base", "parse_rtl", "preprocess", "reset_inactive_value",
+    "rewrite", "substitute",
 ]

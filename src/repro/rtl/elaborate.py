@@ -20,8 +20,9 @@ The result, :class:`Design`, is consumed by the simulator
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from ..memo import LruMemo
 from ..sva.ast_nodes import (
     Assertion,
     Binary,
@@ -193,6 +194,17 @@ class Design:
     # slice-merged signals: full name -> [(msb, lsb, segment signal name)]
     segments: dict[str, list[tuple[int, int, str]]] = field(
         default_factory=dict)
+    #: assertion-independent values computed from this design once
+    #: (``design_signature``); :func:`bind` shares the dict, like every
+    #: field but ``assertions``, between a base and the designs bound
+    #: from it, while ``dataclasses.replace`` (COI reduction) starts a
+    #: copy with an empty one
+    derived: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
+    #: the top module's elaboration scope (signals, parameters), kept so
+    #: :func:`bind` can normalize further assertion items; not pickled
+    scope: "_Scope | None" = field(default=None, init=False,
+                                   compare=False, repr=False)
 
     def signal_widths(self) -> dict[str, int]:
         return dict(self.widths)
@@ -202,9 +214,11 @@ class Design:
 
     def __getstate__(self):
         # the compiled-simulation cache holds exec-generated functions,
-        # which cannot pickle; workers recompile lazily on first use
+        # which cannot pickle (workers recompile lazily on first use);
+        # no worker binds, so the scope stays behind too
         state = dict(self.__dict__)
         state.pop("_compiled_sim", None)
+        state["scope"] = None
         return state
 
 
@@ -219,22 +233,137 @@ class _SignalInfo:
     array_elems: int | None = None  # unpacked array: number of elements
 
 
-class _Elaborator:
-    def __init__(self, source: SourceFile, design: Design, prefix: str,
-                 reset_names: tuple[str, ...]):
-        self.source = source
-        self.design = design
+class _Scope:
+    """Name resolution inside one module instance: its parameters, its
+    declared signals and its hierarchical prefix -- what ``normalize``
+    needs, and nothing that refers back to the design or the source.
+    The top module's scope outlives elaboration as ``Design.scope``."""
+
+    def __init__(self, design_name: str, prefix: str):
+        self.design_name = design_name
         self.prefix = prefix
-        self.reset_names = reset_names
         self.params: dict[str, int] = {}
         self.signals: dict[str, _SignalInfo] = {}  # local (unprefixed) names
-        self.slice_drivers: dict[str, list[tuple[int, int, Expr]]] = {}
-        self.seq_slice_drivers: dict[str, list[tuple[int, int, Expr]]] = {}
+        #: the top module's own assertion items, left for :func:`bind`
+        self.assertion_items: list[AssertionItem] = []
 
-    # -- helpers -------------------------------------------------------------
+    def detached(self) -> "_Scope":
+        """This scope by itself, without the elaborator behind it."""
+        scope = _Scope(self.design_name, self.prefix)
+        scope.params, scope.signals = self.params, self.signals
+        scope.assertion_items = self.assertion_items
+        return scope
 
     def full(self, local: str) -> str:
         return f"{self.prefix}{local}"
+
+    @staticmethod
+    def _elem(name: str, k: int) -> str:
+        return f"{name}__{k}"
+
+    # -- expression normalization ---------------------------------------------------
+
+    def normalize(self, expr: Expr) -> Expr:
+        """Rewrite a RHS expression into flattened-signal form."""
+
+        def fn(node: Expr) -> Expr:
+            if isinstance(node, Identifier):
+                if node.name in self.params:
+                    return _num(self.params[node.name])
+                info = self.signals.get(node.name)
+                if info is None:
+                    if node.name.startswith(self.prefix) and self.prefix:
+                        return node  # already normalized
+                    raise ElaborationError(
+                        f"unresolved signal {node.name!r} in {self.design_name}")
+                if info.array_elems is not None:
+                    # leave bare so the enclosing Index handler (which sees
+                    # this node as its base) can resolve the element access
+                    return node
+                return Identifier(self.full(node.name))
+            if isinstance(node, Index):
+                return self._normalize_index(node)
+            if isinstance(node, RangeSelect):
+                return self._normalize_range(node)
+            return node
+
+        return rewrite(expr, fn)
+
+    def _base_name(self, expr: Expr) -> str | None:
+        if isinstance(expr, Identifier):
+            # strip prefix if already normalized
+            name = expr.name
+            if self.prefix and name.startswith(self.prefix):
+                name = name[len(self.prefix):]
+            return name
+        return None
+
+    def _normalize_index(self, node: Index) -> Expr:
+        base = self._base_name(node.base)
+        if base is None or base not in self.signals:
+            return node
+        info = self.signals[base]
+        idx_const = try_const(node.index, self.params)
+        if info.array_elems is not None:
+            if idx_const is not None:
+                if not 0 <= idx_const < info.array_elems:
+                    raise ElaborationError(
+                        f"index {idx_const} out of range for {base!r}")
+                return Identifier(self.full(self._elem(base, idx_const)))
+            # variable read: mux chain over elements
+            result: Expr = Identifier(self.full(self._elem(base, 0)))
+            for k in range(1, info.array_elems):
+                cond = Binary("==", node.index, _num(k))
+                result = Ternary(cond, Identifier(
+                    self.full(self._elem(base, k))), result)
+            return result
+        if info.words is not None:
+            word = info.word_width or 1
+            flat = Identifier(self.full(base))
+            if idx_const is not None:
+                if not 0 <= idx_const < info.words:
+                    raise ElaborationError(
+                        f"word index {idx_const} out of range for {base!r}")
+                return RangeSelect(flat, _num((idx_const + 1) * word - 1),
+                                   _num(idx_const * word))
+            result = RangeSelect(flat, _num(word - 1), _num(0))
+            for k in range(1, info.words):
+                cond = Binary("==", node.index, _num(k))
+                result = Ternary(cond,
+                                 RangeSelect(flat, _num((k + 1) * word - 1),
+                                             _num(k * word)),
+                                 result)
+            return result
+        # plain vector bit select: already supported downstream
+        return Index(Identifier(self.full(base)) if isinstance(
+            node.base, Identifier) else node.base, node.index)
+
+    def _normalize_range(self, node: RangeSelect) -> Expr:
+        base = self._base_name(node.base)
+        if base is None or base not in self.signals:
+            return node
+        info = self.signals[base]
+        msb = try_const(node.msb, self.params)
+        lsb = try_const(node.lsb, self.params)
+        if msb is None or lsb is None:
+            raise ElaborationError(f"non-constant part-select on {base!r}")
+        if info.words is not None:
+            # word-range select [a:b] over 2-D packed: bits of words b..a
+            word = info.word_width or 1
+            return RangeSelect(Identifier(self.full(base)),
+                               _num((msb + 1) * word - 1), _num(lsb * word))
+        return RangeSelect(Identifier(self.full(base)), _num(msb), _num(lsb))
+
+
+class _Elaborator(_Scope):
+    def __init__(self, source: SourceFile, design: Design, prefix: str,
+                 reset_names: tuple[str, ...]):
+        super().__init__(design.name, prefix)
+        self.source = source
+        self.design = design
+        self.reset_names = reset_names
+        self.slice_drivers: dict[str, list[tuple[int, int, Expr]]] = {}
+        self.seq_slice_drivers: dict[str, list[tuple[int, int, Expr]]] = {}
 
     def _declare(self, local: str, info: _SignalInfo) -> None:
         self.signals[local] = info
@@ -255,7 +384,10 @@ class _Elaborator:
             elif isinstance(item, Instance):
                 self._do_instance(item)
             elif isinstance(item, AssertionItem):
-                self._do_assertion(item)
+                if self.prefix:
+                    self._do_assertion(item)
+                else:
+                    self.assertion_items.append(item)
         self._finalize_seq()
         self._finalize_slices()
 
@@ -418,103 +550,6 @@ class _Elaborator:
                                             word_width=word_w, words=words))
         else:
             raise ElaborationError(f">2 packed dimensions on {name!r}")
-
-    @staticmethod
-    def _elem(name: str, k: int) -> str:
-        return f"{name}__{k}"
-
-    # -- expression normalization ---------------------------------------------------
-
-    def normalize(self, expr: Expr) -> Expr:
-        """Rewrite a RHS expression into flattened-signal form."""
-
-        def fn(node: Expr) -> Expr:
-            if isinstance(node, Identifier):
-                if node.name in self.params:
-                    return _num(self.params[node.name])
-                info = self.signals.get(node.name)
-                if info is None:
-                    if node.name.startswith(self.prefix) and self.prefix:
-                        return node  # already normalized
-                    raise ElaborationError(
-                        f"unresolved signal {node.name!r} in {self.design.name}")
-                if info.array_elems is not None:
-                    # leave bare so the enclosing Index handler (which sees
-                    # this node as its base) can resolve the element access
-                    return node
-                return Identifier(self.full(node.name))
-            if isinstance(node, Index):
-                return self._normalize_index(node)
-            if isinstance(node, RangeSelect):
-                return self._normalize_range(node)
-            return node
-
-        return rewrite(expr, fn)
-
-    def _base_name(self, expr: Expr) -> str | None:
-        if isinstance(expr, Identifier):
-            # strip prefix if already normalized
-            name = expr.name
-            if self.prefix and name.startswith(self.prefix):
-                name = name[len(self.prefix):]
-            return name
-        return None
-
-    def _normalize_index(self, node: Index) -> Expr:
-        base = self._base_name(node.base)
-        if base is None or base not in self.signals:
-            return node
-        info = self.signals[base]
-        idx_const = try_const(node.index, self.params)
-        if info.array_elems is not None:
-            if idx_const is not None:
-                if not 0 <= idx_const < info.array_elems:
-                    raise ElaborationError(
-                        f"index {idx_const} out of range for {base!r}")
-                return Identifier(self.full(self._elem(base, idx_const)))
-            # variable read: mux chain over elements
-            result: Expr = Identifier(self.full(self._elem(base, 0)))
-            for k in range(1, info.array_elems):
-                cond = Binary("==", node.index, _num(k))
-                result = Ternary(cond, Identifier(
-                    self.full(self._elem(base, k))), result)
-            return result
-        if info.words is not None:
-            word = info.word_width or 1
-            flat = Identifier(self.full(base))
-            if idx_const is not None:
-                if not 0 <= idx_const < info.words:
-                    raise ElaborationError(
-                        f"word index {idx_const} out of range for {base!r}")
-                return RangeSelect(flat, _num((idx_const + 1) * word - 1),
-                                   _num(idx_const * word))
-            result = RangeSelect(flat, _num(word - 1), _num(0))
-            for k in range(1, info.words):
-                cond = Binary("==", node.index, _num(k))
-                result = Ternary(cond,
-                                 RangeSelect(flat, _num((k + 1) * word - 1),
-                                             _num(k * word)),
-                                 result)
-            return result
-        # plain vector bit select: already supported downstream
-        return Index(Identifier(self.full(base)) if isinstance(
-            node.base, Identifier) else node.base, node.index)
-
-    def _normalize_range(self, node: RangeSelect) -> Expr:
-        base = self._base_name(node.base)
-        if base is None or base not in self.signals:
-            return node
-        info = self.signals[base]
-        msb = try_const(node.msb, self.params)
-        lsb = try_const(node.lsb, self.params)
-        if msb is None or lsb is None:
-            raise ElaborationError(f"non-constant part-select on {base!r}")
-        if info.words is not None:
-            # word-range select [a:b] over 2-D packed: bits of words b..a
-            word = info.word_width or 1
-            return RangeSelect(Identifier(self.full(base)),
-                               _num((msb + 1) * word - 1), _num(lsb * word))
-        return RangeSelect(Identifier(self.full(base)), _num(msb), _num(lsb))
 
     # -- continuous assigns ------------------------------------------------------------
 
@@ -1029,9 +1064,8 @@ class _Elaborator:
     # -- assertions ------------------------------------------------------------
 
     def _do_assertion(self, item: AssertionItem) -> None:
-        a = item.assertion
-        new_prop = _rewrite_assertion_exprs(a, self.normalize)
-        self.design.assertions.append(new_prop)
+        self.design.assertions.append(
+            _rewrite_assertion_exprs(item.assertion, self.normalize))
 
 
 class _SynthEnv:
@@ -1083,14 +1117,37 @@ def _rewrite_assertion_exprs(assertion: Assertion, fn):
 # ---------------------------------------------------------------------------
 
 
-def elaborate(source: SourceFile | str, top: str | None = None,
-              overrides: dict[str, int] | None = None,
-              reset_names: tuple[str, ...] = ("reset_", "rst", "rst_n",
-                                              "reset")) -> Design:
-    """Elaborate *top* (default: last module) into a :class:`Design`."""
+_RESET_NAMES = ("reset_", "rst", "rst_n", "reset")
+
+#: elaborated bases of *text* sources by (text, top, overrides, reset
+#: names): the Human testbenches and exact-duplicate wire sources.  An
+#: elaborated pipeline design is about 100 KB, and every distinct wire
+#: source passes through, so the memo is kept small.
+_BASES = LruMemo("rtl.elaborate", 16)
+
+
+def elaborate_base(source: SourceFile | str, top: str | None = None,
+                   overrides: dict[str, int] | None = None,
+                   reset_names: tuple[str, ...] = _RESET_NAMES) -> Design:
+    """Elaborate *top* (default: last module) except its own assertion
+    items, which :func:`bind` adds late.
+
+    The result keeps the top module's scope, so any number of designs
+    can be bound from it.  A text *source* is memoised: its base is
+    shared between callers and read-only.
+    """
     if isinstance(source, str):
         from .parser import parse_rtl
-        source = parse_rtl(source)
+        key = (source, top, tuple(sorted((overrides or {}).items())),
+               tuple(reset_names))
+        return _BASES.get(key, lambda: _elaborate_base(
+            parse_rtl(source), top, overrides, reset_names))
+    return _elaborate_base(source, top, overrides, reset_names)
+
+
+def _elaborate_base(source: SourceFile, top: str | None,
+                    overrides: dict[str, int] | None,
+                    reset_names: tuple[str, ...]) -> Design:
     if top is None:
         top = list(source.modules)[-1]
     mod = source.modules.get(top)
@@ -1104,9 +1161,51 @@ def elaborate(source: SourceFile | str, top: str | None = None,
     for name in design.inputs:
         if name in reset_names and name not in design.resets:
             design.resets.append(name)
-    _rewrite_segment_reads(design)
+    redirect = _segment_reads(design)
+    if redirect is not None:
+        design.comb_exprs = {n: redirect(e)
+                             for n, e in design.comb_exprs.items()}
+        design.next_exprs = {n: redirect(e)
+                             for n, e in design.next_exprs.items()}
+        design.assertions = [_rewrite_assertion_exprs(a, redirect)
+                             for a in design.assertions]
     _toposort_comb(design)
+    design.scope = elab.detached()
     return design
+
+
+def bind(base: Design, items: list[AssertionItem]) -> Design:
+    """*base* plus the assertion *items*, normalized in the scope of its
+    top module (an unresolved signal raises :class:`ElaborationError`).
+
+    The bound design is a new object that shares every dict and list of
+    *base* but ``assertions`` -- nothing downstream mutates those in
+    place, and nothing may.  Assertions of instantiated child modules
+    are part of the base, so they precede the bound ones.
+    """
+    scope = base.scope
+    if scope is None:
+        raise ElaborationError(
+            f"{base.name} has no elaboration scope to bind assertions in")
+    flatten = scope.normalize
+    redirect = _segment_reads(base)
+    if redirect is not None:
+        def flatten(expr: Expr) -> Expr:
+            return redirect(scope.normalize(expr))
+    bound = replace(base, assertions=base.assertions + [
+        _rewrite_assertion_exprs(item.assertion, flatten) for item in items])
+    bound.derived, bound.scope = base.derived, scope
+    return bound
+
+
+def elaborate(source: SourceFile | str, top: str | None = None,
+              overrides: dict[str, int] | None = None,
+              reset_names: tuple[str, ...] = _RESET_NAMES) -> Design:
+    """Elaborate *top* (default: last module) into a :class:`Design`:
+    :func:`elaborate_base`, then :func:`bind` of the top module's own
+    assertion items."""
+    base = elaborate_base(source, top, overrides, reset_names)
+    return bind(base, base.scope.assertion_items)
 
 
 #: Active-low reset names are held 1 when inactive; active-high held 0.
@@ -1119,11 +1218,12 @@ def reset_inactive_value(name: str) -> int:
     return 0 if short in _ACTIVE_HIGH_RESETS else 1
 
 
-def _rewrite_segment_reads(design: Design) -> None:
-    """Redirect constant-range reads of slice-merged signals to the segment
-    sub-signals, so dependencies are slice-accurate."""
+def _segment_reads(design: Design):
+    """The expression rewriter that redirects constant-range reads of
+    slice-merged signals to the segment sub-signals, so dependencies are
+    slice-accurate -- or None when the design has no such signal."""
     if not design.segments:
-        return
+        return None
 
     def lookup(name: str, msb: int, lsb: int) -> Expr | None:
         for hi, lo, seg in design.segments.get(name, ()):
@@ -1150,12 +1250,7 @@ def _rewrite_segment_reads(design: Design) -> None:
                     return hit
         return node
 
-    design.comb_exprs = {n: rewrite(e, fn)
-                         for n, e in design.comb_exprs.items()}
-    design.next_exprs = {n: rewrite(e, fn)
-                         for n, e in design.next_exprs.items()}
-    design.assertions = [_rewrite_assertion_exprs(a, lambda e: rewrite(e, fn))
-                         for a in design.assertions]
+    return lambda expr: rewrite(expr, fn)
 
 
 def _toposort_comb(design: Design) -> None:

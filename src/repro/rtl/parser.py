@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 
+from ..memo import LruMemo
 from ..sva.ast_nodes import Binary, Expr, Identifier, Number
 from ..sva.lexer import TokKind
 from ..sva.parser import ParseError, Parser
@@ -482,8 +483,22 @@ class RtlParser(Parser):
                          label=label, kind=kind)
 
 
+#: parsed sources by text; a generated DUT is about 25 KB of AST, and
+#: every distinct wire source passes through, so the memo is kept small
+_SOURCES = LruMemo("rtl.parser", 16)
+
+
 def parse_rtl(source: str) -> SourceFile:
-    """Preprocess and parse an RTL source file (one or more modules)."""
+    """Preprocess and parse an RTL source file (one or more modules).
+
+    Memoised on the text: the returned :class:`SourceFile` is shared
+    between callers and must be treated as read-only (elaboration and
+    the Design2SVA merge only ever read it).
+    """
+    return _SOURCES.get(source, lambda: _parse_rtl(source))
+
+
+def _parse_rtl(source: str) -> SourceFile:
     text, defines = preprocess(source)
     parser = RtlParser(text)
     modules = parser.parse_source()

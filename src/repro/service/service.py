@@ -53,6 +53,7 @@ import threading
 import time
 from typing import TYPE_CHECKING
 
+from .. import memo
 from ..sva.canonical import CanonicalizationError, canonical_key
 from .api import RequestError, VerifyRequest, VerifyResponse
 from .signature import design_signature  # noqa: F401  (re-exported; the
@@ -423,6 +424,9 @@ class VerificationService:
             "equiv_hits": self.equiv_hits,
             "equiv_builds": self.equiv_builds,
             "cache": self.cache_stats(),
+            # process-wide, not per service: the text -> design memos
+            # (docs/architecture.md, "Front end: text -> design once")
+            "frontend": memo.stats(),
         }
         if self.admission is not None:
             stats["admission"] = self.admission.stats()

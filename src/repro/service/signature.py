@@ -10,20 +10,19 @@ can compute the *same* key without importing the whole service.
 :class:`~repro.service.api.VerifyRequest` as the router sees it, return
 a deterministic signature such that two requests the service would
 schedule onto one pooled prover land on the same replica.  For ``prove``
-requests that means **elaborating the source** (memoized -- the n
-samples of one pass@k problem share their source text modulo the
-spliced assertion, but hashing raw text would scatter them, because the
-spliced assertion differs per sample while the elaborated design
-signature does not).  Other kinds have no prover pool; they route by
-their dominant shared context so one problem's samples still colocate
-with their siblings' cache entries.
+requests that means **elaborating the source** (the n samples of one
+pass@k problem share their source text modulo the spliced assertion,
+but hashing raw text would scatter them, because the spliced assertion
+differs per sample while the elaborated design signature does not;
+exact-duplicate texts hit :mod:`repro.rtl.elaborate`'s memo).  Other
+kinds have no prover pool; they route by their dominant shared context
+so one problem's samples still colocate with their siblings' cache
+entries.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 
 __all__ = ["design_signature", "routing_signature"]
 
@@ -36,62 +35,28 @@ def design_signature(design) -> tuple:
     assertions into the *same* support logic, so equal signatures let
     them share one prover (COI cones, unrolled AIGs, incremental
     solvers, simulation traces) and one packed falsification pass.
+
+    Computed once per elaborated base and kept in ``design.derived``,
+    which every design bound from that base shares: a design is
+    read-only once elaborated.
     """
-    from ..sva.unparse import unparse
-    return (
-        design.name,
-        tuple(sorted(design.widths.items())),
-        tuple(sorted(design.inputs)),
-        tuple(sorted(design.state)),
-        tuple(sorted(design.init.items())),
-        tuple(sorted(design.params.items())),
-        design.clock,
-        tuple(design.resets),
-        tuple(sorted((n, unparse(e))
-                     for n, e in design.next_exprs.items())),
-        tuple(sorted((n, unparse(e))
-                     for n, e in design.comb_exprs.items())),
-    )
-
-
-#: memoized source-text -> design-signature resolutions (the router
-#: elaborates every distinct prove source exactly once; NL2SVA bursts
-#: carry tens of samples over a handful of sources)
-_ELAB_MAX = 256
-
-_elab_cache: OrderedDict[tuple, tuple | None] = OrderedDict()
-_elab_lock = threading.Lock()
-
-
-def _source_digest(source, top) -> str:
-    text = source if isinstance(source, str) else str(source)
-    return hashlib.sha256(
-        f"{top or ''}\x00{text}".encode("utf-8", "replace")).hexdigest()
-
-
-def _signature_for_source(source, top) -> tuple | None:
-    """``design_signature`` of an elaborated source (memoized), or None
-    when the source does not elaborate -- failures are memoized too, so
-    a burst of syntactically broken samples costs one parse each."""
-    digest = _source_digest(source, top)
-    key = ("elab", digest)
-    with _elab_lock:
-        if key in _elab_cache:
-            _elab_cache.move_to_end(key)
-            return _elab_cache[key]
-    from ..rtl.elaborate import elaborate
-    try:
-        signature = design_signature(elaborate(source, top=top))
-    except Exception:
-        # ElaborationError/ValueError and anything else the parser
-        # throws: the replica will answer syntax_error; routing just
-        # needs *a* deterministic bucket for it
-        signature = None
-    with _elab_lock:
-        _elab_cache[key] = signature
-        _elab_cache.move_to_end(key)
-        while len(_elab_cache) > _ELAB_MAX:
-            _elab_cache.popitem(last=False)
+    signature = design.derived.get("signature")
+    if signature is None:
+        from ..sva.unparse import unparse
+        signature = design.derived["signature"] = (
+            design.name,
+            tuple(sorted(design.widths.items())),
+            tuple(sorted(design.inputs)),
+            tuple(sorted(design.state)),
+            tuple(sorted(design.init.items())),
+            tuple(sorted(design.params.items())),
+            design.clock,
+            tuple(design.resets),
+            tuple(sorted((n, unparse(e))
+                         for n, e in design.next_exprs.items())),
+            tuple(sorted((n, unparse(e))
+                         for n, e in design.comb_exprs.items())),
+        )
     return signature
 
 
@@ -107,12 +72,22 @@ def routing_signature(request) -> tuple:
     kind = getattr(request, "kind", "")
     if kind == "prove":
         design = getattr(request, "design", None)
-        if design is not None:
-            return ("design", design_signature(design))
-        signature = _signature_for_source(request.source, request.top)
-        if signature is not None:
-            return ("design", signature)
-        return ("source", _source_digest(request.source, request.top))
+        if design is None:
+            from ..rtl.elaborate import elaborate
+            source = request.source
+            try:
+                design = elaborate(source, top=request.top)
+            except Exception:
+                # ElaborationError/ValueError and anything else the
+                # parser throws: the replica will answer syntax_error;
+                # routing just needs *a* deterministic bucket for it --
+                # the text's hash (a parsed source only exists in
+                # process, where one bucket per top will do)
+                text = source if isinstance(source, str) else ""
+                return ("source", hashlib.sha256(
+                    f"{request.top or ''}\x00{text}".encode(
+                        "utf-8", "replace")).hexdigest())
+        return ("design", design_signature(design))
     if kind == "equivalence":
         # one problem's samples share the reference and signal context;
         # the varying candidate is deliberately excluded

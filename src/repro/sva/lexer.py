@@ -10,7 +10,6 @@ tool front end rejects malformed input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -49,7 +48,8 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# Multi-character operators, longest first so maximal munch works.
+# Operators, longest first: regex alternation takes the first alternative
+# that matches, so this order is what makes maximal munch work.
 _OPERATORS = [
     "<<<", ">>>", "===", "!==", "##", "|->", "|=>", "->", "<->",
     "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "**", "~&", "~|",
@@ -74,17 +74,46 @@ _TOKEN_RE = re.compile(
   | (?P<sysfunc>\$[a-zA-Z_][a-zA-Z0-9_]*)
   | (?P<directive>`[a-zA-Z_][a-zA-Z0-9_]*)
   | (?P<ident>[a-zA-Z_][a-zA-Z0-9_$]*)
-    """,
+  | (?P<op>%s)
+  | (?P<punct>%s)
+    """ % ("|".join(map(re.escape, _OPERATORS)),
+           "|".join(map(re.escape, _PUNCT))),
     re.VERBOSE | re.DOTALL,
 )
 
+#: regex group -> token kind (an ``ident`` in :data:`KEYWORDS` becomes a
+#: keyword).  The groups not listed -- whitespace and comments -- produce
+#: no token, and only they advance the line count.
+_KIND_OF_GROUP = {
+    "ident": TokKind.IDENT,
+    "number": TokKind.NUMBER,
+    "string": TokKind.STRING,
+    "sysfunc": TokKind.SYSFUNC,
+    "directive": TokKind.DIRECTIVE,
+    "op": TokKind.OP,
+    "punct": TokKind.PUNCT,
+}
 
-@dataclass(frozen=True)
+
 class Token:
-    kind: TokKind
-    text: str
-    line: int
-    col: int
+    """One lexeme with its 1-based source position."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: TokKind, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Token):
+            return NotImplemented
+        return (self.kind, self.text, self.line, self.col) == (
+            other.kind, other.text, other.line, other.col)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.text, self.line, self.col))
 
     def __repr__(self) -> str:  # compact for parser error messages
         return f"{self.kind.value}:{self.text!r}@{self.line}:{self.col}"
@@ -100,52 +129,32 @@ def tokenize(source: str) -> list[Token]:
         backquote or an unterminated string) -- these are syntax errors.
     """
     tokens: list[Token] = []
+    append = tokens.append
+    kind_of = _KIND_OF_GROUP.get
+    ident, keyword = TokKind.IDENT, TokKind.KEYWORD
     pos = 0
     line = 1
     line_start = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m:
-            text = m.group(0)
-            kind_name = m.lastgroup
-            col = pos - line_start + 1
-            if kind_name in ("ws", "line_comment", "block_comment"):
-                nl = text.count("\n")
-                if nl:
-                    line += nl
-                    line_start = pos + text.rfind("\n") + 1
-                pos = m.end()
-                continue
-            if kind_name == "ident":
-                kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
-            elif kind_name == "number":
-                kind = TokKind.NUMBER
-            elif kind_name == "string":
-                kind = TokKind.STRING
-            elif kind_name == "sysfunc":
-                kind = TokKind.SYSFUNC
-            elif kind_name == "directive":
-                kind = TokKind.DIRECTIVE
-            else:  # pragma: no cover - regex groups are exhaustive
-                raise AssertionError(kind_name)
-            tokens.append(Token(kind, text, line, col))
-            pos = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        start = m.start()
+        if start != pos:
+            break  # finditer skipped something no alternative matches
+        pos = m.end()
+        text = m.group()
+        kind = kind_of(m.lastgroup)
+        if kind is None:
+            nl = text.count("\n")
+            if nl:
+                line += nl
+                line_start = start + text.rfind("\n") + 1
             continue
-        # operators / punctuation via maximal munch
-        col = pos - line_start + 1
-        for op in _OPERATORS:
-            if source.startswith(op, pos):
-                tokens.append(Token(TokKind.OP, op, line, col))
-                pos += len(op)
-                break
-        else:
-            ch = source[pos]
-            if ch in _PUNCT:
-                tokens.append(Token(TokKind.PUNCT, ch, line, col))
-                pos += 1
-            else:
-                raise LexError(f"unexpected character {ch!r}", line, col)
+        if kind is ident and text in KEYWORDS:
+            kind = keyword
+        append(Token(kind, text, line, start - line_start + 1))
+    n = len(source)
+    if pos < n:
+        raise LexError(f"unexpected character {source[pos]!r}", line,
+                       pos - line_start + 1)
     tokens.append(Token(TokKind.EOF, "", line, n - line_start + 1))
     return tokens
 

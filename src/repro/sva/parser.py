@@ -48,6 +48,7 @@ from .ast_nodes import (
     Unary,
     Until,
 )
+from ..memo import LruMemo
 from .lexer import LexError, TokKind, Token, tokenize
 
 
@@ -616,9 +617,18 @@ class Parser:
 # --------------------------------------------------------------------------
 
 
+#: parsed assertions by (text, parameter bindings); an entry is about
+#: 2 KB of immutable AST, and one problem's samples are parsed by the
+#: syntax gate, ``canonical_key`` and the checker within one batch
+_ASSERTIONS = LruMemo("sva.parser", 256)
+
+
 def parse_assertion(text: str, params: dict[str, int] | None = None) -> Assertion:
-    """Parse a complete concurrent assertion statement."""
-    return Parser(text, params).parse_assertion()
+    """Parse a complete concurrent assertion statement (memoised; the
+    AST is immutable, so callers share it)."""
+    key = (text, tuple(sorted(params.items())) if params else ())
+    return _ASSERTIONS.get(
+        key, lambda: Parser(text, params).parse_assertion())
 
 
 def parse_property(text: str, params: dict[str, int] | None = None) -> PropNode:

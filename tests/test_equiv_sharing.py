@@ -73,6 +73,18 @@ class TestEngineParity:
             isolated = check_equivalence(REF, cand, W)
             assert result_tuple(shared) == result_tuple(isolated), cand
 
+    def test_same_parsed_candidate_twice(self):
+        """One AST object checked twice (parsed assertions are shared by
+        text): the encoder's identity-keyed expression memo must not
+        hide the candidate's signal reads from the witness extraction
+        (it truncated the second witness to the reference's keys)."""
+        from repro.sva.parser import parse_assertion
+        checker = EquivChecker(REF, W)
+        parsed = [parse_assertion(c) for c in CANDS[:6]]
+        first = [result_tuple(checker.check(c)) for c in parsed]
+        assert [result_tuple(checker.check(c)) for c in parsed] == first
+        assert '"d": [255, 0]' in first[5][4]
+
     def test_repeated_candidates_stay_identical(self):
         """The 3rd pass over a candidate (learned clauses piled up) still
         extracts the same canonical witness as the 1st."""

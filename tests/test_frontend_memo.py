@@ -1,0 +1,449 @@
+"""Text -> design once: the front-end memos and late-bound assertions.
+
+The memoised functions hand *shared* ASTs and designs to every caller,
+so this suite pins (a) that the per-problem base plus a late ``bind``
+equals a from-scratch merge and elaboration for every response class,
+(b) that nothing downstream mutates what is shared, under every
+executor, (c) the LRU's bound, order and counters, and (d) that the
+counters reach ``stats()``, ``RunResult.stats`` and ``/metrics``.
+"""
+
+import hashlib
+import json
+import pickle
+import random
+import sys
+import threading
+from http.client import HTTPConnection
+
+import pytest
+
+from repro import memo
+from repro.core.runner import RunConfig, run_model_on_task
+from repro.core.tasks import Design2SvaTask, Nl2SvaHumanTask
+from repro.datasets.design2sva import arbiter_gen, testbench_gen
+from repro.datasets.design2sva.sweep import build_benchmark
+from repro.datasets.design2sva.testbench_gen import (
+    SpliceError, merge_for_eval, parse_snippet_items,
+)
+from repro.models import design_assist
+from repro.rtl import (
+    ElaborationError, bind, elaborate, elaborate_base, parse_rtl,
+)
+from repro.rtl.ast_nodes import ModuleDecl, PortDecl, SourceFile
+from repro.rtl.parser import RtlParser, preprocess
+from repro.service import (
+    BackgroundServer, VerificationService, VerifyRequest, design_signature,
+)
+from repro.sva.lexer import strip_code_fences
+from repro.sva.parser import ParseError, parse_assertion
+
+PROVER = {"max_bmc": 5, "max_k": 3, "sim_traces": 4, "sim_cycles": 16}
+CATEGORIES = ("fsm", "pipeline", "arbiter")
+
+CLOCKED = "assert property (@(posedge clk) disable iff (tb_reset) "
+
+
+def problems(category, count=2):
+    return build_benchmark(category, count)
+
+
+def correct_response(category, design, rng):
+    if category == "arbiter":
+        return arbiter_gen.arbiter_correct_response(design, rng)
+    return design_assist.correct_response(design, rng)
+
+
+def response_classes(category, design):
+    """One snippet per response class (fences already stripped)."""
+    assertion = strip_code_fences(
+        correct_response(category, design, random.Random(0)))
+    return {
+        "assertion_only": assertion,
+        "support_code": "wire probe__x;\nassign probe__x = tb_reset;\n"
+                        + CLOCKED + "probe__x == tb_reset);",
+        "support_error": "assign no_such_net = tb_reset;\n" + assertion,
+        "splice_error": "assign x = ;",
+        "unresolved_signal": CLOCKED + "no_such_signal |-> tb_reset);",
+        "no_assertion": "",
+        "support_without_assertion": "wire lonely__x;",
+        "several_assertions": assertion + "\n" + CLOCKED + "1'b1);",
+    }
+
+
+# -- (a) base + bind == a fresh merge and full elaboration ---------------------
+
+
+def fresh_merge(design, code):
+    """The merge as the pre-memo code did it: everything parsed anew,
+    one module built from scratch -- the reference for the memoised
+    base."""
+    def fresh_parse(text):
+        text, defines = preprocess(text)
+        return SourceFile(RtlParser(text).parse_source(), defines)
+
+    dut_sf, tb_sf = fresh_parse(design.source), fresh_parse(design.tb_source)
+    dut, tb = dut_sf.modules[design.top], tb_sf.modules[design.top + "_tb"]
+    merged = ModuleDecl(name=tb.name, port_order=list(tb.port_order),
+                        ports=list(tb.ports))
+    for p in tb.params + dut.params:
+        if p.name not in {q.name for q in merged.params}:
+            merged.params.append(p)
+    items = [i for mod in (tb, dut) for i in mod.items
+             if not isinstance(i, PortDecl)]
+    if code.strip():
+        items += parse_snippet_items(code).items
+    for item in items:
+        testbench_gen._classify(merged, item)
+    modules = {k: v for k, v in dut_sf.modules.items() if k != design.top}
+    modules[tb.name] = merged
+    return SourceFile(modules, {}), tb.name
+
+
+def outcome(thunk):
+    """The design, or the error a record's detail would carry."""
+    try:
+        return thunk()
+    except (SpliceError, ValueError) as exc:
+        return f"{type(exc).__name__}: {str(exc)[:160]}"
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_base_plus_bind_equals_full_elaboration(category):
+    for design in problems(category):
+        for name, code in response_classes(category, design).items():
+            def memoised():
+                merged = merge_for_eval(design, design.tb_source, code)
+                if merged.design is not None:
+                    return merged.design
+                return elaborate(merged.source_file, top=merged.top)
+
+            def reference():
+                source_file, top = fresh_merge(design, code)
+                return elaborate(source_file, top=top)
+
+            got, want = outcome(memoised), outcome(reference)
+            assert got == want, (category, name)
+            if isinstance(want, str):
+                assert "error" in name or name == "unresolved_signal"
+                continue
+            assert "error" not in name and name != "unresolved_signal"
+            # field for field: dataclass equality skips nothing we set
+            assert repr(got) == repr(want)
+            assert design_signature(got) == design_signature(want)
+            assert len(got.assertions) == {
+                "no_assertion": 0, "support_without_assertion": 0,
+                "several_assertions": 2}.get(name, 1)
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_route_follows_from_what_the_snippet_contains(category):
+    design = problems(category, 1)[0]
+    classes = response_classes(category, design)
+    bound = {name: merge_for_eval(design, design.tb_source, code).design
+             for name, code in classes.items()
+             if name not in ("splice_error", "unresolved_signal")}
+    assert {name for name, d in bound.items() if d is None} == {
+        "support_code", "support_error", "support_without_assertion"}
+    base = testbench_gen._problem_base(design.source, design.tb_source,
+                                       design.top).design
+    late = bound["assertion_only"]
+    # a bound design shares the base's tables and replaces only its
+    # assertions; the signature is computed once for all of them
+    assert late.comb_exprs is base.comb_exprs
+    assert late.next_exprs is base.next_exprs
+    assert late.widths is base.widths and late.derived is base.derived
+    assert late.assertions is not base.assertions
+    assert design_signature(late) is design_signature(base)
+
+
+def test_records_equal_whichever_side_raises():
+    """An unresolved signal raises in the task adapter for an
+    assertion-only response and in the service for one with support
+    code: same verdict, same detail."""
+    design = problems("fsm", 1)[0]
+    bad = CLOCKED + "no_such_signal |-> tb_reset);"
+    task = Design2SvaTask("fsm", count=1, prover_kwargs=dict(PROVER),
+                          use_cache=False)
+    late, full = task.evaluate_batch(
+        design, [bad, "wire spare__x;\n" + bad])
+    assert late.verdict == full.verdict == "syntax_error"
+    assert late.detail == full.detail \
+        == f"unresolved signal 'no_such_signal' in {design.top}_tb"
+    # only the second one reached the service
+    assert task.service.stats()["requests"] == 1
+
+
+def test_elaborate_is_base_plus_bind():
+    source = """
+    module m(input clk, input a, output reg b);
+      always_ff @(posedge clk) b <= a;
+      p0: assert property (@(posedge clk) a |=> b);
+    endmodule
+    """
+    sf = parse_rtl(source)
+    base = elaborate_base(sf)
+    assert base.assertions == []
+    full = elaborate(sf)
+    assert [a.label for a in full.assertions] == ["p0"]
+    again = bind(base, sf.modules["m"].assertions)
+    assert again == full and again is not full
+    # binding never touches the base, and can be repeated
+    assert base.assertions == []
+    twice = bind(full, sf.modules["m"].assertions)
+    assert [a.label for a in twice.assertions] == ["p0", "p0"]
+    with pytest.raises(ElaborationError, match="unresolved signal 'nope'"):
+        bind(base, parse_snippet_items(
+            "assert property (@(posedge clk) nope);").assertions)
+
+
+def test_text_sources_share_one_base_but_not_one_design():
+    text = """
+    module t(input clk, input a, output reg b);
+      always_ff @(posedge clk) b <= a;
+      assert property (@(posedge clk) a |=> b);
+    endmodule
+    """
+    first, second = elaborate(text), elaborate(text)
+    assert first == second and first is not second
+    assert first.comb_exprs is second.comb_exprs
+    assert elaborate_base(text) is elaborate_base(text)
+    # other arguments are part of the key
+    assert elaborate_base(text, reset_names=("a",)) \
+        is not elaborate_base(text)
+    # a caller assigning a field (the prover's reset analysis does)
+    # changes its own copy only
+    first.init = {"b": 1}
+    assert elaborate(text).init == {}
+
+
+# -- (b) aliasing: nothing shared is mutated, under any executor ----------------
+
+
+def digest(value) -> str:
+    """Every field of every node, through the dataclass reprs (the
+    unparse of every expression is a projection of this)."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"workers": 4}, {"executor": "process", "workers": 2}],
+    ids=["serial", "threads", "process"])
+def test_shared_asts_and_bases_survive_evaluation(options):
+    task = Design2SvaTask("pipeline", count=2, prover_kwargs=dict(PROVER),
+                          use_cache=False, **options)
+    try:
+        for design in task.problems():
+            base = testbench_gen._problem_base(
+                design.source, design.tb_source, design.top)
+            shared = {"dut": parse_rtl(design.source),
+                      "tb": parse_rtl(design.tb_source),
+                      "modules": base.modules, "design": base.design}
+            before = {name: digest(value) for name, value in shared.items()}
+            signature = design_signature(base.design)
+            classes = response_classes("pipeline", design)
+            records = task.evaluate_batch(design, list(classes.values()))
+            verdicts = dict(zip(classes, (r.verdict for r in records)))
+            assert verdicts["assertion_only"] in ("proven", "cex",
+                                                  "undetermined")
+            assert verdicts["splice_error"] == "syntax_error"
+            assert verdicts["support_error"] == "syntax_error"
+            assert {name: digest(value) for name, value in shared.items()} \
+                == before
+            # still the memo's entry, the prover's reset analysis
+            # notwithstanding
+            assert testbench_gen._problem_base(
+                design.source, design.tb_source, design.top) is base
+            assert base.design.init == {}
+            assert design_signature(base.design) is signature
+    finally:
+        task.service.close()
+
+
+def test_parsed_assertions_are_shared_and_immutable():
+    text = "assert property (@(posedge clk) a |-> ##N b);"
+    first = parse_assertion(text, {"N": 2})
+    assert parse_assertion(text, {"N": 2}) is first
+    assert parse_assertion(text, {"N": 3}) is not first
+    with pytest.raises(Exception):
+        first.label = "renamed"  # frozen dataclass
+
+
+# -- (c) the LRU itself --------------------------------------------------------
+
+
+def test_lru_bound_order_and_counters():
+    lru = memo.LruMemo("test.lru", 2)
+    try:
+        calls = []
+
+        def compute(key):
+            calls.append(key)
+            return key.upper()
+
+        for key in ("a", "b", "a", "c", "b"):
+            assert lru.get(key, lambda: compute(key)) == key.upper()
+        # a was refreshed before c arrived, so b went; then a went for b
+        assert calls == ["a", "b", "c", "b"]
+        assert lru.keys() == ["c", "b"]
+        assert lru.stats() == {"hits": 1, "misses": 4, "evictions": 2,
+                               "entries": 2}
+        assert memo.stats()["test.lru"] == lru.stats()
+    finally:
+        del memo._MEMOS["test.lru"]
+
+
+def test_failures_are_not_stored_and_raise_fresh():
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as caught:
+            parse_assertion("assert property (@(posedge clk) a |-> );")
+        errors.append(caught.value)
+    assert errors[0] is not errors[1] and str(errors[0]) == str(errors[1])
+    with pytest.raises(ParseError):
+        parse_rtl("module broken(")
+    with pytest.raises(ParseError):
+        elaborate("module broken(")
+
+
+def test_real_memos_stay_within_capacity():
+    memo.clear()
+    assert memo.stats()["rtl.elaborate"]["entries"] == 0
+    sources = [f"module m{i}(input a, output b); assign b = a; endmodule"
+               for i in range(40)]
+    for source in sources:
+        elaborate(source)
+    stats = memo.stats()
+    for name in ("rtl.parser", "rtl.elaborate"):
+        assert stats[name]["entries"] == memo._MEMOS[name].capacity < 40
+    before = stats["rtl.elaborate"]
+    # most recent still there, oldest long gone
+    elaborate(sources[-1])
+    elaborate(sources[0])
+    after = memo.stats()["rtl.elaborate"]
+    assert after["hits"] == before["hits"] + 1
+    assert after["misses"] == before["misses"] + 1
+
+
+def test_memo_under_contention():
+    lru = memo.LruMemo("test.contention", 8)
+    calls_per_thread, threads = 2000, 8
+    wrong = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(calls_per_thread):
+            key = rng.randrange(24)
+            if lru.get(key, lambda: key * key) != key * key:
+                wrong.append(key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=worker, args=(seed,))
+                for seed in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in pool)
+    finally:
+        sys.setswitchinterval(interval)
+        del memo._MEMOS["test.contention"]
+    stats = lru.stats()
+    assert not wrong
+    # a lost update would break the balance or the bound
+    assert stats["hits"] + stats["misses"] == calls_per_thread * threads
+    assert stats["entries"] <= 8
+    assert stats["evictions"] <= stats["misses"] - stats["entries"]
+
+
+# -- (d) pickling --------------------------------------------------------------
+
+
+def test_design_with_cached_signature_pickles():
+    design = problems("fsm", 1)[0]
+    bound = merge_for_eval(design, design.tb_source, strip_code_fences(
+        design_assist.correct_response(design, random.Random(0)))).design
+    signature = design_signature(bound)
+    copy = pickle.loads(pickle.dumps(bound))
+    assert copy == bound
+    assert copy.derived == {"signature": signature}
+    assert design_signature(copy) == signature
+    # the scope stays behind: a worker proves, it does not bind
+    assert copy.scope is None
+    with pytest.raises(ElaborationError, match="no elaboration scope"):
+        bind(copy, [])
+
+
+# -- (e) the counters are readable without a profiler --------------------------
+
+MEMOS = {"sva.parser", "rtl.parser", "rtl.elaborate", "design2sva.testbench"}
+COUNTERS = {"hits", "misses", "evictions", "entries"}
+
+
+def test_frontend_counters_in_service_stats_and_run_result():
+    result = run_model_on_task(
+        "gpt-4o", Design2SvaTask("fsm", count=2,
+                                 prover_kwargs=dict(PROVER)),
+        RunConfig(n_samples=3, temperature=0.8))
+    frontend = result.stats["service"]["frontend"]
+    assert set(frontend) >= MEMOS
+    assert all(set(row) == COUNTERS for row in frontend.values())
+    # three samples a problem: the base is built once and hit after
+    assert frontend["design2sva.testbench"]["hits"] >= 2
+    assert VerificationService().stats()["frontend"].keys() \
+        == frontend.keys()
+
+
+def test_human_testbenches_elaborate_once():
+    task = Nl2SvaHumanTask(use_cache=False)
+    problem = task.problems()[0]
+    task.context(problem)
+    before = memo.stats()["rtl.elaborate"]
+    for _ in range(3):
+        task.context(problem)
+    after = memo.stats()["rtl.elaborate"]
+    assert after["misses"] == before["misses"]
+    assert after["hits"] == before["hits"] + 3
+
+
+def test_frontend_counters_in_http_metrics():
+    source = """
+    module dup(input clk, input a, output reg b);
+      always_ff @(posedge clk) b <= a;
+      assert property (@(posedge clk) a |=> b);
+    endmodule
+    """
+    wire = {"kind": "prove", "source": source, "use_cache": False}
+    with BackgroundServer() as bg:
+        host, port = bg.address
+
+        def call(method, path, payload=None):
+            conn = HTTPConnection(host, port, timeout=60)
+            try:
+                conn.request(method, path,
+                             None if payload is None else json.dumps(payload))
+                return json.loads(conn.getresponse().read())
+            finally:
+                conn.close()
+
+        start = call("GET", "/metrics")["service"]["frontend"]
+        for _ in range(2):  # an exact-duplicate wire source
+            assert call("POST", "/v1/verify", wire)["verdict"] == "proven"
+        end = call("GET", "/metrics")["service"]["frontend"]
+    assert set(end) >= MEMOS
+    assert end["rtl.elaborate"]["misses"] \
+        == start["rtl.elaborate"]["misses"] + 1
+    assert end["rtl.elaborate"]["hits"] == start["rtl.elaborate"]["hits"] + 1
+
+
+def test_prove_request_carries_a_design_or_a_source():
+    task = Design2SvaTask("fsm", count=1, prover_kwargs=dict(PROVER))
+    design = task.problems()[0]
+    classes = response_classes("fsm", design)
+    late = task.prove_request(design, classes["assertion_only"])
+    assert late.design is not None and late.source == ""
+    full = task.prove_request(design, classes["support_code"])
+    assert full.design is None and isinstance(full.source, SourceFile)
+    assert isinstance(late, VerifyRequest) and late.top == full.top

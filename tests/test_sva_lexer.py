@@ -1,7 +1,12 @@
 """Unit tests for the SVA/SystemVerilog lexer."""
 
-import pytest
+import random
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sva import lexer
 from repro.sva.lexer import LexError, TokKind, strip_code_fences, tokenize
 
 
@@ -112,3 +117,130 @@ class TestStripFences:
     def test_surrounding_prose_dropped(self):
         text = "Here is code:\n```sv\nfoo\n```\nThanks!"
         assert strip_code_fences(text) == "foo"
+
+
+# -- differential: the master regex vs a brute-force longest-match lexer ------
+
+_REFERENCE_GROUPS = [
+    (None, re.compile(r"\s+")),
+    (None, re.compile(r"//[^\n]*")),
+    (None, re.compile(r"/\*.*?\*/", re.DOTALL)),
+    (TokKind.NUMBER, re.compile(
+        r"\d+\s*'\s*[sS]?[bBoOdDhH]\s*[0-9a-fA-FxXzZ_?]+"
+        r"|'\s*[sS]?[bBoOdDhH]\s*[0-9a-fA-FxXzZ_?]+"
+        r"|'[01xXzZ]"
+        r"|\d[\d_]*(?:\.\d+)?")),
+    (TokKind.STRING, re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)),
+    (TokKind.SYSFUNC, re.compile(r"\$[a-zA-Z_][a-zA-Z0-9_]*")),
+    (TokKind.DIRECTIVE, re.compile(r"`[a-zA-Z_][a-zA-Z0-9_]*")),
+    (TokKind.IDENT, re.compile(r"[a-zA-Z_][a-zA-Z0-9_$]*")),
+]
+
+
+def reference_tokenize(source):
+    """One token class at a time, operators by brute-force longest match
+    over the lexer's own tables; returns the token tuples, or the
+    ``LexError`` fields."""
+    tokens, pos, line, line_start = [], 0, 1, 0
+    while pos < len(source):
+        col = pos - line_start + 1
+        for kind, pattern in _REFERENCE_GROUPS:
+            m = pattern.match(source, pos)
+            if m:
+                text = m.group()
+                break
+        else:
+            fits = [op for op in lexer._OPERATORS + lexer._PUNCT
+                    if source.startswith(op, pos)]
+            if not fits:
+                return ("error", f"unexpected character {source[pos]!r} "
+                                 f"(line {line}, col {col})", line, col)
+            text = max(fits, key=len)
+            kind = TokKind.OP if text in lexer._OPERATORS else TokKind.PUNCT
+        if kind is None:  # whitespace and comments alone count lines
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = pos + text.rfind("\n") + 1
+        else:
+            if kind is TokKind.IDENT and text in lexer.KEYWORDS:
+                kind = TokKind.KEYWORD
+            tokens.append((kind, text, line, col))
+        pos += len(text)
+    return tokens + [(TokKind.EOF, "", line, len(source) - line_start + 1)]
+
+
+def lexed(source):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(source)]
+    except LexError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+def _corpus():
+    """Every kind of text the lexer sees: generated DUTs and testbenches,
+    the Human testbenches and references, Machine references, and
+    simulated responses (fenced, so backquotes and lex errors too)."""
+    from repro.datasets.design2sva import arbiter_gen
+    from repro.datasets.design2sva.sweep import build_benchmark
+    from repro.datasets.nl2sva_human import corpus
+    from repro.datasets.nl2sva_machine.critic import build_problems
+    from repro.models.base import GenerationRequest, SimulatedModel
+    model = SimulatedModel("gpt-4o")
+    texts = [corpus.testbench_source(name)
+             for name in corpus.testbench_names()]
+    texts += [p.reference for p in corpus.problems()]
+    for category in ("fsm", "pipeline", "arbiter"):
+        for index, design in enumerate(build_benchmark(category, 3)):
+            texts += [design.source, design.tb_source]
+            if category == "arbiter":
+                rng = random.Random(index)
+                texts += [arbiter_gen.arbiter_correct_response(design, rng),
+                          arbiter_gen.arbiter_flawed_response(design, rng)]
+            else:
+                texts += model.generate(GenerationRequest(
+                    task="design2sva", problem=design, n_samples=3,
+                    temperature=0.8))
+    for problem in build_problems(24, 0):
+        texts.append(problem.sva)
+        texts += model.generate(GenerationRequest(
+            task="nl2sva_machine", problem=problem, n_samples=2,
+            temperature=0.8))
+    return texts + [strip_code_fences(t) for t in texts]
+
+
+class TestAgainstBruteForceReference:
+    def test_whole_corpus(self):
+        texts = _corpus()
+        assert len(texts) > 300
+        errors = 0
+        for text in texts:
+            got = lexed(text)
+            assert got == reference_tokenize(text), text[:80]
+            errors += got[0] == "error"
+        # the corpus exercises the error path too (markdown fences)
+        assert errors > 0
+
+    def test_every_operator_and_punct_pair(self):
+        # maximal munch across every adjacent pair of table entries
+        marks = lexer._OPERATORS + lexer._PUNCT
+        for a in marks:
+            for b in marks:
+                for text in (a + b, f"{a} {b}", f"x{a}{b}1"):
+                    assert lexed(text) == reference_tokenize(text), text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(
+        alphabet="ab_1 9'hx\"\\\n\t$`#@<>=!|&-+*/~^?:.[](){},;%\x01",
+        max_size=40))
+    def test_random_strings(self, text):
+        assert lexed(text) == reference_tokenize(text)
+
+    def test_error_position_after_multiline_comment(self):
+        got = lexed("a /* x\ny */ b\n  \x01")
+        assert got == ("error",
+                       "unexpected character '\\x01' (line 3, col 3)", 3, 3)
+        assert got == reference_tokenize("a /* x\ny */ b\n  \x01")
+
+    def test_token_repr_is_the_parse_error_detail(self):
+        # golden-pinned ParseError details embed this form
+        assert repr(tokenize("a <= 4'hf")[1]) == "op:'<='@1:3"
