@@ -427,3 +427,17 @@ class CnfWriter:
             visit.append((node, True))
             visit.append((fi[0] >> 1, False))
             visit.append((fi[1] >> 1, False))
+
+    def cone_vars(self, roots: list[int]) -> list[int]:
+        """Solver variables of the whole (already :meth:`encode`-d) cones
+        of *roots*, each once: the ``scope`` of a scoped
+        :meth:`~.sat.Solver.solve`.
+
+        The set is closed under fanin and contains the roots, and the
+        writer emits nothing but gate definitions, so as long as no
+        other clause is added to the solver it meets the soundness
+        condition of scoped solving: an assignment total on these
+        variables extends to the rest of the circuit by evaluation.
+        """
+        node2var = self.node2var
+        return [node2var[node] for node in self.aig.cone(roots)]

@@ -97,10 +97,33 @@ class EquivSession:
     :meth:`check` Tseitin-streams only the candidate's delta and activates
     the miter/implication queries as assumption literals, so learned clauses
     over the (heavily reconvergent) reference cone carry from candidate to
-    candidate.  Counterexamples are canonicalized to the lexicographically
-    minimal witness (assumption-prefix minimization with complete solves),
-    which makes the extracted trace a function of the formula alone --
-    byte-identical whether the session served one candidate or a hundred.
+    candidate.
+
+    Every query is exactly one *scoped* solve
+    (:meth:`~.sat.Solver.solve`): decisions, the sat test and the model
+    stop at the Tseitin cone of the query literal
+    (:meth:`~.aig.CnfWriter.cone_vars`), so a query costs its own cone,
+    not the cones of every candidate the session served before.  That is
+    sound here because this solver holds nothing but the writer's gate
+    definitions -- the queries themselves are assumptions -- so an
+    assignment total on a cone extends by evaluation to a total model
+    (the argument is in ``Solver.solve``).  Counterexamples are
+    canonical: the cone's witness bits are decided first, in sorted
+    ``(name, cycle, bit)`` order, at 0, which makes the first model the
+    lexicographic minimum -- a function of the formula alone,
+    byte-identical whether the session served one candidate or a
+    hundred.  ``tests/test_equiv_sharing.py`` keeps the old
+    assumption-prefix minimiser (one complete solve per 1-bit) as the
+    oracle for that.
+
+    :class:`~.prover.ProofSession` is *not* on the scoped path.  Its
+    solver also holds only gate definitions, but its queries are
+    conjunctions of several assumption literals (environment,
+    ``holds(0..k-1)``, negated target) and ``extract_cex`` reads every
+    input of every frame out of a total model: scoping it would change
+    which don't-care inputs a counterexample reports, i.e. prover
+    records, and needs its own parity argument and measurement
+    (ROADMAP, Engine II).
     """
 
     def __init__(self, ref: Assertion, horizon: int,
@@ -168,9 +191,11 @@ class EquivSession:
 
     def _query(self, lit: int, max_conflicts: int, stats: dict,
                keys: set | None = None):
-        """Solve satisfiability of an AIG literal; returns (status, witness).
+        """Solve satisfiability of an AIG literal in one budgeted, scoped
+        solve; returns (status, witness).
 
-        A witness trace is extracted only when *keys* is given.
+        A witness trace -- the lex-minimal one over *keys* -- is
+        extracted only when *keys* is given.
         """
         # pre-CNF sweep: the miter/implication cones of two near-identical
         # assertions collapse heavily under the two-level rules, so the
@@ -187,50 +212,40 @@ class EquivSession:
         if lit == FALSE:
             return "unsat", None
         self.writer.encode([lit])
-        assume = self.writer.lit(lit)
-        result = self.solver.solve([assume], max_conflicts=max_conflicts)
+        scope = self.writer.cone_vars([lit])
+        bits = self._witness_bits(keys) if keys is not None else {}
+        result = self.solver.solve([self.writer.lit(lit)],
+                                   max_conflicts=max_conflicts,
+                                   scope=scope, first=list(bits))
         stats["conflicts"] += result.conflicts
         stats["decisions"] += result.decisions
         stats["propagations"] += result.propagations
         if result.is_sat:
             if keys is None:
                 return "sat", None
-            return "sat", self._witness(assume, result.model, keys)
+            # a bit outside the query's cone is absent from the model:
+            # the query does not constrain it, its lex-min value is 0
+            model = result.model
+            values = {bit: True for var, bit in bits.items()
+                      if model.get(var)}
+            return "sat", self._build_trace(keys, values)
         if result.is_unsat:
             return "unsat", None
         return "unknown", None
 
-    def _witness(self, assume: int, model: dict, keys: set):
-        """Canonical lex-minimal witness of a satisfiable query.
-
-        Bits are fixed in (signal name, cycle, bit index) order by
-        assumption-prefix minimization: a bit already 0 in the running model
-        is fixed for free; a bit at 1 costs one *complete* (unbounded)
-        solve asking whether 0 is feasible.  Completeness is what pins the
-        result to the formula rather than to incidental solver state, so a
-        shared session and an isolated one extract identical traces.
-        """
+    def _witness_bits(self, keys: set) -> dict[int, tuple[str, int, int]]:
+        """Solver variable -> ``(name, cycle, bit)`` for every encoded
+        input bit of *keys*, in the canonical witness order (sorted by
+        that triple).  An input no cone ever reached has no variable."""
         node2var = self.writer.node2var
-        values: dict[tuple[str, int, int], bool] = {}
-        prefix = [assume]
+        bits = {}
         for name, t in sorted(keys):
-            bits, _w = self.source.read(name, t)
-            for i, bit in enumerate(bits):
-                var = node2var.get(bit >> 1)
-                if var is None:
-                    # outside every encoded cone: unconstrained, lex-min 0
-                    continue
-                if not model.get(var, False):
-                    prefix.append(-var)
-                    continue
-                res = self.solver.solve([*prefix, -var])
-                if res.is_sat:
-                    model = res.model
-                    prefix.append(-var)
-                else:
-                    values[(name, t, i)] = True
-                    prefix.append(var)
-        return self._build_trace(keys, values)
+            lits, _w = self.source.read(name, t)
+            for i, lit in enumerate(lits):
+                var = node2var.get(lit >> 1)
+                if var is not None:
+                    bits[var] = (name, t, i)
+        return bits
 
     def _build_trace(self, keys: set, values: dict):
         """Returns (trace, offset): series are indexed from cycle
@@ -261,7 +276,7 @@ class EquivChecker:
     routing signature; a throwaway checker (built by
     :func:`check_equivalence` when none is passed) is the isolated oracle --
     same code path, fresh sessions, so shared-vs-isolated parity reduces to
-    the canonical-witness argument in :meth:`EquivSession._witness`.
+    the canonical-witness argument on :class:`EquivSession`.
     """
 
     def __init__(self, reference: Assertion | str,

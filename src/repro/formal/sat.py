@@ -12,7 +12,10 @@ The solver is *incremental*: clauses may be added at any time between
 activities and saved phases.  This is what lets the prover share one
 solver instance across every depth of a BMC / k-induction run and across
 the assertions proved on one design (docs/engine.md, "Incremental
-sessions").
+sessions").  A *scoped* ``solve`` restricts decisions, the sat test and
+the model to a caller-given variable set and can return the
+lexicographically least model over chosen variables; shared equivalence
+sessions make every query one such call (see :meth:`Solver.solve`).
 
 Literals use DIMACS convention: variable ``v`` (1-based) appears as ``v`` or
 ``-v``.  Internally literals are mapped to ``2*v`` / ``2*v+1``.
@@ -26,6 +29,8 @@ from time import monotonic
 #: learned-clause DB reduction: first reduction threshold and growth factor
 _REDUCE_BASE = 2000
 _REDUCE_GROWTH = 1.3
+#: heap position of a variable a scoped solve never decides
+_OUT_OF_SCOPE = -2
 
 
 def _iabs(x: int) -> int:
@@ -50,7 +55,8 @@ class SatResult:
     """Outcome of a solve call, with per-call search statistics."""
 
     status: str  # 'sat' | 'unsat' | 'unknown'
-    model: dict[int, bool] | None = None  # var -> value when sat
+    #: var -> value when sat (over the scope only, for a scoped solve)
+    model: dict[int, bool] | None = None
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
@@ -115,9 +121,14 @@ class Solver:
         #: by clear_interrupt(): deadlines compose with the portfolio's
         #: interrupt handshake without being cleared by it.
         self.deadline_at: float | None = None
-        # indexed max-heap over variable activity
+        # indexed max-heap over variable activity; position -1 means
+        # "not in the heap", _OUT_OF_SCOPE "never enters it"
         self._heap: list[int] = []
         self._heap_pos: list[int] = [-1]
+        #: position list a scoped solve swaps in for ``_heap_pos``: all
+        #: _OUT_OF_SCOPE between calls, so a call pays for its scope only
+        self._scope_pos: list[int] = [_OUT_OF_SCOPE]
+        self._seen: list[bool] = [False]  # conflict-analysis marks
         self.new_vars(num_vars)
         for c in clauses or ():
             self.add_clause(c)
@@ -189,6 +200,8 @@ class Solver:
         self.watches.append([])
         self.watches.append([])
         self._heap_pos.append(-1)
+        self._scope_pos.append(_OUT_OF_SCOPE)
+        self._seen.append(False)
         self._heap_insert(v)
         return v
 
@@ -221,7 +234,7 @@ class Solver:
     # -- activity heap -------------------------------------------------------
 
     def _heap_insert(self, v: int) -> None:
-        if self._heap_pos[v] >= 0:
+        if self._heap_pos[v] != -1:  # already in, or out of scope
             return
         self._heap.append(v)
         self._heap_pos[v] = len(self._heap) - 1
@@ -425,7 +438,9 @@ class Solver:
     def _analyze(self, confl: _Clause) -> tuple[list[int], int]:
         """1-UIP learning; returns (learned clause, backtrack level)."""
         learned: list[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self.nv + 1)
+        # persistent mark buffer: every current-level mark is cleared as
+        # the trail walk consumes it, the rest are exactly learned[1:]
+        seen = self._seen
         counter = 0
         p = -1
         index = len(self.trail) - 1
@@ -456,6 +471,8 @@ class Solver:
                 break
             confl = self.reason[v]
         learned[0] = p ^ 1
+        for i in range(1, len(learned)):
+            seen[learned[i] >> 1] = False
         if len(learned) == 1:
             return learned, 0
         # find second-highest level for backtracking
@@ -499,7 +516,9 @@ class Solver:
 
     def solve(self, assumptions: list[int] | None = None,
               max_conflicts: int | None = None, *,
-              conflict_budget: int | None = None) -> SatResult:
+              conflict_budget: int | None = None,
+              scope: list[int] | None = None,
+              first: list[int] = ()) -> SatResult:
         """Solve under optional assumptions (external literal convention).
 
         ``max_conflicts`` bounds this call's search; exceeding it yields
@@ -511,6 +530,62 @@ class Solver:
         always returns at decision level 0, so further ``add_clause`` /
         ``solve`` calls may follow; learned clauses, activities and phases
         are retained -- which is exactly why restart-and-deepen is cheap.
+
+        **Scoped mode** (``scope`` given: distinct existing variables).
+        Only scope variables are ever decided -- VSIDS runs on a heap of
+        the scope alone -- and the call answers ``sat`` as soon as every
+        scope variable is assigned and propagation is quiescent;
+        ``SatResult.model`` then covers the scope only.  The cost of a
+        call is bounded by its scope, not by the clause database around
+        it.  ``unsat`` and ``unknown`` mean what they mean unscoped
+        (conflict analysis does not care which variables were decided).
+        ``sat`` is sound under a condition the *caller* guarantees:
+
+            every propagation-quiescent, conflict-free assignment that
+            is total on ``scope`` extends to a model of all clauses.
+
+        It holds when the database is nothing but Tseitin gate
+        definitions (plus the unit pinning constant TRUE) of an acyclic
+        circuit and ``scope`` is closed under fanin and contains the
+        assumptions -- the contract of
+        :meth:`repro.formal.aig.CnfWriter.cone_vars`.  Proof: a clause
+        whose variables are all assigned and that raised no conflict is
+        satisfied, so every gate definition inside the scope holds,
+        i.e. the scope is assigned the way the circuit evaluates on its
+        own inputs.  Set every input outside the scope to 0 and evaluate
+        the remaining gates in topological order: every gate definition
+        holds by construction and learned clauses are implied by the
+        definitions.  A database holding any *other* permanent clause (a
+        constraint over gate outputs, say) breaks the condition: such a
+        solver must be solved unscoped.
+
+        ``first`` (scoped mode only) lists scope variables, most
+        significant first, whose value vector the returned model
+        minimises lexicographically (entries outside the scope are
+        dropped: they are never assigned by a decision).  Rule: while
+        any ``first`` variable is unassigned, the lowest-index
+        unassigned one is the next decision, at polarity 0; no other
+        variable is decided before that.  Then the first model found is
+        the lex-minimum.  Proof: look at the trail when ``sat`` is
+        returned and at a ``first`` variable ``b_i`` that is 1 on it.
+        No decision assigns 1 to a ``first`` variable, so ``b_i`` was
+        propagated, at some level L.  Every decision at a level <= L was
+        taken while ``b_i`` was unassigned, hence (by the rule) is an
+        assumption or a 0-decision on some ``b_j`` with j < i.  Unit
+        propagation is sound and learned clauses follow from the
+        database alone, so the clauses, the assumptions and those
+        ``b_j = 0`` together imply ``b_i = 1``.  Now let M' be any model
+        of clauses + assumptions and i the first index where it differs
+        from the returned M.  If M'[i] = 0 and M[i] = 1, then M' agrees
+        with M on every j < i, in particular on the zeros that imply
+        ``b_i = 1`` -- contradiction.  So M'[i] = 1 > M[i], and M is
+        minimal.  The argument reads only the final trail: restarts,
+        backjumps and whatever was learned on the way do not enter it.
+
+        The unscoped search is untouched by all of this.  Activities
+        bumped by a scoped call are not re-sifted in the global heap
+        (only its heuristic order goes stale, never its contents); a
+        session is expected to use one mode throughout.
         """
         if conflict_budget is not None:
             max_conflicts = (conflict_budget if max_conflicts is None
@@ -518,18 +593,49 @@ class Solver:
         if not self.ok:
             return SatResult("unsat")
         self._backtrack(0)
+        assume = [self._ilit(a) for a in (assumptions or [])]
+        for a in assume:
+            self._ensure_vars(a >> 1)
+        if scope is None:
+            try:
+                return self._search(assume, max_conflicts, None, ())
+            finally:
+                self._backtrack(0)
+        # swap the decision order for a heap of the scope alone (a list
+        # sorted by descending activity is a valid max-heap)
+        pos = self._scope_pos
+        order = sorted(scope, key=self.activity.__getitem__, reverse=True)
+        for i, v in enumerate(order):
+            pos[v] = i
+        whole = self._heap, self._heap_pos
+        self._heap, self._heap_pos = order, pos
+        try:
+            return self._search(
+                assume, max_conflicts, scope,
+                [v for v in first if pos[v] != _OUT_OF_SCOPE])
+        finally:
+            # the scope's heap is dropped, not refilled: the whole heap
+            # was never popped, so it still holds every variable
+            self._heap, self._heap_pos = whole
+            self._backtrack(0)
+            for v in scope:
+                pos[v] = _OUT_OF_SCOPE
+
+    def _search(self, assume: list[int], max_conflicts: int | None,
+                scope: list[int] | None, first: list[int]) -> SatResult:
+        """The CDCL loop of :meth:`solve` (internal assumption literals;
+        ``self._heap`` already holds the variables to decide).  Returns
+        with the trail as the search left it: the caller backtracks."""
         conflicts = 0
         decisions = 0
         restart_idx = 0
         restart_budget = 32 * _luby(0)
         props_start = self.propagations
-        assume = [self._ilit(a) for a in (assumptions or [])]
-        for a in assume:
-            self._ensure_vars(a >> 1)
         assume_pos = 0
+        first_pos = 0  # every ``first`` entry before it is assigned
+        counted = inside = 0  # scope variables among trail[:counted]
 
         def finish(status: str, model=None, limit: str = "") -> SatResult:
-            self._backtrack(0)
             propagations = self.propagations - props_start
             self.total_conflicts += conflicts
             self.total_decisions += decisions
@@ -553,6 +659,7 @@ class Solver:
                     return finish("unsat")
                 learned, back = self._analyze(confl)
                 self._backtrack(back)
+                first_pos = counted = inside = 0
                 # each assumption occupies one decision level; dropping below
                 # an assumption level means it must be re-placed
                 assume_pos = min(assume_pos, back)
@@ -617,18 +724,42 @@ class Solver:
                     self._enqueue(lit, None)
                 continue
 
+            # lex-first variables come before any other decision, lowest
+            # unassigned index first, always at 0 (see solve())
+            assign = self.assign
+            while first_pos < len(first) and assign[first[first_pos]] >= 0:
+                first_pos += 1
+            if first_pos < len(first):
+                decisions += 1
+                self.trail_lim.append(len(self.trail))
+                self._enqueue(2 * first[first_pos] + 1, None)
+                continue
+
+            if scope is not None:
+                # scoped sat test: count the scope's variables on the
+                # trail (from scratch after a backtrack) instead of
+                # draining every propagated one through the heap
+                trail = self.trail
+                pos = self._heap_pos
+                for i in range(counted, len(trail)):
+                    if pos[trail[i] >> 1] != _OUT_OF_SCOPE:
+                        inside += 1
+                counted = len(trail)
+                if inside == len(scope):
+                    return finish("sat", model={
+                        v: bool(assign[v]) for v in scope})
+
             # pick branching variable: max-activity unassigned var
             heap = self._heap
             best_v = 0
             while heap:
                 v = self._heap_pop()
-                if self.assign[v] < 0:
+                if assign[v] < 0:
                     best_v = v
                     break
             if best_v == 0:
-                model = {v: bool(self.assign[v])
-                         for v in range(1, self.nv + 1)}
-                return finish("sat", model=model)
+                return finish("sat", model={
+                    v: bool(assign[v]) for v in range(1, self.nv + 1)})
             decisions += 1
             self.trail_lim.append(len(self.trail))
             # phase saving: re-try the variable's previous polarity

@@ -20,11 +20,14 @@ import pytest
 
 from repro.core.runner import RunConfig, run_model_on_task
 from repro.core.tasks import Nl2SvaHumanTask, Nl2SvaMachineTask
+from repro.formal.aig import TRUE, CnfWriter
 from repro.formal.equivalence import (
     EquivChecker,
+    EquivSession,
     Verdict,
     check_equivalence,
 )
+from repro.formal.sat import Solver
 from repro.models.base import GenerationRequest, SimulatedModel
 from repro.service import (
     AdmissionController,
@@ -32,6 +35,7 @@ from repro.service import (
     BackgroundServer,
     VerificationService,
 )
+from repro.sva.parser import parse_assertion
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "service_golden.json").read_text())
@@ -78,7 +82,6 @@ class TestEngineParity:
         text): the encoder's identity-keyed expression memo must not
         hide the candidate's signal reads from the witness extraction
         (it truncated the second witness to the reference's keys)."""
-        from repro.sva.parser import parse_assertion
         checker = EquivChecker(REF, W)
         parsed = [parse_assertion(c) for c in CANDS[:6]]
         first = [result_tuple(checker.check(c)) for c in parsed]
@@ -273,6 +276,170 @@ def _get_metrics(host, port):
         return json.loads(conn.getresponse().read())
     finally:
         conn.close()
+
+
+def prefix_minimised_witness(session, lit, keys):
+    """The oracle: the canonicaliser ``EquivSession`` used before its
+    witness came out of the query's own solve.  Bits are fixed in
+    (name, cycle, bit) order by assumption-prefix minimisation on the
+    session's solver: a bit already 0 in the running model is fixed for
+    free, a bit at 1 costs one *complete*, unscoped solve asking whether
+    0 is feasible -- one solve per 1-bit, which is why it left ``src/``.
+    """
+    lit = session.sweeper.lit(lit)
+    if lit == TRUE:
+        return session._build_trace(keys, {})
+    session.writer.encode([lit])
+    prefix = [session.writer.lit(lit)]
+    model = session.solver.solve(prefix).model
+    values = {}
+    for name, t in sorted(keys):
+        bits, _w = session.source.read(name, t)
+        for i, bit in enumerate(bits):
+            var = session.writer.node2var.get(bit >> 1)
+            if var is None:
+                continue  # outside every encoded cone: lex-min 0
+            if model[var]:
+                result = session.solver.solve([*prefix, -var])
+                if not result.is_sat:
+                    values[(name, t, i)] = True
+                    prefix.append(var)
+                    continue
+                model = result.model
+            prefix.append(-var)
+    return session._build_trace(keys, values)
+
+
+@pytest.fixture
+def oracle_checked(monkeypatch):
+    """Every satisfiable witness query of the test also runs the prefix
+    minimiser on the same session and must agree with it byte for byte;
+    yields the list of compared witnesses."""
+    compared = []
+    one_solve = EquivSession._query
+
+    def query(self, lit, max_conflicts, stats, keys=None):
+        status, witness = one_solve(self, lit, max_conflicts, stats, keys)
+        if status == "sat" and keys is not None:
+            assert witness == prefix_minimised_witness(self, lit, keys)
+            compared.append(witness)
+        return status, witness
+
+    monkeypatch.setattr(EquivSession, "_query", query)
+    return compared
+
+
+class TestWitnessParity:
+    """Three ways to the same counterexample: the one-solve witness (lex
+    bits decided first inside a cone-scoped solve), the prefix-minimiser
+    oracle above, and an isolated ``check_equivalence`` -- trace and
+    ``cex_offset`` byte-identical."""
+
+    def three_ways(self, checker, reference, candidate, widths, params=None):
+        shared = checker.check(candidate)
+        isolated = check_equivalence(reference, candidate, widths, params)
+        assert result_tuple(shared) == result_tuple(isolated), candidate
+        return shared
+
+    def test_default_corpus_subset(self, oracle_checked):
+        checkers = {}
+        for request in corpus_requests():
+            key = (request.reference, json.dumps(request.widths,
+                                                 sort_keys=True))
+            checker = checkers.get(key)
+            if checker is None:
+                checker = checkers[key] = EquivChecker(
+                    request.reference, request.widths, request.params)
+            self.three_ways(checker, request.reference, request.candidate,
+                            request.widths, request.params)
+        assert len(oracle_checked) >= 8
+
+    def test_generated_pairs(self, oracle_checked, machine_widths):
+        """Every generated assertion against every other: mostly
+        inequivalent pairs over wide signals, each reference's session
+        shared by the whole row."""
+        texts = [p.sva for p in
+                 Nl2SvaMachineTask(count=10, seed=23).problems()]
+        for reference in texts:
+            checker = EquivChecker(reference, machine_widths)
+            for candidate in texts:
+                self.three_ways(checker, reference, candidate,
+                                machine_widths)
+        assert len(oracle_checked) >= 60
+
+    def test_earlier_candidates_outside_the_cone(self, oracle_checked):
+        """A session that has encoded ``d`` at several cycles for
+        earlier candidates: a later candidate that never reads ``d``
+        gets a trace without it, found without deciding it, and a
+        candidate that reads ``d`` again gets its minimum over exactly
+        the cycles it reads."""
+        checker = EquivChecker(REF, W)
+        wide = ["assert property (@(posedge clk) d == 8'h5a |-> ##1 b);",
+                "assert property (@(posedge clk) a |-> ##2 (d > 8'd200));",
+                "assert property (@(posedge clk) $past(d) != d |-> b);"]
+        narrow = "assert property (@(posedge clk) a |-> b);"
+        for candidate in [*wide, narrow, wide[1], narrow, *wide]:
+            r = self.three_ways(checker, REF, candidate, W)
+            assert ("d" in r.counterexample) == (candidate != narrow)
+        session = checker._sessions[max(checker._sessions)]
+        d_vars = [session.writer.node2var[bit >> 1]
+                  for (name, _t), bits in session.source._cache.items()
+                  if name == "d" for bit in bits
+                  if bit >> 1 in session.writer.node2var]
+        assert d_vars  # the session does hold them
+        scopes = []
+        solve = session.solver.solve
+        session.solver.solve = lambda *args, **kwargs: (
+            scopes.append(kwargs.get("scope")), solve(*args, **kwargs))[1]
+        checker.check(narrow)
+        scoped = [scope for scope in scopes if scope is not None]
+        # (the oracle's solves are the unscoped ones)
+        assert scoped and not any(set(scope) & set(d_vars)
+                                  for scope in scoped)
+        assert len(oracle_checked) >= 9
+
+    def test_satisfiable_multiplier_in_a_shared_session(self,
+                                                        oracle_checked):
+        """A witness that takes conflicts and backjumps to find, in a
+        session whose other cones hang off the same inputs (their
+        variables are propagated, never decided or counted)."""
+        widths = {"b": 6, "c": 6, "clk": 1}
+        reference = ("assert property (@(posedge clk) "
+                     "{6'd0, b} * {6'd0, c} != 12'd3599);")
+        checker = EquivChecker(reference, widths)
+        for candidate in (
+                "assert property (@(posedge clk) b + c != 6'd9);",
+                "assert property (@(posedge clk) (b ^ c) != 6'd6);",
+                "assert property (@(posedge clk) 1);",
+                "assert property (@(posedge clk) "
+                "{6'd0, c} * {6'd0, b} != 12'd3599 || b < c);"):
+            r = self.three_ways(checker, reference, candidate, widths)
+            assert r.counterexample is not None
+        assert r.stats["conflicts"] > 0
+
+    def test_fixed_bit_order_does_not_hurt_a_hard_unsat_miter(self):
+        """Conflict-count guard: deciding the witness bits first, in
+        name order, at 0, must not cost a hard UNSAT miter (multiplier
+        commutativity) more than 2x the conflicts of free VSIDS."""
+        widths = {"a": 5, "b": 5, "c": 5, "clk": 1}
+        reference = "assert property (@(posedge clk) a * b == c);"
+        candidate = "assert property (@(posedge clk) b * a == c);"
+        r = check_equivalence(reference, candidate, widths)
+        assert r.verdict is Verdict.EQUIVALENT
+        unscoped = 0
+        for horizon in r.horizons:
+            session = EquivSession(parse_assertion(reference), horizon,
+                                   widths, 1, None)
+            miter = session.aig.xor_(
+                session.ref_lit, session.encoder.encode_assertion(
+                    parse_assertion(candidate)))
+            solver = Solver()
+            writer = CnfWriter(session.aig, solver)
+            writer.encode([miter])
+            result = solver.solve([writer.lit(miter)])
+            assert result.is_unsat
+            unscoped += result.conflicts
+        assert 0 < r.stats["conflicts"] <= 2 * unscoped
 
 
 class TestRouterPlacement:

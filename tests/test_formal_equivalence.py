@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.formal.equivalence import Verdict, check_equivalence, is_tautology
+from repro.formal.equivalence import (
+    EquivChecker,
+    Verdict,
+    check_equivalence,
+    is_tautology,
+)
 
 W = {"clk": 1, "tb_reset": 1, "wr_push": 1, "rd_pop": 1, "fifo_empty": 1,
      "fifo_full": 1, "rd_data": 4, "fifo_out_data": 4, "busy": 1, "hold": 1,
@@ -150,6 +155,40 @@ class TestRobustness:
     def test_self_equivalence(self):
         text = f"assert property ({D} wr_push |-> strong(##[0:$] rd_pop));"
         assert verdict(text, text) is Verdict.EQUIVALENT
+
+
+class TestConflictBudget:
+    """ISSUE-23 bugfix: the witness minimiser used to solve with no
+    budget and its conflicts never reached ``stats`` -- a request's
+    conflict budget did not bound its work and ``equiv_conflicts``
+    under-reported.  One budgeted solve per query closes both."""
+
+    # satisfiable multiplier miter: the counterexample factors 3599
+    FACTOR = ("assert property (@(posedge clk) "
+              "{6'd0, b} * {6'd0, c} != 12'd3599);")
+    WIDTHS = {"b": 6, "c": 6, "clk": 1}
+    QUERIES = 3 * 2  # miter + two implications, at two horizons
+
+    def solver_conflicts(self, checker):
+        return sum(session.solver.total_conflicts
+                   for session in checker._sessions.values())
+
+    def test_budget_bounds_all_solver_work(self):
+        checker = EquivChecker(self.FACTOR, self.WIDTHS)
+        r = checker.check("assert property (@(posedge clk) 1);",
+                          max_conflicts=1)
+        assert r.verdict is Verdict.UNDETERMINED
+        assert r.counterexample is None
+        assert 0 < r.stats["conflicts"] <= 1 * self.QUERIES
+        assert self.solver_conflicts(checker) == r.stats["conflicts"]
+
+    def test_stats_count_every_conflict(self):
+        checker = EquivChecker(self.FACTOR, self.WIDTHS)
+        r = checker.check("assert property (@(posedge clk) 1);")
+        assert r.verdict is Verdict.REF_IMPLIES_CANDIDATE
+        assert r.counterexample == {"b": [61], "c": [59]}
+        assert r.stats["conflicts"] > 0
+        assert self.solver_conflicts(checker) == r.stats["conflicts"]
 
 
 class TestTautology:
