@@ -128,18 +128,48 @@ class AIG:
                     return pos
         return self.and_(a, b)
 
+    # The derived gates below open with constant / identity early-outs.
+    # Each returns exactly the literal the composition after it would
+    # (``and_`` folds the same cases one call at a time), so they change
+    # no structure -- they only stop zero-extended compares and muxes
+    # from spending four calls per bit rediscovering FALSE == FALSE
+    # (``tests/test_formal_aig.py`` pins literal identity).
+
     def or_(self, a: int, b: int) -> int:
-        return neg(self.and_(neg(a), neg(b)))
+        if a == TRUE or b == TRUE or a == b ^ 1:
+            return TRUE
+        if a == FALSE:
+            return b
+        if b == FALSE or a == b:
+            return a
+        return self.and_(a ^ 1, b ^ 1) ^ 1
 
     def xor_(self, a: int, b: int) -> int:
-        return self.or_(self.and_(a, neg(b)), self.and_(neg(a), b))
+        if a == FALSE:
+            return b
+        if b == FALSE:
+            return a
+        if a == TRUE:
+            return b ^ 1
+        if b == TRUE:
+            return a ^ 1
+        if a >> 1 == b >> 1:
+            return FALSE if a == b else TRUE
+        return self.or_(self.and_(a, b ^ 1), self.and_(a ^ 1, b))
 
     def xnor_(self, a: int, b: int) -> int:
-        return neg(self.xor_(a, b))
+        return self.xor_(a, b) ^ 1
 
     def mux_(self, sel: int, if_true: int, if_false: int) -> int:
         """``sel ? if_true : if_false``."""
-        return self.or_(self.and_(sel, if_true), self.and_(neg(sel), if_false))
+        if sel == TRUE:
+            return if_true
+        if sel == FALSE:
+            return if_false
+        if if_true == if_false and if_true in (TRUE, FALSE):
+            return if_true
+        return self.or_(self.and_(sel, if_true),
+                        self.and_(sel ^ 1, if_false))
 
     def implies_(self, a: int, b: int) -> int:
         return self.or_(neg(a), b)

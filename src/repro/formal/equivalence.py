@@ -157,11 +157,12 @@ class EquivSession:
         stats = {"conflicts": 0, "decisions": 0, "propagations": 0}
         touched: set[tuple[str, int]] = set()
         self.source._touched = touched
-        # the encoder memoises sampled expressions by node identity, and
-        # a hit reads no signal: every candidate starts cold, or one
-        # whose AST object was encoded before (parsed ASTs are shared)
-        # would record none of its keys and truncate its witness
-        self.encoder._bool_cache.clear()
+        # the encoder memoises sampled expressions and ``disable iff``
+        # chains by node identity, and a hit reads no signal: every
+        # candidate starts cold, or one whose AST object was encoded
+        # before (parsed ASTs are shared) would record none of its keys
+        # and truncate its witness
+        self.encoder.forget()
         try:
             cand_lit = self.encoder.encode_assertion(cand)
         finally:

@@ -155,17 +155,55 @@ class UnrolledSource(SignalSource):
     * inputs: fresh SAT variables per cycle (reset pins forced inactive),
     * state at t=0: post-reset constants (or fresh variables for the
       k-induction step case),
-    * state at t>0: the registered ``next`` expression evaluated at t-1,
-    * combinational signals: their defining expression evaluated at t.
+    * state at t>0: the registered ``next`` value of frame t-1,
+    * combinational signals: their defining expression at frame t.
+
+    A frame is **stamped**, not evaluated: the cone's one-step AIG
+    (:func:`repro.rtl.compile.step_template`) is rebuilt into the
+    session AIG over a per-frame literal map whose leaves are exactly
+    the words above, so reset branches and constant initial state fold
+    at the seam and the expression trees are lowered once per cone
+    instead of once per frame of every session (docs/engine.md, "Lower
+    once, stamp per frame").  Cones the template cannot express --
+    time-shifted reads in RTL, a reset pin that is also driven -- fall
+    back to walking ``comb_exprs`` / ``next_exprs`` through the
+    word-level evaluator frame by frame; that walk is also the
+    differential oracle (``tests/test_formal_unroll_differential.py``).
+    Which path a cone takes follows from the design alone.
     """
 
-    def __init__(self, aig: AIG, design: Design, free_init: bool = False):
+    def __init__(self, aig: AIG, design: Design, free_init: bool = False,
+                 profile: dict | None = None):
         self.aig = aig
         self.design = design
         self.free_init = free_init
+        self.profile = profile
         self._memo: dict[tuple[str, int], tuple] = {}
         self.evaluator = ExprEvaluator(AigBackend(aig), self, design.params)
         self.input_vars: dict[tuple[str, int], tuple] = {}
+        self._template = self._template_for(design)
+        #: stamped frames: the literal map of frame t, complete for the
+        #: combinational cone; ``_next_done`` counts the leading frames
+        #: whose next-state cone is stamped too
+        self._frames: list[list[int]] = []
+        self._next_done = 0
+        self._walked: set[int] = set()
+        self._building = False
+        if profile is not None and self._template is not None:
+            bump(profile, "step_template_nodes", self._template.gates)
+
+    @staticmethod
+    def _template_for(design: Design):
+        """The cone's stamp plan, or None where frames must be walked."""
+        from ..rtl.compile import Uncompilable, step_template
+        if any(name in design.comb_exprs for name in design.resets):
+            # a read of a reset pin is its inactive constant here, but
+            # the driven value inside the template
+            return None
+        try:
+            return step_template(design)
+        except Uncompilable:
+            return None
 
     def width(self, name: str) -> int:
         try:
@@ -181,29 +219,95 @@ class UnrolledSource(SignalSource):
         bits = self._memo.get(key)
         if bits is not None:
             return bits, w
-        # cycle-breaking placeholder is unnecessary: comb is topo-sorted and
-        # state recursion strictly decreases t
-        if name in self.design.resets:
-            from ..rtl.elaborate import reset_inactive_value
-            inactive = reset_inactive_value(name)
-            bits = tuple([TRUE if (inactive >> i) & 1 else FALSE
-                          for i in range(w)])  # reset held inactive
-        elif name in self.design.comb_exprs:
-            v, vw = self.evaluator.eval(self.design.comb_exprs[name], t)
-            bits = self._fit_bits(v, vw, w)
-        elif name in self.design.next_exprs:
-            if t == 0:
-                bits = self._initial_bits(name, w)
-            else:
-                v, vw = self.evaluator.eval(self.design.next_exprs[name], t - 1)
-                bits = self._fit_bits(v, vw, w)
-        elif name in self.design.inputs or name == self.design.clock:
-            bits = tuple(self.aig.new_input() for _ in range(w))
-            self.input_vars[key] = bits
+        if self._building or self.profile is None:
+            bits = self._build(name, t, w)
         else:
-            raise EvalError(f"undriven signal {name!r}")
+            # outermost miss: everything below it is unrolling work
+            self._building = True
+            t0 = time.perf_counter()
+            try:
+                bits = self._build(name, t, w)
+            finally:
+                self._building = False
+                bump(self.profile, "unroll_s", time.perf_counter() - t0)
         self._memo[key] = bits
         return bits, w
+
+    def _build(self, name: str, t: int, w: int):
+        design = self.design
+        if name in design.resets:
+            from ..rtl.elaborate import reset_inactive_value
+            inactive = reset_inactive_value(name)
+            return tuple([TRUE if (inactive >> i) & 1 else FALSE
+                          for i in range(w)])  # reset held inactive
+        if name in design.comb_exprs:
+            if self._template is not None:
+                return self._stamped(self._template.comb_bits[name],
+                                     self._frame(t))
+            self._count_walk(t)
+            v, vw = self.evaluator.eval(design.comb_exprs[name], t)
+            return self._fit_bits(v, vw, w)
+        if name in design.next_exprs:
+            if t == 0:
+                return self._initial_bits(name, w)
+            if self._template is not None:
+                return self._stamped(self._template.next_bits[name],
+                                     self._frame(t - 1, with_next=True))
+            # no cycle-breaking placeholder: comb is topo-sorted and
+            # state recursion strictly decreases t
+            self._count_walk(t - 1)
+            v, vw = self.evaluator.eval(design.next_exprs[name], t - 1)
+            return self._fit_bits(v, vw, w)
+        if name in design.inputs or name == design.clock:
+            bits = tuple(self.aig.new_input() for _ in range(w))
+            self.input_vars[(name, t)] = bits
+            return bits
+        raise EvalError(f"undriven signal {name!r}")
+
+    # -- stamped frames ------------------------------------------------------
+
+    def _frame(self, t: int, with_next: bool = False) -> list[int]:
+        """Literal map of frame *t*, stamping what is missing below it.
+
+        Frames are built strictly in order, and frame f's next-state
+        cone right before frame f+1 (or when f+1's state is read), so
+        every leaf a new frame reads is already in ``_memo`` or is a
+        fresh input: this loop never re-enters itself.
+        """
+        template = self._template
+        frames = self._frames
+        and_ = self.aig.and_
+        while len(frames) <= t or (with_next and self._next_done <= t):
+            fresh = self._next_done == len(frames)
+            if fresh:
+                m, plan = [TRUE] * template.size, template.comb_plan
+                for name, nodes in template.leaves:
+                    bits, _w = self.read(name, len(frames))
+                    for node, bit in zip(nodes, bits):
+                        m[node] = bit
+            else:
+                m, plan = frames[self._next_done], template.next_plan
+            for n, a, a_neg, b, b_neg in plan:
+                m[n] = and_(m[a] ^ a_neg, m[b] ^ b_neg)
+            if fresh:
+                frames.append(m)
+                if self.profile is not None:
+                    bump(self.profile, "frames_stamped", 1)
+            else:
+                self._next_done += 1
+        return frames[t]
+
+    @staticmethod
+    def _stamped(lits, m: list[int]):
+        return tuple(m[lit >> 1] ^ (lit & 1) for lit in lits)
+
+    # -- walked frames (the fallback and the oracle) ---------------------------
+
+    def _count_walk(self, t: int) -> None:
+        if t not in self._walked:
+            self._walked.add(t)
+            if self.profile is not None:
+                bump(self.profile, "frames_walked", 1)
 
     def _initial_bits(self, name: str, w: int):
         if self.free_init:
@@ -243,7 +347,8 @@ class ProofSession:
                  simplify: bool = True, profile: dict | None = None):
         self.design = design
         self.aig = AIG()
-        self.source = UnrolledSource(self.aig, design, free_init=free_init)
+        self.source = UnrolledSource(self.aig, design, free_init=free_init,
+                                     profile=profile)
         self.solver = Solver()
         self.writer = CnfWriter(self.aig, self.solver)
         self.simplify = simplify

@@ -91,6 +91,16 @@ class PropertyEncoder:
         self.K = horizon
         self.evaluator = ExprEvaluator(AigBackend(aig), source, params)
         self._bool_cache: dict[tuple[int, int], tuple] = {}
+        #: id(disable expr) -> (expr, suffix chain): ``chain[i]`` is
+        #: "the condition holds somewhere in cycles K-1-i .. K-1"
+        self._abort_chains: dict[int, tuple] = {}
+
+    def forget(self) -> None:
+        """Drop the identity-keyed memos (sampled expressions, abort
+        chains).  A memo hit reads no signal, so a caller that records
+        which signals an encoding touches starts each one cold."""
+        self._bool_cache.clear()
+        self._abort_chains.clear()
 
     # -- expression sampling ---------------------------------------------------
 
@@ -120,10 +130,33 @@ class PropertyEncoder:
         """
         value = self.sat(assertion.prop, t)
         if assertion.disable is not None:
-            aborted = self.aig.or_many(
-                self.expr_bool(assertion.disable, i) for i in range(t, self.K))
-            value = self.aig.or_(aborted, value)
+            value = self.aig.or_(self._aborted(assertion.disable, t), value)
         return value
+
+    def _aborted(self, disable, t: int) -> int:
+        """Literal: *disable* holds at some cycle of ``t .. K-1``.
+
+        One suffix chain per disable expression, ``abort[t] =
+        or_(disable@t, abort[t+1])``, shared by every attempt: O(K)
+        gates and look-ups for K attempts, where a left-folded OR per
+        attempt is O(K^2) and shares nothing between attempts.  It
+        grows downward from K-1 only as far as the lowest attempt asked
+        for, so no cycle before the first attempt is ever sampled.
+        Keyed by node identity like ``_bool_cache``, and pinning the
+        node for the same reason.
+        """
+        if t >= self.K:
+            return FALSE
+        entry = self._abort_chains.get(id(disable))
+        if entry is None:
+            entry = self._abort_chains[id(disable)] = (disable, [])
+        chain = entry[1]
+        or_ = self.aig.or_
+        while len(chain) < self.K - t:
+            cycle = self.K - 1 - len(chain)
+            chain.append(or_(self.expr_bool(disable, cycle),
+                             chain[-1] if chain else FALSE))
+        return chain[self.K - 1 - t]
 
     # -- property satisfaction ---------------------------------------------------
 

@@ -319,7 +319,8 @@ def compile_design(design) -> dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# One-step bit-blasting (the bit-parallel simulator's front end)
+# One-step bit-blasting (the single lowering of a design cone: the
+# bit-parallel simulator runs it, the prover's unroller stamps it)
 # ---------------------------------------------------------------------------
 
 
@@ -396,7 +397,10 @@ def bitblast_step(design, max_nodes: int | None = None):
     with time-shifted reads (those simulate through the scalar interpreter).
     ``max_nodes`` aborts mid-build once the AIG outgrows the budget --
     datapath-dominated cones explode under bit-blasting and are better
-    served word-level, so callers cap the cost of finding that out.
+    served word-level, so callers cap the cost of finding that out.  The
+    budget binds the caller that passed it, cache hit or not: the packed
+    simulator asks under its lane budget, the prover's unroller
+    (:func:`step_template`) without one, in either order.
     Semantics mirror :meth:`repro.rtl.simulator.Simulator.step` exactly --
     the packed simulator built on top of this is differentially tested
     against it (``tests/test_formal_bitsim.py``).
@@ -404,6 +408,11 @@ def bitblast_step(design, max_nodes: int | None = None):
     cached, budget = getattr(design, "_step_aig", (None, None))
     if cached is not None:
         if not isinstance(cached, Uncompilable):
+            # the budget is a property of the caller, not of the cache: a
+            # full result some other caller built answers a budgeted one
+            # exactly as an aborted build of its own would have
+            if max_nodes is not None and len(cached[0]) > max_nodes:
+                raise Uncompilable(f"AIG exceeds {max_nodes} nodes")
             return cached
         # a budget abort only binds callers with the same or smaller budget
         if budget is None or (max_nodes is not None and max_nodes <= budget):
@@ -430,3 +439,66 @@ def bitblast_step(design, max_nodes: int | None = None):
     result = (aig, dict(source.input_bits), comb_bits, next_bits)
     object.__setattr__(design, "_step_aig", (result, None))
     return result
+
+
+# ---------------------------------------------------------------------------
+# The step relation as a per-frame stamp (the prover's unroller)
+# ---------------------------------------------------------------------------
+
+
+class StepTemplate:
+    """:func:`bitblast_step`'s AIG laid out for stamping into another AIG.
+
+    A frame of an unrolling is the template's live AND nodes rebuilt in
+    topological order over a literal map (``m[n] = and_(m[a], m[b])``)
+    whose leaves the unroller seeds per frame -- so a design cone is
+    lowered from its expression trees once, not once per frame of every
+    session.
+
+    * ``size`` -- length of the literal map (template node count);
+    * ``leaves`` -- ``(signal, template node of each bit)`` for every
+      input / current-state word the step reads;
+    * ``comb_plan`` / ``next_plan`` -- ``(node, a_node, a_neg, b_node,
+      b_neg)`` per live AND node, ascending (a node's fanins precede it):
+      the cone of the combinational outputs, then what the next-state
+      outputs need beyond it (stamped only when the following frame is
+      read);
+    * ``comb_bits`` / ``next_bits`` -- signal -> template output literals;
+    * ``gates`` -- live AND nodes: the ``and_`` calls one full frame costs.
+    """
+
+    __slots__ = ("size", "leaves", "comb_plan", "next_plan", "comb_bits",
+                 "next_bits", "gates")
+
+    def __init__(self, aig, input_bits, comb_bits, next_bits):
+        self.size = len(aig)
+        self.leaves = [(name, tuple(lit >> 1 for lit in bits))
+                       for name, bits in input_bits.items()]
+        self.comb_bits = comb_bits
+        self.next_bits = next_bits
+        fanins = aig._fanins
+
+        def plan(nodes):
+            gates = ((n, fanins[n]) for n in sorted(nodes))
+            return [(n, fi[0] >> 1, fi[0] & 1, fi[1] >> 1, fi[1] & 1)
+                    for n, fi in gates if fi is not None]
+
+        comb = set(aig.cone([lit for bits in comb_bits.values()
+                             for lit in bits]))
+        self.comb_plan = plan(comb)
+        self.next_plan = plan(set(aig.cone(
+            [lit for bits in next_bits.values() for lit in bits])) - comb)
+        self.gates = len(self.comb_plan) + len(self.next_plan)
+
+
+def step_template(design) -> StepTemplate:
+    """The stamp plan of *design*'s step relation, computed once and
+    cached beside the :func:`bitblast_step` result it is read from
+    (which is built without a node budget: the unroller would construct
+    the same gates frame by frame anyway).  Raises :class:`Uncompilable`
+    where that does -- the caller walks the expression trees instead."""
+    template = getattr(design, "_step_template", None)
+    if template is None:
+        template = StepTemplate(*bitblast_step(design))
+        object.__setattr__(design, "_step_template", template)
+    return template

@@ -49,7 +49,6 @@ class Simulator:
     """
 
     def __init__(self, design: Design, seed: int | None = None):
-        from .compile import compile_design
         self.design = design
         self.rng = random.Random(seed)
         self.state: dict[str, int] = {
@@ -58,9 +57,11 @@ class Simulator:
         self._source = _MapSource(self)
         self._evaluator = ExprEvaluator(IntBackend(), self._source,
                                         design.params)
-        # expressions compiled to straight-line Python, once per design;
-        # signals outside the compilable subset fall back to the evaluator
-        self._compiled = compile_design(design)
+        # signal -> expression compiled to straight-line Python, once per
+        # design, on the first step; signals outside the compilable
+        # subset (or every signal, under an empty table) fall back to
+        # the evaluator
+        self._compiled: dict[str, object] | None = None
 
     # -- driving ------------------------------------------------------------
 
@@ -93,6 +94,9 @@ class Simulator:
         self.history.append(values)
         t = len(self.history) - 1
         compiled = self._compiled
+        if compiled is None:
+            from .compile import compile_design
+            compiled = self._compiled = compile_design(self.design)
         widths = self.design.widths
         try:
             for name, expr in self.design.comb_exprs.items():
@@ -155,8 +159,14 @@ class Simulator:
 
 def derive_init(design: Design, cycles: int = 2) -> dict[str, int]:
     """Compute the post-reset initial state by simulating the reset phase
-    (the formal tool's 'reset analysis'); updates ``design.init`` in place."""
+    (the formal tool's 'reset analysis'); updates ``design.init`` in place.
+
+    The steps run on the interpreter: ``exec``-compiling every expression
+    of the full design costs far more than *cycles* evaluations of each,
+    and the prover simulates COI-reduced copies afterwards, never this
+    design."""
     sim = Simulator(design)
+    sim._compiled = {}
     sim.state = {s: 0 for s in design.state}
     for _ in range(cycles):
         inputs = {name: 0 for name in design.inputs}

@@ -87,6 +87,17 @@ class TestEngineParity:
         first = [result_tuple(checker.check(c)) for c in parsed]
         assert [result_tuple(checker.check(c)) for c in parsed] == first
         assert '"d": [255, 0]' in first[5][4]
+        # the ``disable iff`` suffix chain is keyed by node identity too:
+        # only the abort condition reads ``d`` here, so a chain that
+        # outlived the first check would drop ``d`` from the second
+        # witness
+        text = ("assert property (@(posedge clk) disable iff (d == 8'h01) "
+                "a |-> ##2 b);")
+        disabled = parse_assertion(text)
+        isolated = result_tuple(check_equivalence(REF, text, W))
+        assert '"d"' in isolated[4]
+        for _ in range(2):
+            assert result_tuple(checker.check(disabled)) == isolated
 
     def test_repeated_candidates_stay_identical(self):
         """The 3rd pass over a candidate (learned clauses piled up) still

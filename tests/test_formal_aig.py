@@ -41,6 +41,63 @@ class TestConstruction:
             assert got_mux == (va if vc else vb)
 
 
+class TestDerivedGateEarlyOuts:
+    """``or_``/``xor_``/``xnor_``/``mux_`` open with constant and
+    identity early-outs; each must return the *identical literal* (and
+    leave the identical graph) the plain ``and_`` composition does."""
+
+    @staticmethod
+    def _pool():
+        g = AIG()
+        x, y = g.new_input(), g.new_input()
+        n = g.and_(x, y)
+        return g, [TRUE, FALSE, x, neg(x), y, neg(y), n, neg(n)]
+
+    @staticmethod
+    def _or(g, a, b):
+        return neg(g.and_(neg(a), neg(b)))
+
+    @classmethod
+    def _xor(cls, g, a, b):
+        return cls._or(g, g.and_(a, neg(b)), g.and_(neg(a), b))
+
+    @classmethod
+    def _mux(cls, g, s, t, f):
+        return cls._or(g, g.and_(s, t), g.and_(neg(s), f))
+
+    def test_binary_gates_return_the_composed_literal(self):
+        size = len(self._pool()[1])
+        for i, j in itertools.product(range(size), repeat=2):
+            for fast, composed in (
+                    (AIG.or_, self._or), (AIG.xor_, self._xor),
+                    (AIG.xnor_,
+                     lambda g, a, b: neg(self._xor(g, a, b)))):
+                g, pool = self._pool()
+                ref, ref_pool = self._pool()
+                assert fast(g, pool[i], pool[j]) \
+                    == composed(ref, ref_pool[i], ref_pool[j]), (i, j)
+                assert g._fanins == ref._fanins, (i, j)
+
+    def test_mux_returns_the_composed_literal(self):
+        size = len(self._pool()[1])
+        for i, j, k in itertools.product(range(size), repeat=3):
+            g, pool = self._pool()
+            ref, ref_pool = self._pool()
+            assert g.mux_(pool[i], pool[j], pool[k]) \
+                == self._mux(ref, ref_pool[i], ref_pool[j], ref_pool[k]), \
+                (i, j, k)
+            assert g._fanins == ref._fanins, (i, j, k)
+
+    def test_constant_operands_build_nothing(self):
+        g, pool = self._pool()
+        x = pool[2]
+        size = len(g)
+        assert g.xnor_(FALSE, FALSE) == TRUE
+        assert g.mux_(x, FALSE, FALSE) == FALSE
+        assert g.or_(x, FALSE) == x and g.xor_(TRUE, x) == neg(x)
+        assert len(g) == size
+
+
 class TestCnf:
     def _sat(self, g, lit):
         from repro.formal.sat import solve_cnf

@@ -140,6 +140,46 @@ class TestPackedTraces:
         first = bitblast_step(design)
         assert bitblast_step(design) is first
 
+    @pytest.mark.parametrize("full_first", [False, True],
+                             ids=["budgeted-then-full", "full-then-budgeted"])
+    def test_cached_step_answers_to_the_callers_budget(self, full_first):
+        """The budget is the caller's: a full result the unbudgeted
+        prover left in the cache must not widen what a budgeted packed
+        simulator accepts, or which cones take the packed path would
+        follow from call order."""
+        design = elaborate(COUNTER)
+        if full_first:
+            full = bitblast_step(design)
+        with pytest.raises(PackedUnsupported) as first:
+            PackedSimulator(design, max_nodes=8)
+        if not full_first:
+            full = bitblast_step(design)  # retried in full, then cached
+        assert len(full[0]) > 8
+        with pytest.raises(PackedUnsupported) as second:
+            PackedSimulator(design, max_nodes=8)
+        assert str(first.value) == str(second.value) \
+            == "AIG exceeds 8 nodes"
+        assert bitblast_step(design) is full
+        assert bitblast_step(design, max_nodes=len(full[0])) is full
+
+    def test_degraded_events_do_not_depend_on_call_order(self):
+        """Two provers on one design object: the first probes the packed
+        budget and then unrolls (a full bit-blast lands in the cache),
+        the second finds the full result first.  Same ``aig_overflow``
+        event, same verdict."""
+        design = elaborate(COUNTER)
+        assertion = parse_assertion(
+            "assert property (@(posedge clk) disable iff (!reset_) "
+            "q <= 4'd15);")
+        results = [Prover(design, use_coi=False, packed_max_nodes=8)
+                   .prove(assertion) for _ in range(2)]
+        assert bitblast_step(design)  # the unroller's, unbudgeted
+        first, second = results
+        assert first.degraded == second.degraded
+        assert [e["code"] for e in first.degraded] == ["aig_overflow"]
+        assert (first.status, first.engine, first.depth) \
+            == (second.status, second.engine, second.depth)
+
     def test_past_design_marks_cache(self):
         design = elaborate(PAST)
         with pytest.raises(Uncompilable):

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.formal.aig import AIG
+from repro.formal.bitvec import FreeSignalSource
 from repro.formal.prover import check_trace
+from repro.formal.semantics import PropertyEncoder
 from repro.sva.parser import parse_assertion
 
 W = {"clk": 1, "a": 1, "b": 1, "c": 1, "v": 4, "rst": 1}
@@ -102,6 +105,81 @@ class TestDisable:
             "assert property (@(posedge clk) disable iff (rst) a |-> ##1 b);")
         trace = {"a": [1, 0, 0], "b": [0, 0, 0], "rst": [0, 1, 0]}
         assert check_trace(a, trace, W, last_attempt=0) is None
+
+
+def _all_valuations(aig, source, lits):
+    """Truth tables of *lits* as lane ints: bit ``v`` of each is the
+    literal's value under valuation ``v`` of the source's input bits."""
+    inputs = [lit >> 1 for bits in source._cache.values() for lit in bits]
+    lanes = 1 << len(inputs)
+    mask = (1 << lanes) - 1
+    values = {0: mask}
+    for i, node in enumerate(inputs):
+        values[node] = sum(1 << v for v in range(lanes) if (v >> i) & 1)
+    for node in aig.cone(lits):
+        if node not in values:
+            a, b = aig.fanin(node)
+            values[node] = ((values[a >> 1] ^ (mask if a & 1 else 0))
+                            & (values[b >> 1] ^ (mask if b & 1 else 0)))
+    return [values[lit >> 1] ^ (mask if lit & 1 else 0) for lit in lits]
+
+
+def _disable_encoder(horizon):
+    aig = AIG()
+    source = FreeSignalSource(aig, {"a": 1, "rst": 1})
+    return aig, source, PropertyEncoder(aig, source, horizon)
+
+
+class TestDisableChain:
+    """``disable iff`` reads one suffix chain per condition instead of a
+    fresh OR per attempt: same function, O(K) gates."""
+
+    ASSERTION = parse_assertion(
+        "assert property (@(posedge clk) disable iff (rst) a |-> ##1 !a);")
+
+    @pytest.mark.parametrize("horizon", range(1, 7))
+    def test_equals_the_per_attempt_or_on_every_valuation(self, horizon):
+        aig, source, enc = _disable_encoder(horizon)
+        a = self.ASSERTION
+        chained = [enc.encode_assertion(a, t) for t in range(horizon + 1)]
+        folded = [
+            aig.or_(aig.or_many(enc.expr_bool(a.disable, i)
+                                for i in range(t, horizon)),
+                    enc.sat(a.prop, t))
+            for t in range(horizon + 1)]
+        assert len(source._cache) == 2 * horizon  # two signals, K cycles
+        tables = _all_valuations(aig, source, chained + folded)
+        assert tables[:len(chained)] == tables[len(chained):]
+
+    def test_grows_downward_only_as_far_as_asked(self):
+        _aig, source, enc = _disable_encoder(8)
+        enc.encode_assertion(self.ASSERTION, 5)
+        assert {t for name, t in source._cache if name == "rst"} \
+            == {5, 6, 7}
+        enc.encode_assertion(self.ASSERTION, 3)
+        assert {t for name, t in source._cache if name == "rst"} \
+            == {3, 4, 5, 6, 7}
+
+    def test_cone_is_linear_in_the_horizon(self):
+        def gates(horizon):
+            aig, _source, enc = _disable_encoder(horizon)
+            lits = [enc.encode_assertion(self.ASSERTION, t)
+                    for t in range(horizon)]
+            return sum(aig.fanin(n) is not None for n in aig.cone(lits))
+
+        small, large = gates(22), gates(44)
+        # chain K-1, abort-or-holds K, the implication K: a fresh
+        # left-folded OR per attempt was 22 * 21 / 2 gates on its own
+        assert small <= 4 * 22
+        assert large <= 4 * 44 and large - small <= 4 * 22
+
+    def test_forget_drops_the_chain(self):
+        _aig, source, enc = _disable_encoder(4)
+        enc.encode_assertion(self.ASSERTION, 0)
+        enc.forget()
+        touched = source._touched = set()
+        enc.encode_assertion(self.ASSERTION, 0)
+        assert {t for name, t in touched if name == "rst"} == {0, 1, 2, 3}
 
 
 class TestSampledValueFunctions:

@@ -33,7 +33,7 @@ def _interpreted_history(design, cycles, seed):
 
 def _compiled_history(design, cycles, seed):
     sim = Simulator(design, seed=seed)
-    assert sim._compiled, "nothing compiled for this design"
+    assert compile_design(design), "nothing compiled for this design"
     sim.reset()
     sim.run_random(cycles)
     return sim.history

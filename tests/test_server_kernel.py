@@ -341,10 +341,15 @@ DEEP_WIRE = {
 
 
 class TestForcedShutdown:
-    def test_second_signal_abandons_the_drain(self, wait_inflight):
+    def test_second_signal_abandons_the_drain(self, wait_inflight,
+                                              monkeypatch):
         """``serve`` only: a second signal kills the worker processes,
         says so and exits 1 at once -- it does not wait out the minute
         the in-flight proof would take."""
+        # every solve of the deep proof sleeps a second (core/faults.py
+        # slow_solve): the unit is in flight for as long as the test
+        # needs, however fast the engine gets
+        monkeypatch.setenv("FVEVAL_FAULTS", "slow_solve:1.0:1.0")
         proc, banner = _spawn_cli("serve", "--http", "127.0.0.1:0",
                                   "--workers", "2", "--executor", "process")
         try:

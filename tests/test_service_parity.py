@@ -268,6 +268,32 @@ class TestWorkerPoolParity:
         assert records == GOLDEN["design2sva_fsm"]
 
 
+class TestUnrollCounters:
+    """The unroller's counters (docs/engine.md, "Lower once, stamp per
+    frame") ride the shared prover profile like the stage timers:
+    ``service.profile`` -> ``RunResult.stats["prover"]``, merged back
+    from process workers."""
+
+    @pytest.mark.parametrize("options", [
+        {}, {"workers": 2}, {"executor": "process", "workers": 2}],
+        ids=["serial", "threads", "process"])
+    def test_counters_reach_run_stats(self, options):
+        task = design_task("fsm", use_cache=False, **options)
+        try:
+            records, result = run_records(task)
+        finally:
+            task.service.close()
+        assert records == GOLDEN["design2sva_fsm"]
+        prover = result.stats["prover"]
+        assert prover["frames_stamped"] > 0
+        assert prover["step_template_nodes"] > 0
+        assert prover["unroll_s"] > 0
+        assert "frames_walked" not in prover  # every cone templates
+        if not options:
+            assert prover["frames_stamped"] \
+                == task.service.profile["frames_stamped"]
+
+
 class TestPooledParity:
     """FVEVAL_JOBS pooling: identical records, merged worker stats."""
 
