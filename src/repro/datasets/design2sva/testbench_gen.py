@@ -63,10 +63,22 @@ class SpliceError(ValueError):
     """The model's support code does not parse as module items."""
 
 
+#: parsed response snippets by code: about 3 KB of AST each, shared
+#: read-only like every memoised AST (merges copy the item lists, never
+#: the items).  1024 covers one model's 960 Design2SVA responses (2
+#: categories x 96 designs x 5 samples).
+_SNIPPETS = LruMemo("design2sva.snippet", 1024)
+
+
 def parse_snippet_items(code: str) -> ModuleDecl:
     """Parse a model-response snippet (declarations/assigns/assertions) as
     the body of an anonymous module; raises :class:`SpliceError` on bad
-    syntax (this is the Design2SVA syntax gate for support code)."""
+    syntax (this is the Design2SVA syntax gate for support code).
+    Memoised: the module is shared and read-only."""
+    return _SNIPPETS.get(code, lambda: _parse_snippet(code))
+
+
+def _parse_snippet(code: str) -> ModuleDecl:
     wrapped = f"module __snippet__ (); {code} endmodule"
     try:
         text, _ = preprocess(wrapped)

@@ -16,6 +16,7 @@ import math
 import re
 from collections import Counter
 
+from ..memo import LruMemo
 from ..sva.lexer import strip_code_fences
 
 _FALLBACK_TOKEN_RE = re.compile(
@@ -38,16 +39,38 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
                    for i in range(len(tokens) - n + 1))
 
 
-def sentence_bleu(candidate: str, reference: str, max_n: int = 4) -> float:
-    """Smoothed sentence-level BLEU between two SVA snippets."""
-    cand = sva_tokens(candidate)
+#: scores by (candidate, reference, max_n): about 0.15 KB each.  4096 covers
+#: one model's 1895 NL2SVA responses (79 Human + 300 Machine problems,
+#: five samples each) with margin.
+_SCORES = LruMemo("eval.bleu", 4096)
+#: a reference's token count and 1..max_n-gram tables by (reference,
+#: max_n), about 5 KB each: the five samples of a problem share them.
+#: 512 covers the paper's 379 NL2SVA references.
+_REFERENCES = LruMemo("eval.bleu.reference", 512)
+
+
+def _reference_tables(reference: str, max_n: int):
     ref = sva_tokens(reference)
-    if not cand or not ref:
+    return len(ref), tuple(_ngrams(ref, n) for n in range(1, max_n + 1))
+
+
+def sentence_bleu(candidate: str, reference: str, max_n: int = 4) -> float:
+    """Smoothed sentence-level BLEU between two SVA snippets (memoised)."""
+    return _SCORES.get((candidate, reference, max_n),
+                       lambda: _sentence_bleu(candidate, reference, max_n))
+
+
+def _sentence_bleu(candidate: str, reference: str, max_n: int) -> float:
+    cand = sva_tokens(candidate)
+    ref_len, ref_tables = _REFERENCES.get(
+        (reference, max_n), lambda: _reference_tables(reference, max_n))
+    if not cand or not ref_len:
         return 0.0
     log_precision = 0.0
-    for n in range(1, max_n + 1):
+    for n, ref_ngrams in enumerate(ref_tables, 1):
         cand_ngrams = _ngrams(cand, n)
-        ref_ngrams = _ngrams(ref, n)
+        # a Counter answers a missing gram 0 without storing it, so the
+        # shared tables are only read
         overlap = sum(min(count, ref_ngrams[gram])
                       for gram, count in cand_ngrams.items())
         total = max(1, sum(cand_ngrams.values()))
@@ -60,7 +83,7 @@ def sentence_bleu(candidate: str, reference: str, max_n: int = 4) -> float:
             precision = (overlap + 1) / (total + 1)
         log_precision += math.log(precision)
     log_precision /= max_n
-    brevity = min(1.0, math.exp(1 - len(ref) / max(1, len(cand))))
+    brevity = min(1.0, math.exp(1 - ref_len / max(1, len(cand))))
     return brevity * math.exp(log_precision)
 
 

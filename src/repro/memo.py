@@ -1,16 +1,24 @@
-"""Bounded process-wide memos for the text -> AST -> design front end.
+"""Bounded process-wide memos for the text-pure parts of scoring.
 
 The benchmark scores many responses against the same DUT, testbench or
-reference, so the pure front-end functions (``parse_assertion``,
-``parse_rtl``, ``elaborate_base``, the Design2SVA problem base) each
-keep one :class:`LruMemo`.  The rule is the same for all of them:
+reference, and re-scoring a run (a second model, a re-rendered table, a
+client resubmitting) repeats every response text.  So the pure
+functions of text each keep one :class:`LruMemo`: the front end
+(``parse_assertion``, ``parse_rtl``, ``elaborate_base``, the Design2SVA
+problem base and response snippets) and the per-response results built
+on it (the syntax gate's outcome, ``canonical_key`` of a text, BLEU and
+a reference's n-gram tables).  The rule is the same for all of them:
 
 * the function is pure, so a hit returns what a recomputation would;
-* results are *shared* between callers and therefore read-only;
+* results are *shared* between callers and therefore read-only (the
+  syntax gate stores only ``(ok, errors)`` and hands each caller a
+  fresh report);
 * only successes are stored -- a failing input is recomputed and raises
   a fresh exception every time;
 * eviction is plain least-recently-used at a fixed entry count, so
-  which lookups hit depends on the access sequence alone.
+  which lookups hit depends on the access sequence alone -- and a
+  replay of more distinct texts than the capacity evicts every entry
+  before its reuse, costing exactly the unmemoised path.
 
 :func:`stats` is the observability surface
 (``VerificationService.stats()["frontend"]``).

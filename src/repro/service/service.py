@@ -48,6 +48,7 @@ written by either side of the redesign stay mutually readable.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -55,6 +56,7 @@ from typing import TYPE_CHECKING
 
 from .. import memo
 from ..sva.canonical import CanonicalizationError, canonical_key
+from ..sva.syntax import check_assertion_syntax
 from .api import RequestError, VerifyRequest, VerifyResponse
 from .signature import design_signature  # noqa: F401  (re-exported; the
 # canonical definition moved to repro.service.signature so the routing
@@ -94,8 +96,13 @@ def deadline_from_env() -> float | None:
         return None
     return value if value > 0 else None
 
-#: request kinds whose verdicts are memoized (syntax and trace checks are
-#: cheaper than a cache round-trip and were never cached)
+#: request kinds whose verdicts are cached.  A syntax gate is not: it
+#: is memoised in process instead (``repro.sva.syntax``), where a hit is
+#: a lookup.  A gate that misses that memo costs about 0.15 ms against
+#: about 6 us for a memory-tier get, but persisting gates would raise a
+#: cold fill's disk puts from 220 to 693 per bench pass at about 0.6 ms
+#: per atomic file write -- more than the fill ever wins back.  Trace
+#: checks were never cached.
 _CACHED_KINDS = ("equivalence", "prove")
 
 #: cached verdict fields per kind -- the exact pre-service protocol, so
@@ -113,14 +120,15 @@ _EQUIV_ENGINE_OPTS = {"default_width", "horizons", "max_conflicts",
                       "strategy"}
 
 
-def _prover_engine_opts() -> set[str]:
+@functools.cache
+def _prover_engine_opts() -> frozenset[str]:
     """Legal ``engine`` keys of a prove request: Prover's configuration
     surface minus what the service owns (the design and the shared
-    profile dict)."""
+    profile dict).  Read once per process."""
     import inspect
     from ..formal.prover import Prover
-    return (set(inspect.signature(Prover.__init__).parameters)
-            - {"self", "design", "profile"})
+    return frozenset(set(inspect.signature(Prover.__init__).parameters)
+                     - {"self", "design", "profile"})
 
 
 def batching_disabled() -> bool:
@@ -569,6 +577,11 @@ class VerificationService:
         primaries: dict[tuple, int] = {}  # (ns, key) -> plan index
         groups: dict[tuple, list[int]] = {}  # prover pool key -> indices
         no_cache = _cache_module().caching_disabled()
+        # once per flush: the default deadline, and the canonical key of
+        # each distinct reference (shared by every sample scored on it)
+        deadline_s = (self.deadline_s if self.deadline_s is not None
+                      else deadline_from_env())
+        reference_keys: dict[tuple, str] = {}
         for index, request in enumerate(requests):
             self.requests += 1
             if not request.request_id:
@@ -580,9 +593,7 @@ class VerificationService:
                            "faults": [],
                            "deadline_s": (request.deadline_s
                                           if request.deadline_s is not None
-                                          else self.deadline_s
-                                          if self.deadline_s is not None
-                                          else deadline_from_env())}
+                                          else deadline_s)}
             if self.admission is not None:
                 # mandatory effective deadline: the server ceiling wins
                 # over whatever the request asked for (or didn't)
@@ -595,7 +606,7 @@ class VerificationService:
                 except RequestError as exc:
                     entry["response"] = self._error(request, str(exc))
                     continue
-                prepared = self._prepare(request, entry)
+                prepared = self._prepare(request, entry, reference_keys)
             except Exception as exc:  # a planning crash costs one request
                 event = _faults().classify(exc, stage="plan")
                 entry["response"] = self._error(
@@ -1066,14 +1077,15 @@ class VerificationService:
         response.detail = detail
         return response
 
-    def _prepare(self, request: VerifyRequest,
-                 entry: dict) -> VerifyResponse | None:
+    def _prepare(self, request: VerifyRequest, entry: dict,
+                 reference_keys: dict) -> VerifyResponse | None:
         """Resolve key parts (and, for prove, the design/assertion).
 
         Returns an error response when preparation itself fails --
         elaboration errors and assertion-less responses map to the
         ``syntax_error`` verdict exactly as the tasks reported them
-        before the service existed.
+        before the service existed.  *reference_keys* is the flush's
+        table of reference canonical keys (:func:`_reference_key`).
         """
         kind = request.kind
         if kind == "equivalence":
@@ -1090,8 +1102,7 @@ class VerificationService:
                 engine_key = (*engine_key, sorted(request.engine.items()))
             entry["key_parts"] = _LazyParts(lambda: (
                 "equiv",
-                canonical_key(request.reference_ast or request.reference,
-                              request.params),
+                _reference_key(request, reference_keys),
                 canonical_key(request.candidate, request.params),
                 sorted(request.widths.items()),
                 sorted((request.params or {}).items()),
@@ -1297,7 +1308,6 @@ class VerificationService:
 
     def _compute_syntax(self, request: VerifyRequest,
                         entry: dict) -> VerifyResponse:
-        from ..sva.syntax import check_assertion_syntax
         report = check_assertion_syntax(
             request.candidate, signal_widths=dict(request.widths),
             params=request.params,
@@ -1409,6 +1419,21 @@ class _LazyParts:
 
     def __iter__(self):
         return iter(self._thunk())
+
+
+def _reference_key(request: VerifyRequest, keys: dict) -> str:
+    """``canonical_key`` of an equivalence request's reference, computed
+    once per flush per distinct reference.  *keys* is the flush's
+    table; an AST reference is keyed by identity, which is sound while
+    the flush's requests hold it.  A reference that does not parse
+    raises on every call, as ``canonical_key`` does."""
+    reference = request.reference_ast or request.reference
+    slot = (reference if isinstance(reference, str) else id(reference),
+            _freeze(request.params or {}))
+    key = keys.get(slot)
+    if key is None:
+        key = keys[slot] = canonical_key(reference, request.params)
+    return key
 
 
 def _freeze(value):

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ast_nodes import Assertion, Identifier, Number, SystemCall, signals_of
+from ..memo import LruMemo
+from .ast_nodes import Identifier, Number, SystemCall, signals_of
 from .lexer import strip_code_fences
 from .parser import ParseError, parse_assertion
 
@@ -57,10 +58,20 @@ class SyntaxReport:
 
     ok: bool
     errors: list[str] = field(default_factory=list)
-    assertion: Assertion | None = None
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+#: gate outcomes by (text, widths, params, extra signals, clock rule):
+#: ``(ok, errors)`` only, no AST; an entry is about 1 KB, mostly the
+#: key's frozen widths.  4096 covers one model's 1895 NL2SVA responses
+#: (79 Human + 300 Machine problems, five samples each) with margin.
+_GATES = LruMemo("sva.syntax", 4096)
+
+
+def _frozen(mapping) -> tuple | None:
+    return None if mapping is None else tuple(sorted(mapping.items()))
 
 
 def check_assertion_syntax(
@@ -71,6 +82,9 @@ def check_assertion_syntax(
     require_clock: bool = True,
 ) -> SyntaxReport:
     """Check a (possibly fenced) assertion response for syntactic validity.
+
+    Memoised on the text and every context argument; each call returns
+    a fresh report.
 
     Parameters
     ----------
@@ -87,14 +101,24 @@ def check_assertion_syntax(
     require_clock:
         If True, an assertion with no ``@(...)`` clocking event fails.
     """
+    key = (text, _frozen(signal_widths), _frozen(params),
+           None if extra_signals is None else frozenset(extra_signals),
+           require_clock)
+    ok, errors = _GATES.get(key, lambda: _check(
+        text, signal_widths, params, extra_signals, require_clock))
+    return SyntaxReport(ok=ok, errors=list(errors))
+
+
+def _check(text, signal_widths, params, extra_signals,
+           require_clock) -> tuple[bool, tuple[str, ...]]:
     errors: list[str] = []
     cleaned = strip_code_fences(text)
     if not cleaned.strip():
-        return SyntaxReport(ok=False, errors=["empty response"])
+        return False, ("empty response",)
     try:
         assertion = parse_assertion(cleaned, params=params)
     except ParseError as exc:
-        return SyntaxReport(ok=False, errors=[str(exc)])
+        return False, (str(exc),)
 
     if require_clock and assertion.clocking is None:
         errors.append("concurrent assertion has no clocking event")
@@ -120,7 +144,7 @@ def check_assertion_syntax(
             if base not in known and not base.startswith("`"):
                 errors.append(f"unresolved signal {name!r}")
 
-    return SyntaxReport(ok=not errors, errors=errors, assertion=assertion)
+    return not errors, tuple(errors)
 
 
 def _check_syscall(call: SystemCall) -> list[str]:

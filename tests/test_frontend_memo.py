@@ -4,29 +4,39 @@ The memoised functions hand *shared* ASTs and designs to every caller,
 so this suite pins (a) that the per-problem base plus a late ``bind``
 equals a from-scratch merge and elaboration for every response class,
 (b) that nothing downstream mutates what is shared, under every
-executor, (c) the LRU's bound, order and counters, and (d) that the
-counters reach ``stats()``, ``RunResult.stats`` and ``/metrics``.
+executor, (c) the LRU's bound, order and counters, (d) that the
+counters reach ``stats()``, ``RunResult.stats`` and ``/metrics``, (f)
+that the text-keyed memos of per-response results -- the syntax gate,
+``canonical_key`` of a text, BLEU, response snippets -- answer what a
+recomputation would, per context and per caller, and (g) that a warm
+replay's records therefore equal a cold run's.
 """
 
 import hashlib
 import json
+import math
 import pickle
 import random
 import sys
 import threading
+from collections import Counter
+from dataclasses import asdict
 from http.client import HTTPConnection
 
 import pytest
 
 from repro import memo
 from repro.core.runner import RunConfig, run_model_on_task
-from repro.core.tasks import Design2SvaTask, Nl2SvaHumanTask
+from repro.core.tasks import Design2SvaTask, Nl2SvaHumanTask, Nl2SvaMachineTask
 from repro.datasets.design2sva import arbiter_gen, testbench_gen
 from repro.datasets.design2sva.sweep import build_benchmark
 from repro.datasets.design2sva.testbench_gen import (
     SpliceError, merge_for_eval, parse_snippet_items,
 )
+from repro.datasets.nl2sva_machine.generator import SIGNAL_WIDTHS
+from repro.eval.metrics import sentence_bleu, sva_tokens
 from repro.models import design_assist
+from repro.models.base import GenerationRequest, SimulatedModel
 from repro.rtl import (
     ElaborationError, bind, elaborate, elaborate_base, parse_rtl,
 )
@@ -35,8 +45,11 @@ from repro.rtl.parser import RtlParser, preprocess
 from repro.service import (
     BackgroundServer, VerificationService, VerifyRequest, design_signature,
 )
+from repro.service import service as service_module
+from repro.sva.canonical import CanonicalizationError, canonical_key
 from repro.sva.lexer import strip_code_fences
 from repro.sva.parser import ParseError, parse_assertion
+from repro.sva.syntax import check_assertion_syntax
 
 PROVER = {"max_bmc": 5, "max_k": 3, "sim_traces": 4, "sim_cycles": 16}
 CATEGORIES = ("fsm", "pipeline", "arbiter")
@@ -92,7 +105,7 @@ def fresh_merge(design, code):
     items = [i for mod in (tb, dut) for i in mod.items
              if not isinstance(i, PortDecl)]
     if code.strip():
-        items += parse_snippet_items(code).items
+        items += testbench_gen._parse_snippet(code).items
     for item in items:
         testbench_gen._classify(merged, item)
     modules = {k: v for k, v in dut_sf.modules.items() if k != design.top}
@@ -378,7 +391,9 @@ def test_design_with_cached_signature_pickles():
 
 # -- (e) the counters are readable without a profiler --------------------------
 
-MEMOS = {"sva.parser", "rtl.parser", "rtl.elaborate", "design2sva.testbench"}
+MEMOS = {"sva.parser", "rtl.parser", "rtl.elaborate", "design2sva.testbench",
+         "sva.syntax", "sva.canonical", "eval.bleu", "eval.bleu.reference",
+         "design2sva.snippet"}
 COUNTERS = {"hits", "misses", "evictions", "entries"}
 
 
@@ -447,3 +462,308 @@ def test_prove_request_carries_a_design_or_a_source():
     full = task.prove_request(design, classes["support_code"])
     assert full.design is None and isinstance(full.source, SourceFile)
     assert isinstance(late, VerifyRequest) and late.top == full.top
+
+
+# -- (f) text-keyed memos of per-response results ------------------------------
+
+#: the default subsets of the paper's tables (benchmarks/conftest.py):
+#: the whole Human corpus, 100 Machine problems, 10 designs a category,
+#: five samples each at the paper's temperature
+MODEL, SAMPLES, TEMPERATURE = "gpt-4o", 5, 0.8
+MACHINE_COUNT, DESIGN_COUNT = 100, 10
+
+
+def bleu_oracle(candidate, reference, max_n=4):
+    """The unmemoised formula: both n-gram tables rebuilt per call."""
+    cand, ref = sva_tokens(candidate), sva_tokens(reference)
+    if not cand or not ref:
+        return 0.0
+
+    def ngrams(tokens, n):
+        return Counter(tuple(tokens[i:i + n])
+                       for i in range(len(tokens) - n + 1))
+
+    log_precision = 0.0
+    for n in range(1, max_n + 1):
+        cand_ngrams, ref_ngrams = ngrams(cand, n), ngrams(ref, n)
+        overlap = sum(min(count, ref_ngrams[gram])
+                      for gram, count in cand_ngrams.items())
+        total = max(1, sum(cand_ngrams.values()))
+        if n == 1:
+            precision = overlap / total
+            if precision == 0.0:
+                return 0.0
+        else:
+            precision = (overlap + 1) / (total + 1)
+        log_precision += math.log(precision)
+    log_precision /= max_n
+    brevity = min(1.0, math.exp(1 - len(ref) / max(1, len(cand))))
+    return brevity * math.exp(log_precision)
+
+
+@pytest.fixture(scope="module")
+def scored_responses():
+    """Every response the default simulated model gives over the default
+    subsets, with what it is scored against: ``(response, gate context,
+    params, reference)``; Design2SVA rows have no reference."""
+    model = SimulatedModel(MODEL)
+    human = Nl2SvaHumanTask(use_cache=False)
+    machine = Nl2SvaMachineTask(count=MACHINE_COUNT, use_cache=False)
+    machine_gate = {"signal_widths": dict(SIGNAL_WIDTHS),
+                    "extra_signals": {"clk"}}
+    rows = []
+    for name, problems in (
+            ("nl2sva_human", human.problems()),
+            ("nl2sva_machine", machine.problems()),
+            ("design2sva", build_benchmark("fsm", DESIGN_COUNT)
+             + build_benchmark("pipeline", DESIGN_COUNT))):
+        for index, problem in enumerate(problems):
+            context = (human.context(problem) if name == "nl2sva_human"
+                       else {"widths": {}, "params": {}})
+            responses = model.generate(GenerationRequest(
+                task=name, problem=problem, n_samples=SAMPLES,
+                temperature=TEMPERATURE, params=dict(context["params"]),
+                widths=dict(context["widths"]),
+                quantile=(index + 0.5) / len(problems)))
+            for response in responses:
+                if name == "nl2sva_human":
+                    rows.append((response,
+                                 {"signal_widths": context["widths"],
+                                  "params": context["params"]},
+                                 context["params"], problem.reference))
+                elif name == "nl2sva_machine":
+                    rows.append((response, machine_gate, None, problem.sva))
+                else:
+                    rows.append((response, {}, None, None))
+    return rows
+
+
+def results(rows):
+    """Every memoised result of every row: the gate's ``(ok, errors)``,
+    the text's canonical key, then BLEU against the reference (NL2SVA)
+    or the snippet's items (Design2SVA)."""
+    out = []
+    for response, gate, params, reference in rows:
+        report = check_assertion_syntax(response, **gate)
+        text = strip_code_fences(response)
+        out.append((
+            (report.ok, report.errors),
+            outcome(lambda: canonical_key(text, params)),
+            sentence_bleu(response, reference) if reference is not None
+            else outcome(lambda: repr(parse_snippet_items(text).items))))
+    return out
+
+
+def test_memoised_results_equal_a_recomputation(scored_responses):
+    rows = scored_responses
+    assert len(rows) == SAMPLES * (79 + MACHINE_COUNT + 2 * DESIGN_COUNT)
+    results(rows)  # fill
+    before = memo.stats()
+    warm = results(rows)
+    after = memo.stats()
+    # every gate and every score was a lookup; canonical keys and
+    # snippets hit wherever the text parses (failures are not stored)
+    for name in ("sva.syntax", "eval.bleu"):
+        assert after[name]["misses"] == before[name]["misses"], name
+    for name in ("sva.canonical", "design2sva.snippet"):
+        assert after[name]["hits"] > before[name]["hits"], name
+    memo.clear()
+    cold = results(rows)
+    assert warm == cold
+    scores = [(row[2], bleu_oracle(response, reference))
+              for row, (response, _, _, reference) in zip(warm, rows)
+              if reference is not None]
+    assert all(got == want for got, want in scores)
+    # the net covers every outcome class
+    gates = {ok for (ok, _), _, _ in warm}
+    keys = {isinstance(key, str) and key.startswith("Canon")
+            for _, key, _ in warm}
+    assert gates == {True, False} and keys == {True, False}
+
+
+def test_gate_memo_keys_on_every_context_argument():
+    clocked = "assert property (@(posedge clk) a |-> ##N b);"
+    unclocked = "assert property (a |-> b);"
+    widths = {"a": 1, "clk": 1}
+    cases = [
+        (clocked, {}),                                       # N unbound
+        (clocked, {"params": {"N": 2}}),                     # widths None
+        (clocked, {"params": {"N": 2}, "signal_widths": {}}),
+        (clocked, {"params": {"N": 2}, "signal_widths": widths}),
+        (clocked, {"params": {"N": 2, "b": 1}, "signal_widths": widths}),
+        (clocked, {"params": {"N": 2}, "signal_widths": widths,
+                   "extra_signals": {"b"}}),
+        (clocked, {"params": {"N": 2}, "signal_widths": widths,
+                   "extra_signals": set()}),
+        (unclocked, {}),
+        (unclocked, {"require_clock": False}),
+    ]
+
+    def recompute(text, kwargs):
+        memo.clear()
+        report = check_assertion_syntax(text, **kwargs)
+        return report.ok, report.errors
+
+    want = [recompute(text, kwargs) for text, kwargs in cases]
+    oks = [ok for ok, _ in want]
+    assert oks == [False, True, False, False, True, True, False, False, True]
+    # None and {} widths differ; so does each argument against its twin
+    assert want[1] != want[2]
+    assert want[3] != want[4] and want[3] != want[5] and want[3] == want[6]
+    assert want[7] != want[8]
+    for _ in range(2):  # the second round is all hits
+        got = [(r.ok, r.errors) for r in (
+            check_assertion_syntax(text, **kwargs) for text, kwargs in cases)]
+        assert got == want
+
+
+def test_canonical_and_bleu_memos_key_on_their_arguments():
+    text = "assert property (@(posedge clk) a |-> ##N b);"
+    memo.clear()
+    keys = {n: canonical_key(text, {"N": n}) for n in (1, 2)}
+    assert keys[1] != keys[2]
+    assert keys == {n: canonical_key(text, {"N": n}) for n in (1, 2)}
+    assert canonical_key(text, {"N": 1}) \
+        == canonical_key(parse_assertion(text, {"N": 1}), {"N": 1})
+    for _ in range(2):  # unbound N: raised afresh, never stored
+        with pytest.raises(CanonicalizationError):
+            canonical_key(text)
+    a = "assert property (@(posedge clk) req |-> ##1 gnt);"
+    b = "assert property (@(posedge clk) req |=> gnt);"
+    pairs = [(a, b, 4), (b, a, 4), (a, b, 2), (a, a, 4), ("", a, 4)]
+    scores = [sentence_bleu(*pair) for pair in pairs]
+    assert scores == [bleu_oracle(*pair) for pair in pairs]
+    assert len(set(scores)) == len(scores)
+    assert scores == [sentence_bleu(*pair) for pair in pairs]
+
+
+def test_callers_cannot_corrupt_a_hit():
+    text = "assert property (@(posedge clk) a |-> nope);"
+    widths = {"a": 1, "clk": 1}
+    first = check_assertion_syntax(text, signal_widths=widths)
+    assert first.errors == ["unresolved signal 'nope'"]
+    first.errors.append("appended")
+    first.errors[0] = "overwritten"
+    first.ok = True
+    again = check_assertion_syntax(text, signal_widths=widths)
+    assert not again.ok and again.errors == ["unresolved signal 'nope'"]
+
+    design = problems("fsm", 1)[0]
+    code = response_classes("fsm", design)["assertion_only"]
+    snippet = parse_snippet_items(code)
+    assert parse_snippet_items(code) is snippet  # shared, read-only
+    before = digest(snippet)
+    merged = merge_for_eval(design, design.tb_source, code)
+    module = merged.source_file.modules[merged.top]
+    count = len(module.items)
+    module.items.clear()
+    module.assertions.append(module.assertions[-1])
+    again = merge_for_eval(design, design.tb_source, code)
+    module = again.source_file.modules[again.top]
+    assert len(module.items) == count
+    assert len(again.design.assertions) == 1
+    assert digest(snippet) == before
+
+
+def test_plan_reads_its_constants_once_per_flush(monkeypatch):
+    keyed, reads = [], []
+    real_key = service_module.canonical_key
+    real_deadline = service_module.deadline_from_env
+
+    def counting_key(assertion, params=None):
+        keyed.append("text" if isinstance(assertion, str) else "ast")
+        return real_key(assertion, params)
+
+    def counting_deadline():
+        reads.append(1)
+        return real_deadline()
+
+    monkeypatch.setattr(service_module, "canonical_key", counting_key)
+    monkeypatch.setattr(service_module, "deadline_from_env",
+                        counting_deadline)
+    reference = "assert property (@(posedge clk) a |-> b);"
+    candidates = ["assert property (@(posedge clk) a |-> ##0 b);",
+                  "assert property (@(posedge clk) a |=> b);",
+                  "assert property (@(posedge clk) b |-> a);",
+                  "assert property (@(posedge clk) !a || b);"]
+    widths = {"a": 1, "b": 1, "clk": 1}
+    requests = [VerifyRequest(kind="equivalence",
+                              reference_ast=parse_assertion(reference),
+                              reference=reference, candidate=candidate,
+                              widths=widths) for candidate in candidates]
+    requests += [VerifyRequest(kind="equivalence", reference=reference,
+                               candidate=candidate, widths=widths)
+                 for candidate in candidates]
+    service = VerificationService(cache_tiers="memory")
+    try:
+        responses = service.run(requests)
+    finally:
+        service.close()
+    assert [r.verdict for r in responses[:4]] \
+        == [r.verdict for r in responses[4:]]
+    # one key per distinct reference (the AST and the text), one per
+    # candidate text, one deadline read
+    assert keyed.count("ast") == 1
+    assert keyed.count("text") == 1 + len(requests)
+    assert reads == [1]
+
+
+# -- (g) a warm replay is a cold run's records, from cache and memos -----------
+
+
+def replay(family, tiers):
+    """One run of *family* on a fresh service over the *tiers* stack:
+    its records, field for field, and the service's cache counters."""
+    service = VerificationService(cache_tiers=tiers)
+    try:
+        if family == "arbiter":
+            task = Design2SvaTask("arbiter", count=3,
+                                  prover_kwargs=dict(PROVER),
+                                  service=service)
+            records = []
+            for i, design in enumerate(task.problems()):
+                rng = random.Random(i)
+                records += task.evaluate_batch(design, [
+                    arbiter_gen.arbiter_correct_response(design, rng),
+                    arbiter_gen.arbiter_flawed_response(design, rng)])
+        else:
+            task = {"human": lambda: Nl2SvaHumanTask(service=service),
+                    "machine": lambda: Nl2SvaMachineTask(count=6,
+                                                         service=service),
+                    "fsm": lambda: Design2SvaTask(
+                        "fsm", count=3, prover_kwargs=dict(PROVER),
+                        service=service)}[family]()
+            records = run_model_on_task(
+                MODEL, task, RunConfig(n_samples=SAMPLES,
+                                       temperature=TEMPERATURE,
+                                       limit=6)).records
+        cache = service.cache_stats()
+        return ([asdict(r) for r in records],
+                {name: cache[name] for name in ("hits", "misses", "puts")})
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("family,puts,hits", [
+    ("human", 16, 30), ("machine", 9, 30), ("fsm", 14, 15),
+    ("arbiter", 6, 6)])
+def test_warm_replay_records_equal_the_cold_run(family, puts, hits,
+                                                tmp_path, monkeypatch):
+    for name in ("FVEVAL_CACHE", "FVEVAL_CACHE_TIERS", "FVEVAL_NO_CACHE",
+                 "FVEVAL_JOBS"):
+        monkeypatch.delenv(name, raising=False)
+    tiers = f"memory,disk={tmp_path}"
+    memo.clear()
+    cold, cold_cache = replay(family, tiers)
+    warm, warm_cache = replay(family, tiers)  # same process, memos warm
+    memo.clear()
+    cleared, cleared_cache = replay(family, tiers)
+    assert cold == warm == cleared
+    assert any(record["bleu"] for record in cold) == (
+        family in ("human", "machine"))
+    # the counts the verdict cache read before the text memos existed:
+    # the cold run puts each distinct verdict once (in-flight dedup
+    # folds a batch's duplicates), a replay hits once per cached request
+    assert cold_cache == {"hits": 0, "misses": puts, "puts": puts}
+    assert warm_cache == cleared_cache == {"hits": hits, "misses": 0,
+                                           "puts": 0}

@@ -357,8 +357,31 @@ class TestRemoteSharding:
                 backend.put("ns", dead[0], {"verdict": "proven"})
 
 
+class _FakeClock:
+    """Stands in for the ``time`` module inside
+    ``repro.service.cacheserve``, which reads only ``time.time()``:
+    entry ages move when a test says so, never with the box's load."""
+
+    def __init__(self):
+        self.now = 1_000_000.0
+
+    def time(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
 class TestCacheServeTtl:
-    def test_lazy_expiry_on_get(self):
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        import importlib
+        cacheserve = importlib.import_module("repro.service.cacheserve")
+        fake = _FakeClock()
+        monkeypatch.setattr(cacheserve, "time", fake)
+        return fake
+
+    def test_lazy_expiry_on_get(self, clock):
         from repro.core.cache import VerdictCache
         key = VerdictCache.key("x")
         with BackgroundCacheServer(ttl_s=0.3) as bg:
@@ -367,40 +390,48 @@ class TestCacheServeTtl:
                                     f"/v1/cache/ns/{key}",
                                     {"verdict": "proven"})
             assert status == 204
+            clock.advance(0.2)
             status, body, _ = _get(host, port, f"/v1/cache/ns/{key}")
             assert status == 200 and body == {"verdict": "proven"}
-            time.sleep(0.4)
+            clock.advance(0.2)
             status, body, _ = _get(host, port, f"/v1/cache/ns/{key}")
             assert status == 404 and body["error"] == "expired"
             _, metrics, _ = _get(host, port, "/metrics")
             assert metrics["expired"] == 1
             assert metrics["ttl_s"] == 0.3
 
-    def test_periodic_sweep_drops_untouched_entries(self):
+    def test_periodic_sweep_drops_untouched_entries(self, clock):
         from repro.core.cache import VerdictCache
         key = VerdictCache.key("y")
         with BackgroundCacheServer(ttl_s=0.3) as bg:
             host, port = bg.address
+            swept = threading.Event()
+            expire = bg.server._expire_if_stale
+
+            def watched(namespace, entry_key):
+                dropped = expire(namespace, entry_key)
+                if dropped:
+                    swept.set()
+                return dropped
+
+            bg.server._expire_if_stale = watched
             _request(host, port, "PUT", f"/v1/cache/ns/{key}",
                      {"verdict": "proven"})
-            # the sweep interval floors at 1s; never GET the entry so
-            # only the sweep can drop it
-            deadline = time.time() + 5
-            while time.time() < deadline:
-                if bg.server.memory.stats()["entries"] == 0:
-                    break
-                time.sleep(0.1)
+            clock.advance(0.4)
+            # never GET the entry, so only the sweep (every 1 s, its
+            # floor) can drop it
+            assert swept.wait(timeout=30)
             assert bg.server.memory.stats()["entries"] == 0
             assert bg.server.expired == 1
 
-    def test_no_ttl_means_no_expiry(self):
+    def test_no_ttl_means_no_expiry(self, clock):
         from repro.core.cache import VerdictCache
         key = VerdictCache.key("z")
         with BackgroundCacheServer() as bg:
             host, port = bg.address
             _request(host, port, "PUT", f"/v1/cache/ns/{key}",
                      {"verdict": "proven"})
-            time.sleep(0.2)
+            clock.advance(3600.0)
             status, body, _ = _get(host, port, f"/v1/cache/ns/{key}")
             assert status == 200 and body == {"verdict": "proven"}
 
