@@ -271,11 +271,6 @@ class AIG:
             v = var_of(lit >> 1)
             return -v if lit & 1 else v
 
-        if 0 in order or any((self._fanins[n] is not None and
-                              (self._fanins[n][0] >> 1 == 0 or
-                               self._fanins[n][1] >> 1 == 0))
-                             for n in order):
-            pass  # constants are folded during construction; node 0 unused
         for node in order:
             fi = self._fanins[node]
             if fi is None:
@@ -398,7 +393,11 @@ class CnfWriter:
     depth (docs/engine.md, "Incremental sessions").
 
     The writer allocates solver variables on demand; ``node2var`` maps AIG
-    node index -> solver variable for counterexample extraction.
+    node index -> solver variable for counterexample extraction.  Each
+    delta is written in bulk -- one :meth:`~.sat.Solver.new_vars` and one
+    :meth:`~.sat.Solver.add_and_gates` call -- leaving the solver exactly
+    as one ``new_var`` per node and three ``add_clause`` per gate would
+    (``tests/test_formal_cnf_bulk.py``).
     """
 
     def __init__(self, aig: AIG, solver) -> None:
@@ -410,6 +409,19 @@ class CnfWriter:
         # NOT clausified -- assumption literals must go through
         # :meth:`encode` before they constrain anything
         self._clausified: set[int] = set()
+        # variable space mirror of the encoded circuit: entries 2v, 2v+1
+        # hold the fanin variables of gate variable v (0, 0 for any other
+        # variable); _stamp[v] == _epoch marks v visited by cone_vars
+        self._fanin_vars: list[int] = [0, 0]
+        self._stamp: list[int] = [0]
+        self._epoch = 0
+
+    def _pad(self) -> None:
+        """Cover variables allocated outside :meth:`encode`'s numbering
+        (by :meth:`lit`, or by anyone else holding the solver)."""
+        short = 2 * (self.solver.nv + 1) - len(self._fanin_vars)
+        if short > 0:
+            self._fanin_vars += [0] * short
 
     def var_of(self, node: int) -> int:
         """Solver variable of an AIG node, allocating (and for constant
@@ -428,10 +440,20 @@ class CnfWriter:
         return -v if lit & 1 else v
 
     def encode(self, roots: list[int]) -> None:
-        """Clausify the cones of *roots*, skipping already-encoded nodes."""
+        """Clausify the cones of *roots*, skipping already-encoded nodes.
+
+        The walk numbers fresh nodes ``nv + 1, nv + 2, ...`` in the order
+        a ``new_var`` per node would, then allocates them and adds the
+        gates' clauses in one call each.
+        """
         fanins = self.aig._fanins
         clausified = self._clausified
-        add = self.solver.add_clause
+        node2var = self.node2var
+        solver = self.solver
+        self._pad()
+        fanin_vars = self._fanin_vars
+        nv = solver.nv
+        gates: list[tuple[int, int, int]] = []
         # depth-first over the not-yet-encoded region only: a clausified
         # node has its whole cone clausified already
         visit: list[tuple[int, bool]] = [
@@ -441,33 +463,79 @@ class CnfWriter:
             fi = fanins[node]
             if processed:
                 a, b = fi
-                o = self.var_of(node)
-                la = self.lit(a)
-                lb = self.lit(b)
-                add([-o, la])
-                add([-o, lb])
-                add([o, -la, -lb])
+                va = node2var[a >> 1]
+                vb = node2var[b >> 1]
+                o = node2var.get(node)
+                if o is None:
+                    nv += 1
+                    o = node2var[node] = nv
+                    fanin_vars += (va, vb)
+                else:  # allocated by lit() before it was encoded
+                    fanin_vars[2 * o] = va
+                    fanin_vars[2 * o + 1] = vb
+                gates.append((o, -va if a & 1 else va, -vb if b & 1 else vb))
                 continue
             if node in clausified:
                 continue
             clausified.add(node)
-            if fi is None:
-                self.var_of(node)  # input or constant: variable only
+            if fi is None:  # input or constant: variable only
+                if node not in node2var:
+                    if node:
+                        nv += 1
+                        node2var[node] = nv
+                        fanin_vars += (0, 0)
+                    else:
+                        # constant TRUE, only ever a root (strash folds
+                        # it out of every gate): pin it at this point
+                        solver.new_vars(nv - solver.nv)
+                        solver.add_and_gates(gates)
+                        gates = []
+                        self.var_of(0)
+                        self._pad()
+                        nv = solver.nv
                 continue
             visit.append((node, True))
             visit.append((fi[0] >> 1, False))
             visit.append((fi[1] >> 1, False))
+        solver.new_vars(nv - solver.nv)
+        if gates:
+            solver.add_and_gates(gates)
 
     def cone_vars(self, roots: list[int]) -> list[int]:
         """Solver variables of the whole (already :meth:`encode`-d) cones
-        of *roots*, each once: the ``scope`` of a scoped
-        :meth:`~.sat.Solver.solve`.
+        of *roots*, each once and in no particular order: the ``scope``
+        of a scoped :meth:`~.sat.Solver.solve`, which sorts it.
 
         The set is closed under fanin and contains the roots, and the
         writer emits nothing but gate definitions, so as long as no
         other clause is added to the solver it meets the soundness
         condition of scoped solving: an assignment total on these
         variables extends to the rest of the circuit by evaluation.
+        It equals ``{node2var[n] for n in aig.cone(roots)}``, walked in
+        variable space: one stamp per visited variable, no set.
         """
+        fanin_vars = self._fanin_vars
+        stamp = self._stamp
+        short = (len(fanin_vars) >> 1) - len(stamp)
+        if short > 0:
+            stamp += [0] * short
+        self._epoch = epoch = self._epoch + 1
         node2var = self.node2var
-        return [node2var[node] for node in self.aig.cone(roots)]
+        out = []
+        for lit in roots:
+            v = node2var[lit >> 1]
+            if stamp[v] != epoch:
+                stamp[v] = epoch
+                out.append(v)
+        # breadth-first: the loop also visits what it appends
+        for v in out:
+            a = fanin_vars[2 * v]
+            if a:
+                if stamp[a] != epoch:
+                    stamp[a] = epoch
+                    out.append(a)
+                b = fanin_vars[2 * v + 1]
+                if stamp[b] != epoch:
+                    stamp[b] = epoch
+                    out.append(b)
+        return out

@@ -77,14 +77,19 @@ class SatResult:
 
 
 class _Clause(list):
-    """A clause is its literal list plus learned-clause metadata."""
+    """A problem clause is its literal list; the metadata is class-level,
+    so building one is list's own constructor."""
 
-    __slots__ = ("learned", "act")
+    __slots__ = ()
+    learned = False
+    act = 0.0
 
-    def __init__(self, lits, learned: bool = False):
-        super().__init__(lits)
-        self.learned = learned
-        self.act = 0.0
+
+class _Learned(_Clause):
+    """A learned clause also carries the activity DB reduction ranks."""
+
+    __slots__ = ("act",)
+    learned = True
 
 
 class Solver:
@@ -206,12 +211,39 @@ class Solver:
         return v
 
     def new_vars(self, n: int) -> None:
-        for _ in range(n):
-            self.new_var()
+        """Allocate *n* fresh variables: the state of *n* :meth:`new_var`
+        calls, built with list extends.
+
+        Each :meth:`new_var` ends in a ``_heap_insert`` whose sift-up
+        never moves the new variable, so appending is the same heap.
+        Invariant: ``activity[u] >= -1e-9 * u`` for every variable ``u``
+        -- it starts equal, bumps only add a positive ``var_inc``, and
+        the 1e-100 rescale maps a negative value ``x`` to ``x * 1e-100
+        >= x`` and keeps a positive one positive.  A fresh ``v`` starts
+        at ``-1e-9 * v``, strictly below ``-1e-9 * u`` for every older
+        ``u < v``, so every heap entry it could be compared with already
+        satisfies ``_heap_up``'s stop test (``act[parent] >= act[v]``).
+        """
+        if n <= 0:
+            return
+        first = self.nv + 1
+        self.nv += n
+        new = range(first, first + n)
+        self.assign += [-1] * n
+        self.level += [0] * n
+        self.reason += [None] * n
+        self.activity += [-1e-9 * v for v in new]
+        self.phase += [0] * n
+        self.watches += [[] for _ in range(2 * n)]
+        self._scope_pos += [_OUT_OF_SCOPE] * n
+        self._seen += [False] * n
+        heap = self._heap
+        self._heap_pos += range(len(heap), len(heap) + n)
+        heap += new
 
     def _ensure_vars(self, max_var: int) -> None:
-        while self.nv < max_var:
-            self.new_var()
+        if max_var > self.nv:
+            self.new_vars(max_var - self.nv)
 
     # -- literal helpers -----------------------------------------------------
 
@@ -308,6 +340,59 @@ class Solver:
         self._ensure_vars(mx)
         self._add_clause_internal([self._ilit(x) for x in lits])
 
+    def add_and_gates(self, gates) -> None:
+        """Add the Tseitin definition of ``o <-> a & b`` for each ``(o, a,
+        b)`` triple of external literals, leaving exactly the state of
+        ``add_clause([-o, a])``, ``add_clause([-o, b])``, ``add_clause([o,
+        -a, -b])`` per triple, in order.
+
+        The caller guarantees that the variables exist and that ``o``,
+        ``a`` and ``b`` are three distinct variables.  The Tseitin writer
+        (:class:`repro.formal.aig.CnfWriter`) meets that: ``AIG.and_``
+        folds ``x & x``, ``x & ~x`` and constant fanins, so a gate's two
+        fanins are distinct non-constant nodes, and ``o`` is the gate's
+        own node, never one of its fanins.  The generic path's dedup and
+        tautology scans therefore never fire on these clauses.  Its
+        level-0 value check can, because a learned unit may have fixed a
+        variable: a triple whose three variables are unassigned is
+        written straight into ``clauses`` and ``watches`` (first two
+        literals watched, as ``_add_clause_internal`` does), any other
+        goes through the generic path clause by clause -- a unit it
+        produces propagates before the next triple is looked at.
+        """
+        if not self.ok:
+            return
+        if self.trail_lim:  # defensive: clause addition happens at level 0
+            self._backtrack(0)
+        assign = self.assign
+        clauses = self.clauses
+        watches = self.watches
+        for o, a, b in gates:
+            o = o << 1 if o > 0 else (-o << 1) | 1
+            a = a << 1 if a > 0 else (-a << 1) | 1
+            b = b << 1 if b > 0 else (-b << 1) | 1
+            if assign[o >> 1] < 0 and assign[a >> 1] < 0 \
+                    and assign[b >> 1] < 0:
+                no = o ^ 1
+                na = a ^ 1
+                clause = _Clause((no, a))
+                clauses.append(clause)
+                watches[no].append(clause)
+                watches[a].append(clause)
+                clause = _Clause((no, b))
+                clauses.append(clause)
+                watches[no].append(clause)
+                watches[b].append(clause)
+                clause = _Clause((o, na, b ^ 1))
+                clauses.append(clause)
+                watches[o].append(clause)
+                watches[na].append(clause)
+                continue
+            for lits in ([o ^ 1, a], [o ^ 1, b], [o, a ^ 1, b ^ 1]):
+                self._add_clause_internal(lits)
+                if not self.ok:
+                    return
+
     def _add_clause_internal(self, lits: list[int]) -> None:
         # de-duplicate, detect tautology, simplify against level-0 assignment
         seen = set()
@@ -341,7 +426,7 @@ class Solver:
         self.watches[out[1]].append(clause)
 
     def _learn_clause(self, lits: list[int]) -> _Clause:
-        clause = _Clause(lits, learned=True)
+        clause = _Learned(lits)
         clause.act = self.cla_inc
         self.learned.append(clause)
         self.watches[lits[0]].append(clause)
@@ -385,6 +470,9 @@ class Solver:
         """Unit propagation; returns the conflicting clause or None."""
         trail = self.trail
         assign = self.assign
+        level = self.level
+        reason = self.reason
+        depth = len(self.trail_lim)
         watches = self.watches
         while self.qhead < len(trail):
             p = trail[self.qhead]
@@ -429,7 +517,12 @@ class Solver:
                     del watchlist[j:]
                     return clause
                 self.propagations += 1
-                self._enqueue(first, clause)
+                # _enqueue(first, clause), inline
+                v = first >> 1
+                assign[v] = (first & 1) ^ 1
+                level[v] = depth
+                reason[v] = clause
+                trail.append(first)
             del watchlist[j:]
         return None
 
@@ -500,17 +593,25 @@ class Solver:
             self.cla_inc *= 1e-20
 
     def _backtrack(self, target_level: int) -> None:
-        while len(self.trail_lim) > target_level:
-            limit = self.trail_lim.pop()
-            for i in range(len(self.trail) - 1, limit - 1, -1):
-                ilit = self.trail[i]
-                v = ilit >> 1
-                self.phase[v] = self.assign[v]
-                self.assign[v] = -1
-                self.reason[v] = None
-                self._heap_insert(v)
-            del self.trail[limit:]
-        self.qhead = min(self.qhead, len(self.trail))
+        trail_lim = self.trail_lim
+        trail = self.trail
+        phase = self.phase
+        assign = self.assign
+        reason = self.reason
+        # a scoped solve has swapped in the scope's positions: most of
+        # the trail is then out of scope and skips the insert call
+        pos = self._heap_pos
+        while len(trail_lim) > target_level:
+            limit = trail_lim.pop()
+            for i in range(len(trail) - 1, limit - 1, -1):
+                v = trail[i] >> 1
+                phase[v] = assign[v]
+                assign[v] = -1
+                reason[v] = None
+                if pos[v] == -1:
+                    self._heap_insert(v)
+            del trail[limit:]
+        self.qhead = min(self.qhead, len(trail))
 
     # -- main search -----------------------------------------------------------
 
@@ -558,6 +659,13 @@ class Solver:
         definitions.  A database holding any *other* permanent clause (a
         constraint over gate outputs, say) breaks the condition: such a
         solver must be solved unscoped.
+
+        The scope is a set: the call sorts it by activity, so its list
+        order is read only between equal activities.  Those start
+        distinct (``-1e-9 * v``) and stay so until ``var_inc`` grows
+        large enough to absorb that offset; even then a tie can reorder
+        the search, never the verdict of a decided call or (below) a
+        lex-first model.
 
         ``first`` (scoped mode only) lists scope variables, most
         significant first, whose value vector the returned model

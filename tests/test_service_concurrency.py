@@ -468,17 +468,25 @@ class TestCacheContention:
     def test_disk_entries_never_torn_with_racing_writers(self, tmp_path):
         """Racing put()s to the same FVEVAL_CACHE key: a concurrent
         reader always sees a complete JSON document (temp file +
-        os.replace), never a partial write."""
+        os.replace), never a partial write.
+
+        The race runs until the reader has parsed ``rounds`` complete
+        documents *and* every writer has made ``rounds`` puts, however
+        fast or slow the box is."""
         writers = [VerdictCache("ns", disk_dir=str(tmp_path))
                    for _ in range(3)]
         key = writers[0].key("hot")
         payload = {"verdict": "proven", "detail": "x" * 4096}
+        rounds = 200
         stop = threading.Event()
+        puts = [0] * len(writers)  # one slot per writer thread
+        reads = [0]
         torn: list[str] = []
 
-        def writer(cache: VerdictCache) -> None:
+        def writer(i: int) -> None:
             while not stop.is_set():
-                cache.put(key, payload)
+                writers[i].put(key, payload)
+                puts[i] += 1
 
         def reader() -> None:
             path = writers[0]._path(key)
@@ -491,17 +499,24 @@ class TestCacheContention:
                     assert json.loads(text) == payload
                 except (ValueError, AssertionError):
                     torn.append(text[:80])
+                    continue
+                reads[0] += 1
+                if reads[0] >= rounds and min(puts) >= rounds:
+                    stop.set()
 
-        pool = [threading.Thread(target=writer, args=(c,), daemon=True)
-                for c in writers]
+        pool = [threading.Thread(target=writer, args=(i,), daemon=True)
+                for i in range(len(writers))]
         pool.append(threading.Thread(target=reader, daemon=True))
         for t in pool:
             t.start()
-        time.sleep(0.5)
-        stop.set()
+        stop.wait(timeout=60.0)
+        stop.set()  # on timeout: release the threads, the asserts report
         for t in pool:
             t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in pool)
         assert torn == []
+        assert reads[0] >= rounds
+        assert min(puts) >= rounds
         # a cold cache (fresh process) reads the entry back intact
         fresh = VerdictCache("ns", disk_dir=str(tmp_path))
         assert fresh.get(key) == payload
