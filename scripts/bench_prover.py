@@ -28,13 +28,11 @@ off the ``scheduling`` block.  ``--strategy
 {auto,bmc,kind,portfolio}`` selects the proof-engine scheduling policy
 (``portfolio`` races BMC depth probes against k-induction steps under a
 conflict-budget ladder; pair an ``auto`` row with a ``portfolio`` row for
-the A/B comparison, see docs/benchmarks.md), and ``--portfolio-threads N``
-upgrades the portfolio to the thread-racing scheduler with
-interrupt-driven cancellation.  ``--workers N`` runs each category as one
-multi-cone service batch on N in-service worker threads (pair a
-``--workers 1`` row with a ``--workers N`` row).  ``--executor process``
-moves those units into crash-isolated worker processes -- the
-fault-tolerant execution tier (docs/robustness.md).  ``--http`` drives the
+the A/B comparison, see docs/benchmarks.md).  ``--workers N`` runs each
+category as one multi-cone service batch; with ``--executor process``
+its units compute in N crash-isolated worker processes -- the
+fault-tolerant execution tier (docs/robustness.md) -- and without it
+the batch computes inline, whatever N says.  ``--http`` drives the
 identical workload through the admission-controlled HTTP frontend (an
 in-process server, ``--clients`` concurrent client threads, one ``POST
 /v1/verify`` batch per design) so a ``--http`` row against a plain row
@@ -118,8 +116,8 @@ def bench_category(category: str, count: int, prover_kwargs: dict,
     if workers is not None:
         # --workers A/B mode: the whole category is ONE multi-cone
         # service batch (each design a distinct signature group -- the
-        # worker pool's unit of concurrency), so a --workers 1 row vs a
-        # --workers N row isolates the in-service pool on an identical
+        # process executor's unit of placement), so a --workers 1 row vs
+        # a --workers N row isolates the process pool on an identical
         # workload.  Requests come from the task's own construction
         # path (Design2SvaTask.prove_request), built outside the timing.
         requests = []
@@ -601,22 +599,17 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["auto", "bmc", "kind", "portfolio"],
                     help="proof-engine scheduling policy (default auto)")
     ap.add_argument("--workers", type=int, default=None,
-                    help="in-service worker threads; runs each category "
-                         "as one multi-cone service batch (pair a "
-                         "--workers 1 row with a --workers N row for "
-                         "the worker-pool A/B)")
+                    help="runs each category as one multi-cone service "
+                         "batch; sizes only the --executor process pool "
+                         "(pair a --workers 1 row with a --workers N row "
+                         "for the process-pool A/B)")
     ap.add_argument("--executor", default=None,
                     choices=["thread", "process"],
-                    help="service execution tier; 'process' computes each "
-                         "work unit in crash-isolated worker processes "
+                    help="service execution strategy; 'thread' computes "
+                         "inline, 'process' computes each work unit in "
+                         "crash-isolated worker processes "
                          "(pair with --workers N for the process-pool "
                          "A/B; default: $FVEVAL_EXECUTOR, else thread)")
-    ap.add_argument("--portfolio-threads", type=int, default=None,
-                    help="with --strategy portfolio: race BMC vs "
-                         "k-induction on this many OS threads with "
-                         "interrupt-driven cancellation (default: "
-                         "$FVEVAL_PORTFOLIO_THREADS, else the "
-                         "single-threaded budget ladder)")
     ap.add_argument("--http", action="store_true",
                     help="drive the workload through the HTTP frontend "
                          "(an in-process server, concurrent clients, one "
@@ -677,8 +670,6 @@ def main() -> int:
         # the verdict-cache engine key), so existing 'auto' rows and cache
         # entries stay comparable
         prover_kwargs["strategy"] = args.strategy
-    if args.portfolio_threads is not None:
-        prover_kwargs["portfolio_threads"] = args.portfolio_threads
 
     rev, dirty = git_state()
     entry = {

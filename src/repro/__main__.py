@@ -233,19 +233,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-batch", action="store_true",
                    help="disable cross-sample batch scheduling")
     p.add_argument("--workers", type=int, default=None,
-                   help="in-service worker threads; independent request "
-                        "groups of a flush execute concurrently and "
-                        "responses stream out of order with an 'index' "
-                        "field (default: $FVEVAL_WORKERS, else 1)")
+                   help="worker processes of --executor process; with "
+                        "more than one, responses stream out of order "
+                        "with an 'index' field (default: "
+                        "$FVEVAL_WORKERS, else 1; ignored inline)")
     p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                    help="default per-request wall-clock deadline; expiry "
                         "is a structured 'timeout' verdict (default: "
                         "$FVEVAL_DEADLINE_S, else none)")
     p.add_argument("--executor", default=None,
                    choices=["thread", "process"],
-                   help="execution tier: 'process' runs work units in "
-                        "crash-isolated worker processes (default: "
-                        "$FVEVAL_EXECUTOR, else thread)")
+                   help="execution strategy: 'thread' computes inline "
+                        "in the calling thread, in request order; "
+                        "'process' runs work units in crash-isolated "
+                        "worker processes (default: $FVEVAL_EXECUTOR, "
+                        "else thread)")
     p.add_argument("--http", default=None, metavar="HOST:PORT",
                    help="serve HTTP instead of stdin/stdout JSON lines: "
                         "POST /v1/verify plus healthz/readyz/metrics "

@@ -737,8 +737,8 @@ class VerdictCache:
             {"hits": 0, "misses": 0, "puts": 0, "promotions": 0,
              "errors": 0, "skipped": 0, "latency_s": 0.0}
             for _ in self.backends]
-        #: guards the counters and the memory tier: the service's
-        #: worker pool gets/puts from several threads, and a bare
+        #: guards the counters and the memory tier: concurrent flushes
+        #: of one service get/put from several threads, and a bare
         #: ``self.hits += 1`` would lose increments between the read and
         #: the write.  Disk writes need no lock -- the temp-file +
         #: ``os.replace`` protocol is already atomic against racing

@@ -160,10 +160,8 @@ def table6_corpus_stats() -> Table:
 
 
 #: scheduler counters the portfolio accumulates in the prover profile
-#: (``portfolio_interrupts`` counts Solver.interrupt() cancellations
-#: issued by the thread-racing scheduler; 0/absent under the ladder)
 PORTFOLIO_COUNTERS = ("portfolio_solves", "portfolio_requeues",
-                      "portfolio_cancelled", "portfolio_interrupts")
+                      "portfolio_cancelled")
 
 
 def strategy_stats(profile: dict) -> tuple[dict, dict, dict]:

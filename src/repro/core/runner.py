@@ -25,17 +25,14 @@ environment variable asks for more than one worker (``FVEVAL_JOBS=0`` or
 ``auto`` uses every core).  Each worker process receives the (model, task,
 config) triple once at pool start-up and evaluates whole problems, so
 records stay deterministic and identical to a serial run -- the pool only
-changes wall-clock, never results.  Process-level fan-out composes with
-the verification service's in-process *thread* pool (``FVEVAL_WORKERS``,
-docs/service.md) under an anti-oversubscription rule: pool workers
-advertise the job count (``FVEVAL_POOL_JOBS``, set in ``_pool_init``)
-and each worker's service clamps its thread count to
-``cpu_count // jobs`` -- threads subdivide a worker's share of the
-machine, never multiply it.  Workers report their cache/profile
-counters back with each result; the merged totals land in
-``RunResult.stats`` just as a serial run's do.  The default is serial,
-which keeps CI runs reproducible under tools that dislike forks.  Workers
-share formal verdicts through the on-disk verdict cache when
+changes wall-clock, never results.  Each worker's verification service
+runs its batches inline unless ``FVEVAL_EXECUTOR=process`` asks for
+crash-isolated worker processes (docs/service.md, "Execution
+strategies").  Workers report their cache/profile counters back with
+each result; the merged totals land in ``RunResult.stats`` just as a
+serial run's do.  The default is serial, which keeps CI runs
+reproducible under tools that dislike forks.  Workers share formal
+verdicts through the on-disk verdict cache when
 ``FVEVAL_CACHE`` is set (docs/engine.md, "Environment variables") -- with
 an engine strategy like ``portfolio`` this is the fleet-level layer of
 the portfolio: problems race across processes while strategies race
@@ -187,14 +184,6 @@ def _pool_init(model: SimulatedModel, task, config: RunConfig) -> None:
     _POOL_CTX["model"] = model
     _POOL_CTX["task"] = task
     _POOL_CTX["config"] = config
-    # advertise the process-level fan-out to the verification service's
-    # in-process worker pool: inside a pool worker the effective thread
-    # count is clamped to cpu_count // jobs, so ``FVEVAL_JOBS`` times
-    # ``FVEVAL_WORKERS`` never oversubscribes the machine
-    # (repro.service.executor.resolve_workers; docs/service.md)
-    jobs = parallel_jobs()
-    if jobs > 1:
-        os.environ["FVEVAL_POOL_JOBS"] = str(jobs)
     # the unpickled task may arrive with counters the parent already
     # accumulated before the pool started; remember them so snapshots
     # report only this worker's own work (no per-worker re-count of the

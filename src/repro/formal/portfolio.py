@@ -42,40 +42,17 @@ induction proof at ``k`` -- letting the portfolio soundly return
 ``proven`` or ``cex`` where ``auto`` stopped early.  The portfolio's
 verdict is never *less* decided than ``auto``'s on the same budget.
 
-Two scheduling substrates implement the same race:
-
-* :class:`PortfolioScheduler` -- the single-threaded conflict-budget
-  ladder described above (rung-requeue interleaving);
-* :class:`ThreadedPortfolio` -- BMC and k-induction on separate OS
-  threads over their *own* :class:`~.sat.Solver` instances (the
-  reachable-init and free-init proof sessions already keep separate
-  solvers), each query issued at the full ``max_conflicts`` budget; the
-  first sound verdict cancels the loser via cooperative
-  :meth:`~.sat.Solver.interrupt`.  Selected with
-  ``Prover(portfolio_threads=N)`` for ``N >= 2`` or the
-  ``FVEVAL_PORTFOLIO_THREADS`` environment variable.  The base-case
-  soundness rule is preserved: a step-case proof at ``k`` is *withheld*
-  until BMC has discharged depths ``0..k-1`` (a deeper sat probe that
-  lands after the step proof is discarded, exactly as the ladder drops
-  deeper probes unsolved), and verdicts are record-identical to the
-  sequential portfolio (``tests/test_formal_portfolio.py``).  Interrupt
-  flags are owned by the race: they are raised by the winning thread and
-  cleared only after both threads have joined (the
-  :meth:`~.sat.Solver.interrupt` handshake), so the sessions come back
-  reusable for the next assertion on the same cone.
-
-Everything else runs interleaved on one process.  Fleet-level
-parallelism composes at the layers above: the verification service's
-worker pool overlaps independent design cones
-(:mod:`repro.service.executor`), :mod:`repro.core.runner` fans
-independent problems across ``FVEVAL_JOBS`` workers, and the verdict
-cache (:mod:`repro.core.cache`) arbitrates duplicate obligations
-between them.
+The race runs on one thread, as the rung-requeue interleaving of
+:class:`PortfolioScheduler`.  Parallelism lives at the layers above:
+the verification service's process executor spreads independent design
+cones over worker processes (:mod:`repro.service.procpool`),
+:mod:`repro.core.runner` fans independent problems across
+``FVEVAL_JOBS`` workers, and the verdict cache
+(:mod:`repro.core.cache`) arbitrates duplicate obligations between
+them.
 """
 
 from __future__ import annotations
-
-import threading
 
 from .aig import FALSE, TRUE
 from .prover import ProofResult, bump
@@ -233,282 +210,3 @@ class PortfolioScheduler:
                            ("portfolio_requeues", self.requeues),
                            ("portfolio_cancelled", self.cancelled)):
             bump(profile, key, value)
-
-
-class ThreadedPortfolio:
-    """Race BMC against k-induction on OS threads with true cancellation.
-
-    One thread walks the BMC depth probes in ascending order, the other
-    attempts k-induction steps strictly in sequence; each side runs on
-    its own :class:`~.prover.ProofSession` (hence its own incremental
-    solver) at the full ``max_conflicts`` budget per query.  The first
-    sound verdict interrupts the losing side's solver
-    (:meth:`~.sat.Solver.interrupt`), whose in-flight query promptly
-    returns ``limit='interrupt'`` and is discarded.
-
-    Soundness invariants (mirroring :class:`PortfolioScheduler`):
-
-    * a step-case proof at ``k`` is **withheld** until BMC has
-      discharged base depths ``0..k-1`` -- the k-induction thread only
-      interrupts BMC once every base depth has been *attempted* and the
-      in-flight probe is ``>= k`` (droppable);
-    * a sat BMC probe at depth ``>= k`` arriving after the step proof is
-      discarded unsolved, exactly as the ladder drops deeper probes --
-      if the deep violation were reachable, some base depth ``< k``
-      would also be sat and decide the race as ``cex``;
-    * budget exhaustion maps to the same records as the ladder's final
-      rung: an unresolved base depth yields ``undetermined``
-      (engine ``bmc``), an exhausted step case yields ``undetermined``
-      (engine ``k-induction``).
-
-    Interrupt handshake: flags are raised by the winning thread during
-    the race and cleared -- by this coordinating thread only -- after
-    both sides have joined, before the vacuity check reuses the
-    reachable-init session.  Scheduling counters land in
-    ``prover.profile`` as ``portfolio_solves`` / ``portfolio_cancelled``
-    / ``portfolio_interrupts``.
-    """
-
-    def __init__(self, prover, design, cone_key, assertion):
-        self.prover = prover
-        self.design = design
-        self.cone_key = cone_key
-        self.assertion = assertion
-        self.solves = 0
-        self.cancelled = 0
-        self.interrupts = 0
-        self._lock = threading.Lock()
-        # race state (guarded by _lock)
-        self._cex: ProofResult | None = None
-        self._proven_k: int | None = None
-        self._proven_structural = False
-        self._discharged: set[int] = set()
-        self._unresolved: set[int] = set()
-        self._bmc_current: int | None = None  # depth being solved now
-        self._bmc_done = False
-        self._kind_done = False
-        self._kind_stalled = False
-        self._conflicts = 0
-
-    # -- main entry ----------------------------------------------------------
-
-    def run(self) -> ProofResult:
-        prover, assertion = self.prover, self.assertion
-        window = max(1, horizon_of(assertion) + 1)
-        K = prover.max_bmc + window
-
-        with prover._stage("bmc_s"):
-            bmc_session, env, violations, any_violation = \
-                prover._bmc_obligations(self.design, self.cone_key,
-                                        assertion)
-        aig = bmc_session.aig
-        if any_violation == TRUE:
-            return ProofResult("cex", engine="bmc", depth=0,
-                               detail="assertion constant-false")
-        if any_violation == FALSE:
-            pending: list[int] = []  # structurally violation-free
-        else:
-            pending = [t for t, v in enumerate(violations)
-                       if aig.and_(env, v) != FALSE]
-        # pre-create the free-init session on this thread so neither
-        # racer mutates the prover's session/COI caches concurrently
-        kind_session = prover._session(self.design, self.cone_key,
-                                       free_init=True)
-
-        errors: list[BaseException] = []
-
-        def guarded(body):
-            def runner():
-                try:
-                    body()
-                except BaseException as exc:  # re-raised after the join
-                    errors.append(exc)
-            return runner
-
-        bmc_thread = threading.Thread(
-            target=guarded(lambda: self._bmc_side(
-                bmc_session, kind_session, env, violations, pending, K)),
-            name="portfolio-bmc", daemon=True)
-        kind_thread = threading.Thread(
-            target=guarded(lambda: self._kind_side(
-                bmc_session, kind_session)),
-            name="portfolio-kind", daemon=True)
-        started: list[threading.Thread] = []
-        try:
-            try:
-                for thread in (bmc_thread, kind_thread):
-                    thread.start()
-                    started.append(thread)
-            finally:
-                # join only what actually started (a failed start --
-                # thread-resource exhaustion -- must not mask itself
-                # with a join-before-start RuntimeError)
-                for thread in started:
-                    thread.join()
-        finally:
-            # handshake: the race is over and no thread can deliver a
-            # late interrupt -- clear both flags here, before any
-            # further solve (vacuity below, or the next assertion)
-            # reuses these sessions
-            bmc_session.solver.clear_interrupt()
-            kind_session.solver.clear_interrupt()
-            for key, value in (("portfolio_solves", self.solves),
-                               ("portfolio_cancelled", self.cancelled),
-                               ("portfolio_interrupts", self.interrupts)):
-                bump(prover.profile, key, value)
-        if errors:
-            raise errors[0]
-        return self._resolve()
-
-    # -- the two racers ------------------------------------------------------
-
-    def _bmc_side(self, bmc_session, kind_session, env, violations,
-                  pending: list[int], K: int) -> None:
-        prover = self.prover
-        position = 0
-        while position < len(pending):
-            t = pending[position]
-            with self._lock:
-                if self._cex is not None:
-                    return
-                pk = self._proven_k
-                if pk is not None and t >= pk:
-                    # the proof only needs base depths 0..k-1; every
-                    # remaining probe is deeper (ascending order)
-                    self.cancelled += len(pending) - position
-                    self._bmc_done = True
-                    return
-                self._bmc_current = t
-            with prover._stage("bmc_s"):
-                result = bmc_session.solve(
-                    [env, violations[t]],
-                    conflict_budget=prover.max_conflicts)
-            with self._lock:
-                self._bmc_current = None
-                self.solves += 1
-                self._conflicts += result.conflicts
-                if result.is_sat:
-                    pk = self._proven_k
-                    if pk is not None and t >= pk:
-                        # deep sat after the step proof: dropped unsolved
-                        # (see class docstring); nothing shallower is left
-                        self.cancelled += len(pending) - position
-                        self._bmc_done = True
-                        return
-                    cex = bmc_session.extract_cex(result.model,
-                                                  max_t=K - 1)
-                    self._cex = ProofResult(
-                        "cex", engine="bmc", depth=prover.max_bmc,
-                        counterexample=cex,
-                        stats={"conflicts": self._conflicts,
-                               "cex_depth": t})
-                    if not self._kind_done:
-                        kind_session.solver.interrupt()
-                        self.interrupts += 1
-                    return
-                if result.status == "unknown":
-                    if result.limit == "interrupt":
-                        pk = self._proven_k
-                        if pk is not None and t < pk and self._kind_done:
-                            # a late interrupt (raised while no probe was
-                            # in flight) landed on a base case the proof
-                            # still needs.  The interrupting side has
-                            # finished, so this -- the solving thread,
-                            # between solves -- may clear and re-run:
-                            # the handshake's retry loop.
-                            bmc_session.solver.clear_interrupt()
-                            continue  # retry the same depth
-                        # cancelled by the k-induction side's win
-                        self.cancelled += len(pending) - position
-                        self._bmc_done = True
-                        return
-                    self._unresolved.add(t)
-                else:
-                    self._discharged.add(t)
-            position += 1
-        with self._lock:
-            self._bmc_done = True
-
-    def _kind_side(self, bmc_session, kind_session) -> None:
-        prover, assertion = self.prover, self.assertion
-        k = 1
-        while k <= prover.max_k:
-            with self._lock:
-                if self._cex is not None:
-                    self._kind_done = True
-                    return
-            session, lits, query = prover._kind_step_obligation(
-                self.design, self.cone_key, assertion, k)
-            if query == FALSE:
-                self._record_proof(k, structural=True,
-                                   bmc_solver=bmc_session.solver)
-                return
-            with prover._stage("kind_s"):
-                result = session.solve(lits,
-                                       conflict_budget=prover.max_conflicts)
-            with self._lock:
-                self.solves += 1
-                self._conflicts += result.conflicts
-            if result.is_unsat:
-                self._record_proof(k, structural=False,
-                                   bmc_solver=bmc_session.solver)
-                return
-            if result.status == "unknown":
-                with self._lock:
-                    self._kind_done = True
-                    if result.limit != "interrupt":
-                        self._kind_stalled = True
-                return
-            k += 1  # step case sat: not inductive at this depth
-        with self._lock:
-            self._kind_done = True  # exhausted: no k <= max_k is inductive
-
-    def _record_proof(self, k: int, structural: bool, bmc_solver) -> None:
-        with self._lock:
-            self._proven_k = k
-            self._proven_structural = structural
-            self._kind_done = True
-            if not self._bmc_done:
-                # interrupt BMC only when its in-flight probe is
-                # droppable (>= k); base-case probes must complete, and
-                # the BMC thread self-cancels deeper work between solves
-                # (a flag raised here while no probe is in flight is the
-                # one interleaving the BMC side's retry loop handles)
-                current = self._bmc_current
-                if current is not None and current >= k:
-                    bmc_solver.interrupt()
-                    self.interrupts += 1
-
-    # -- verdict resolution --------------------------------------------------
-
-    def _resolve(self) -> ProofResult:
-        prover = self.prover
-        if self._cex is not None:
-            return self._cex
-        if self._proven_k is not None:
-            k = self._proven_k
-            if any(t < k for t in self._unresolved):
-                # a base case this proof needs exhausted its budget --
-                # same record the ladder produces at its final rung
-                return ProofResult(
-                    "undetermined", engine="bmc",
-                    detail="conflict budget exhausted",
-                    stats={"conflicts": self._conflicts})
-            vacuous = (False if self._proven_structural
-                       else prover._is_vacuous(self.design, self.cone_key,
-                                               self.assertion))
-            return ProofResult("proven", engine="k-induction", depth=k,
-                               vacuous=vacuous,
-                               stats={"conflicts": self._conflicts})
-        if self._unresolved:
-            return ProofResult("undetermined", engine="bmc",
-                               detail="conflict budget exhausted",
-                               stats={"conflicts": self._conflicts})
-        if self._kind_stalled:
-            return ProofResult("undetermined", engine="k-induction",
-                               detail="conflict budget exhausted",
-                               stats={"conflicts": self._conflicts})
-        return ProofResult("undetermined", engine="k-induction",
-                           depth=prover.max_k,
-                           detail=f"not inductive up to k={prover.max_k}",
-                           stats={"conflicts": self._conflicts})

@@ -50,7 +50,6 @@ are liveness obligations that bounded engines cannot prove; they are reported
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
@@ -75,8 +74,8 @@ from .semantics import EncodingError, PropertyEncoder, horizon_of
 
 
 #: guards read-modify-write profile updates: profile dicts are shared
-#: across the provers of one service and across the threads of the
-#: in-service worker pool / threaded portfolio, where a bare
+#: across the provers of one service and across the threads that flush
+#: it concurrently (the HTTP frontend's executor threads), where a bare
 #: ``d[k] = d.get(k) + v`` would lose increments between the read and
 #: the write.  One process-wide lock is cheap (updates happen per stage
 #: / per solve call, never per conflict).
@@ -101,15 +100,6 @@ def _faults():
     this package -- deferring the reverse edge avoids the cycle)."""
     from ..core import faults
     return faults
-
-
-def portfolio_threads_from_env() -> int:
-    """``FVEVAL_PORTFOLIO_THREADS`` as an int (0 = sequential ladder)."""
-    raw = os.environ.get("FVEVAL_PORTFOLIO_THREADS", "").strip()
-    try:
-        return max(0, int(raw)) if raw else 0
-    except ValueError:
-        return 0
 
 
 def has_unbounded_strong(prop: PropNode) -> bool:
@@ -550,7 +540,6 @@ class Prover:
                  packed_max_nodes: int | None = None,
                  strategy: str = "auto",
                  portfolio_ladder: tuple[int, ...] | None = None,
-                 portfolio_threads: int | None = None,
                  profile: dict | None = None):
         if strategy not in self.STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; "
@@ -578,15 +567,6 @@ class Prover:
         #: conflict-budget rungs for the portfolio scheduler (None: the
         #: module default, 1k -> 8k -> 64k -> ``max_conflicts``)
         self.portfolio_ladder = portfolio_ladder
-        #: >= 2 races BMC and k-induction on OS threads over their own
-        #: solvers, first sound verdict interrupting the loser
-        #: (:class:`~.portfolio.ThreadedPortfolio`); <= 1 keeps the
-        #: single-threaded conflict-budget ladder.  ``None`` reads
-        #: ``FVEVAL_PORTFOLIO_THREADS``.  Scheduling-only: verdicts are
-        #: record-identical either way (tests/test_formal_portfolio.py).
-        self.portfolio_threads = (portfolio_threads_from_env()
-                                  if portfolio_threads is None
-                                  else int(portfolio_threads))
         #: step-AIG node budget for packed simulation; above it the cone is
         #: datapath-dominated and the scalar compiled simulator is faster
         #: (the budget scales with the lane count the bit-parallel pass
@@ -628,14 +608,14 @@ class Prover:
         (input constraints, as a formal tool's assume directives).
 
         ``deadline_s`` bounds this call's wall clock: the deadline is
-        propagated to every proof session's solver (polled at the same
-        sites as the cooperative interrupt), and a call that exhausts it
-        without a sound verdict returns status ``timeout`` -- a measured
-        outcome carrying whatever partial stats the engines accumulated,
-        never an exception.  Resource faults (``MemoryError`` /
-        ``RecursionError``) degrade to the one-shot non-incremental
-        oracle (retried once); every degradation step is recorded in
-        ``ProofResult.degraded`` (docs/robustness.md).
+        propagated to every proof session's solver (polled at every
+        conflict, propagation boundary and restart), and a call that
+        exhausts it without a sound verdict returns status ``timeout``
+        -- a measured outcome carrying whatever partial stats the
+        engines accumulated, never an exception.  Resource faults
+        (``MemoryError`` / ``RecursionError``) degrade to the one-shot
+        non-incremental oracle (retried once); every degradation step is
+        recorded in ``ProofResult.degraded`` (docs/robustness.md).
         """
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
         deadline_at = (time.monotonic() + max(0.0, float(deadline_s))
@@ -743,10 +723,6 @@ class Prover:
                 return ProofResult("cex", engine="simulation",
                                    counterexample=cex)
         if self.strategy == "portfolio":
-            if self.portfolio_threads >= 2:
-                from .portfolio import ThreadedPortfolio
-                return ThreadedPortfolio(self, design, cone_key,
-                                         assertion).run()
             from .portfolio import PortfolioScheduler
             return PortfolioScheduler(self, design, cone_key,
                                       assertion).run()

@@ -62,9 +62,9 @@ class SatResult:
     propagations: int = 0
     learned_db: int = 0  # learned-clause database size after the call
     restarts: int = 0
-    #: why an 'unknown' call stopped: 'conflicts' (budget exhausted),
-    #: 'interrupt' (cooperative Solver.interrupt()) or 'deadline'
-    #: (wall-clock ``Solver.deadline_at`` passed); empty when decided
+    #: why an 'unknown' call stopped: 'conflicts' (budget exhausted) or
+    #: 'deadline' (wall-clock ``Solver.deadline_at`` passed); empty when
+    #: decided
     limit: str = ""
 
     @property
@@ -119,12 +119,12 @@ class Solver:
         self.total_propagations = 0
         self.propagations = 0  # running counter, snapshotted per solve call
         self._max_learned = _REDUCE_BASE
-        self._interrupt = False
-        #: absolute ``time.monotonic()`` wall-clock deadline; polled at
-        #: the same sites as the interrupt flag, yielding
-        #: ``SatResult(limit='deadline')``.  Deliberately *not* touched
-        #: by clear_interrupt(): deadlines compose with the portfolio's
-        #: interrupt handshake without being cleared by it.
+        #: absolute ``time.monotonic()`` wall-clock deadline, polled at
+        #: every conflict, at every propagation boundary (the quiescent
+        #: point before an assumption or decision extends the trail) and
+        #: at restarts, so overrun is bounded by a single propagation
+        #: pass; an expired call returns ``'unknown'`` with
+        #: ``limit='deadline'`` and the solver stays fully usable
         self.deadline_at: float | None = None
         # indexed max-heap over variable activity; position -1 means
         # "not in the heap", _OUT_OF_SCOPE "never enters it"
@@ -137,45 +137,6 @@ class Solver:
         self.new_vars(num_vars)
         for c in clauses or ():
             self.add_clause(c)
-
-    # -- cooperative interruption --------------------------------------------
-
-    def interrupt(self) -> None:
-        """Ask the current (or next) ``solve`` call to stop.
-
-        May be called from any thread (a watchdog, or the thread-level
-        portfolio's winner cancelling the losers --
-        :class:`repro.formal.portfolio.ThreadedPortfolio`).  The flag is
-        polled at every conflict, at every propagation boundary (the
-        quiescent point before an assumption or decision extends the
-        trail) and at restarts (after learned-DB reduction), so
-        interruption latency is bounded by a single propagation pass --
-        a long propagation or database-reduction phase can no longer
-        run to an unbounded horizon before noticing.  The interrupted
-        call returns ``'unknown'`` with ``limit='interrupt'`` and the
-        solver stays fully usable.
-
-        **Handshake** (the thread contract): the flag is *sticky* and is
-        owned by the solving session -- only the thread that calls
-        ``solve`` may :meth:`clear_interrupt`, and only *between* solve
-        calls, once every thread that might still deliver an interrupt
-        for the previous race has been joined.  Interrupting threads
-        never clear.  This makes ``interrupt()`` racing a concurrent
-        clear well-defined: a late interrupt lands on the *next* solve
-        (which promptly returns ``limit='interrupt'``), and the solving
-        thread's clear-then-retry loop converges because nobody
-        re-interrupts a race that is already over
-        (``tests/test_service_concurrency.py``).
-        """
-        self._interrupt = True
-
-    def clear_interrupt(self) -> None:
-        """Reset the interrupt flag.
-
-        Call only from the solving thread, between ``solve`` calls (see
-        :meth:`interrupt` for the full handshake).
-        """
-        self._interrupt = False
 
     def stats(self) -> dict[str, int]:
         """Lifetime search statistics of this solver instance."""
@@ -754,8 +715,6 @@ class Solver:
                              restarts=restart_idx, limit=limit)
 
         deadline = self.deadline_at
-        if self._interrupt:
-            return finish("unknown", limit="interrupt")
         if deadline is not None and monotonic() >= deadline:
             return finish("unknown", limit="deadline")
         while True:
@@ -788,8 +747,6 @@ class Solver:
                 self.cla_inc *= self.cla_decay
                 if max_conflicts is not None and conflicts >= max_conflicts:
                     return finish("unknown", limit="conflicts")
-                if self._interrupt:
-                    return finish("unknown", limit="interrupt")
                 if deadline is not None and monotonic() >= deadline:
                     return finish("unknown", limit="deadline")
                 if conflicts >= restart_budget:
@@ -802,21 +759,17 @@ class Solver:
                         self._max_learned = int(
                             self._max_learned * _REDUCE_GROWTH)
                     # restart boundary: database reduction can be long,
-                    # so an interrupt raised during it is honoured here
-                    if self._interrupt:
-                        return finish("unknown", limit="interrupt")
+                    # so a deadline that passed during it is honoured here
                     if deadline is not None and monotonic() >= deadline:
                         return finish("unknown", limit="deadline")
                 continue
 
             # propagation boundary: the trail is quiescent and is about
             # to be extended by an assumption or decision -- the safe,
-            # bounded-latency point to honour a cooperative interrupt
-            # (the assumption-placement loop below never conflicts or
+            # bounded-latency point to honour the deadline (the
+            # assumption-placement loop below never conflicts or
             # decides, so without this poll a query with many assumption
-            # levels could ignore the flag indefinitely)
-            if self._interrupt:
-                return finish("unknown", limit="interrupt")
+            # levels could overrun the deadline indefinitely)
             if deadline is not None and monotonic() >= deadline:
                 return finish("unknown", limit="deadline")
 

@@ -37,10 +37,9 @@ from .api import (
     request_from_json,
     response_to_json,
 )
-from .executor import resolve_workers
 from .frontend import serve_stream
 from .http import BackgroundServer, HttpVerificationServer, serve_http
-from .procpool import resolve_executor
+from .procpool import resolve_executor, resolve_workers
 from .ring import HashRing, stable_hash
 from .router import BackgroundRouter, RouterServer, serve_route
 from .signature import routing_signature

@@ -86,7 +86,7 @@ def max_inflight_from_env() -> int | None:
 
 
 def default_max_inflight() -> int:
-    """In-flight default: enough width to feed the worker pool without
+    """In-flight default: enough width to keep the executor busy without
     letting a burst occupy every core with half-done batches."""
     return min(32, 4 * (os.cpu_count() or 1))
 
@@ -125,7 +125,8 @@ class AdmissionController:
     """Bounded admission with watermark hysteresis, caps and drain.
 
     Thread-safe: the HTTP frontend mutates it from the event-loop
-    thread while ``observe()`` arrives from service worker threads.
+    thread while ``observe()`` arrives from the executor threads that
+    flush the service.
     All limits fall back to the environment (``FVEVAL_MAX_QUEUE``,
     ``FVEVAL_MAX_INFLIGHT``) and then to built-in defaults.
     """

@@ -24,8 +24,8 @@ into :class:`~repro.core.tasks.EvalRecord`\\ s (``verdict`` / ``func`` /
 ``partial`` / ``detail`` / ``meta``) plus *provenance* the records never
 see: ``cache_hit``, ``dedup_of``, ``batch_id``, ``elapsed_s``,
 ``index`` (the request's position within its batch -- the correlation
-key once a multi-worker service streams completions out of order),
-``worker_id`` (which pool thread or process slot computed it) and
+key once the process executor streams completions out of order),
+``worker_id`` (which process slot computed it) and
 ``degraded`` (fault/degradation events observed while producing the
 verdict -- docs/robustness.md).
 Provenance describes how the service produced the verdict; the verdict
@@ -184,10 +184,11 @@ class VerifyResponse:
     elapsed_s: float = 0.0
     #: zero-based position of the request within its scheduled batch --
     #: the correlation key for out-of-order consumption (``stream()``
-    #: and ``serve`` with ``workers > 1`` complete out of request order)
+    #: and ``serve`` on the process executor with more than one worker
+    #: complete out of request order)
     index: int | None = None
-    #: worker-pool thread (or process slot) that computed this response
-    #: (None when the serial scheduler answered it)
+    #: process-executor slot that computed this response (None when the
+    #: service answered it inline, in the calling thread)
     worker_id: int | None = None
     #: degradation/fault provenance: :class:`~repro.core.faults.
     #: FaultEvent` dicts, in the order observed (empty on the clean

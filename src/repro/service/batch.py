@@ -45,10 +45,10 @@ def equiv_group_key(request, engine_fingerprint) -> tuple:
 
 
 def group_affinity(pool_key) -> object:
-    """The value both executors hash for worker/slot placement of a unit.
+    """The value the process executor hashes for slot placement of a unit.
 
     Prove pool keys are ``(design_signature, engine)`` -- affinity follows
-    the design signature so one cone's samples stay on one lane/slot;
+    the design signature so one cone's samples stay on one slot;
     equivalence keys are ``("equiv", routing_signature, engine)`` -- the
     routing signature plays the same role."""
     return pool_key[1] if pool_key[0] == "equiv" else pool_key[0]

@@ -14,10 +14,11 @@ Wire protocol (documented in docs/service.md):
 * requests accumulate into a batch -- so the dedup and cross-sample
   batch scheduler see them together -- and a **blank line or end of
   input flushes** the batch, emitting one response JSON object per
-  request: in request order on a single-worker service, in *completion*
-  order when the service runs a worker pool (``--workers N`` /
-  ``FVEVAL_WORKERS``), each response carrying its zero-based position
-  within the flushed batch as ``index``;
+  request: in request order when the service runs batches inline (the
+  default) or on a one-worker process pool, in *completion* order on
+  a process pool of several workers (``--executor process --workers
+  N``), each response carrying its zero-based position within the
+  flushed batch as ``index``;
 * a line that fails to decode or validate produces an immediate
   ``{"ok": false, "verdict": "error", ...}`` response for that line
   only; the batch keeps accumulating;

@@ -2,12 +2,14 @@
 
 ``FVEVAL_EXECUTOR=process`` (or ``VerificationService(executor=
 "process")`` / ``serve --executor process``) moves a batch's scheduled
-units out of the service process: each unit -- one prove group or one
-remaining computed request, exactly the thread executor's unit shape --
-is pickled to a persistent worker process that runs its own single-
-worker :class:`~repro.service.service.VerificationService` and streams
+units out of the service process: each unit -- one work group or one
+remaining computed request (:class:`~repro.service.service.Unit`) --
+is pickled to a persistent worker process that runs its own inline
+:class:`~repro.service.service.VerificationService` and streams
 responses back over a pipe.  The parent keeps planning, dedup, caching
-and stats; workers only compute.
+and stats; workers only compute.  This is the crash-isolation tier, not
+a speed tier: on one core its pickling and pipe hops cost more than
+they win.
 
 Why not :class:`concurrent.futures.ProcessPoolExecutor`: one SIGKILL'd
 worker breaks that pool permanently (``BrokenProcessPool`` fails every
@@ -27,8 +29,9 @@ in-flight unit:
   cooperative deadline normally answers first -- the kill is the
   backstop for a worker stuck outside the solver's poll sites); its
   unanswered requests become ``timeout`` verdicts, not retries;
-* a unit that cannot be pickled at all falls back to in-process
-  computation in the parent (``unpicklable`` fault event).
+* a unit that cannot be pickled at all is reported back, and the
+  parent computes it with its inline strategy (``unpicklable`` fault
+  event).
 
 Workers are respawned lazily and die with the parent (daemon
 processes).  Observability parity: each worker ships per-unit profile /
@@ -50,8 +53,8 @@ import time
 #: answered by then); tests lower it to keep the backstop path fast
 DEADLINE_GRACE_S = 1.0
 
-#: hard ceiling on worker processes (cf. executor.MAX_WORKERS for
-#: threads; processes are heavier, so the cap is lower)
+#: hard ceiling on worker processes (a typo'd FVEVAL_WORKERS must not
+#: fork hundreds of interpreters)
 MAX_PROC_WORKERS = 16
 
 #: profile keys that are high-water marks, not additive counters
@@ -63,12 +66,14 @@ _EXECUTORS = ("thread", "process")
 def resolve_executor(requested: str | None = None) -> str:
     """Effective executor for one scheduling pass.
 
-    ``requested`` is the service's configured value (None defers to
-    ``FVEVAL_EXECUTOR``, read per flush); an explicit bad value raises,
-    an env typo falls back to ``thread`` (matching the lenient env
-    conventions elsewhere).  Inside a daemonic ``FVEVAL_JOBS`` pool
-    worker the process tier is unavailable (daemonic processes may not
-    have children), so ``thread`` is forced.
+    ``thread`` means the inline strategy: the flushing thread computes
+    the batch itself.  ``requested`` is the service's configured value
+    (None defers to ``FVEVAL_EXECUTOR``, read per flush); an explicit
+    bad value raises, an env typo falls back to ``thread`` (matching
+    the lenient env conventions elsewhere).  Inside a daemonic process
+    (a process-executor worker) the process tier is unavailable
+    (daemonic processes may not have children), so ``thread`` is
+    forced.
     """
     if requested is not None:
         value = str(requested).strip().lower()
@@ -84,6 +89,28 @@ def resolve_executor(requested: str | None = None) -> str:
         if multiprocessing.current_process().daemon:
             return "thread"
     return value
+
+
+def resolve_workers(requested: int | None = None) -> int:
+    """Process-pool size for one flush of ``executor="process"``.
+
+    ``requested`` is the service's configured count (``None`` defers to
+    ``FVEVAL_WORKERS``, read per flush; unset or unparseable means 1);
+    ``0`` -- or ``auto`` in the environment -- means all cores.  The
+    result is clamped to ``[1, MAX_PROC_WORKERS]``.  The inline strategy
+    ignores it: it computes in the calling thread.
+    """
+    if requested is None:
+        raw = os.environ.get("FVEVAL_WORKERS", "").strip().lower()
+        try:
+            workers = 0 if raw == "auto" else int(raw or 1)
+        except ValueError:
+            workers = 1
+    else:
+        workers = int(requested)
+    if workers == 0:
+        workers = os.cpu_count() or 1
+    return max(1, min(workers, MAX_PROC_WORKERS))
 
 
 def executor_env_fault():
@@ -126,8 +153,9 @@ def _profile_delta(current: dict, base: dict) -> dict:
 
 
 def _worker_main(conn, slot: int) -> None:
-    """Worker process body: a persistent single-worker service answering
-    one unit at a time over the pipe."""
+    """Worker process body: a persistent service (inline, since a
+    daemonic process may not fork workers of its own) answering one unit
+    at a time over the pipe."""
     import threading as _threading
 
     from ..formal import prover as _prover
@@ -138,7 +166,7 @@ def _worker_main(conn, slot: int) -> None:
     # never deadlock this (single-threaded) child
     _prover._PROFILE_LOCK = _threading.Lock()
     from .service import VerificationService
-    service = VerificationService(workers=1)
+    service = VerificationService()
     while True:
         try:
             message = conn.recv()
@@ -199,7 +227,8 @@ class ProcessExecutor:
     * ``("failed", unit, positions, cause)`` -- terminal failure of the
       listed (still unanswered) positions: ``crash`` (retry exhausted),
       ``timeout`` (deadline SIGKILL backstop) or ``unpicklable`` (the
-      unit never crossed the process boundary -- compute in-process).
+      unit never crossed the process boundary -- the parent computes
+      it inline).
 
     One execute() runs at a time per pool (guarded by a lock): the
     pipes are single-consumer.  Workers persist across batches.
@@ -341,9 +370,8 @@ class ProcessExecutor:
         """Choose ``(pending index, slot)`` for the next dispatch.
 
         Prefer the first pending unit whose affinity slot (stable
-        signature hash mod worker count -- the same rule as the thread
-        tier's lanes) is currently free; otherwise dispatch the head of
-        the line to the lowest free slot.  Spilling beats idling: with
+        signature hash mod worker count) is currently free; otherwise
+        dispatch the head of the line to the lowest free slot.  Spilling beats idling: with
         every affinity slot busy the head unit still runs, it just pays
         a cold prover pool on the slot it lands on.
         """

@@ -17,21 +17,33 @@ Three call shapes, all over the same scheduler:
   aligned with the inputs;
 * ``stream(requests)`` yields responses one by one as they complete.
 
-Batches are *planned* serially (validation, semantic keys, in-flight
-dedup, cache, grouping) and -- when ``workers > 1`` (or
-``FVEVAL_WORKERS`` asks for it) -- *executed* concurrently: each prove
-group (one design signature, one pooled prover) and each remaining
-computed request is an independent unit on the in-service worker pool
-(:mod:`repro.service.executor`).  Completions then stream out of order
-through :meth:`VerificationService.stream` carrying their request
-``index``; ``run()``/``flush()`` re-align responses with the inputs on
-top of the same substrate.  ``submit``/``flush`` are safe to call from
-multiple threads: batch *planning* is serialized per service (and a
-handle whose batch another thread is flushing blocks in ``result()``
-until that flush resolves it), while executions may overlap -- a batch
-whose design cone another in-flight batch still owns computes on a
-private prover, so overlapping batches never share mutable engine
-state.
+A batch is *planned* serially (validation, semantic keys, in-flight
+dedup, cache, grouping) into :class:`PlanEntry` rows, cut into typed
+:class:`Unit` s -- one per work group (a design cone's prove requests,
+or the candidates of one shared equivalence reference) and one per
+remaining computed request -- and executed by one loop
+(:meth:`VerificationService._execute`).  The loop owns everything but
+the computing: answers found while planning, ``index`` stamping, the
+dedup fold, cache puts and the ``config`` fault event.  A strategy only
+produces the primaries' responses:
+
+* **inline** (``executor="thread"``, the default) computes in the
+  calling thread -- one packed pre-pass per group, then every entry in
+  request order -- so responses stream out in request order, and the
+  same-prover call order keeps the engines' counts reproducible;
+* **process** (``executor="process"``) ships the units to
+  crash-isolated worker processes (:mod:`repro.service.procpool`);
+  with more than one worker, completions stream out of order, each
+  carrying its request ``index``.
+
+``run()``/``flush()`` re-align responses with the inputs.
+``submit``/``flush`` are safe to call from multiple threads (the HTTP
+frontend flushes from its executor threads): batch *planning* is
+serialized per service (and a handle whose batch another thread is
+flushing blocks in ``result()`` until that flush resolves it), while
+executions may overlap -- a batch whose design cone another in-flight
+batch still owns computes on a private prover, so overlapping batches
+never share mutable engine state.
 
 Scheduling only ever changes *how much work* runs, never what a verdict
 means: deduplicated, cached and batch-scheduled responses carry exactly
@@ -48,10 +60,12 @@ written by either side of the redesign stay mutually readable.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import os
 import threading
 import time
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .. import memo
@@ -160,6 +174,55 @@ class _EquivSlot:
         self.checker = None
 
 
+@dataclass(slots=True)
+class PlanEntry:
+    """One request's row in a flush's plan.
+
+    Planning fills ``response`` for requests it answers itself (errors,
+    cache hits, measured syntax failures), ``dup_of`` for an in-flight
+    duplicate, and ``group`` / ``pool_key`` for work that shares a
+    prover or equivalence checker; ``prover`` is that pinned engine.
+    ``design`` / ``assertion`` / ``assumes`` are a prove request's
+    resolved inputs and ``key_parts`` its lazily built semantic key.
+    """
+
+    request: VerifyRequest
+    index: int
+    deadline_s: float | None = None
+    response: VerifyResponse | None = None
+    key: str | None = None
+    cache: "VerdictCache | None" = None
+    dup_of: int | None = None
+    group: tuple | None = None
+    prover: object = None
+    faults: list = field(default_factory=list)
+    design: object = None
+    assertion: object = None
+    assumes: tuple = ()
+    key_parts: object = None
+    pool_key: tuple | None = None
+    batch_id: str | None = None
+
+
+@dataclass(slots=True)
+class Unit:
+    """One independently executable slice of a plan.
+
+    A work group (``group`` set: one design cone's prove requests, or
+    the candidates of one shared equivalence reference, all on one
+    ``prover``) or one ungrouped computed request.  Units hold primaries
+    only: in-flight duplicates are folded by the execution loop.
+    ``affinity`` is the stable hash the process executor places a group
+    by (:func:`repro.service.batch.group_affinity`).
+    """
+
+    indices: list[int]
+    group: tuple | None = None
+    batch_id: str | None = None
+    prover: object = None
+    affinity: int | None = None
+
+
 class Handle:
     """Future-like handle for one submitted request.
 
@@ -200,13 +263,13 @@ class VerificationService:
     (``None`` reads ``FVEVAL_NO_BATCH`` at flush time); ``profile``
     is the prover-profile dict shared by every prover the service
     builds (stage timings, win counters, ``sim_batch_passes``).
-    ``workers`` sizes the in-service worker pool executing a batch's
-    independent scheduled units concurrently (``None`` reads
-    ``FVEVAL_WORKERS`` at flush time; either way the count is clamped
-    against ``FVEVAL_JOBS`` oversubscription --
-    :func:`repro.service.executor.resolve_workers`).  ``workers <= 1``
-    keeps the serial scheduler, whose completions arrive in request
-    order; scheduling never changes verdicts either way.
+    ``executor`` picks the execution strategy -- ``"thread"`` computes
+    inline in the calling thread, ``"process"`` in crash-isolated worker
+    processes (``None`` reads ``FVEVAL_EXECUTOR`` at flush time) -- and
+    ``workers`` sizes only that process pool (``None`` reads
+    ``FVEVAL_WORKERS``; :func:`repro.service.procpool.resolve_workers`).
+    Inline responses arrive in request order; the strategy never
+    changes verdicts.
     """
 
     def __init__(self, batching: bool | None = None,
@@ -243,13 +306,15 @@ class VerificationService:
         #: at the bounded queue -- happens in the frontends, before
         #: requests ever reach the scheduler.
         self.admission = admission
-        #: in-service worker-thread count (None: FVEVAL_WORKERS)
+        #: process-pool size of the process strategy (None:
+        #: FVEVAL_WORKERS per flush); the inline strategy ignores it
         self.workers = workers
         #: default per-request wall-clock deadline in seconds
         #: (None: FVEVAL_DEADLINE_S per flush; request.deadline_s wins)
         self.deadline_s = deadline_s
-        #: execution tier -- "thread" | "process" (None: FVEVAL_EXECUTOR
-        #: per flush); an explicit bad value fails here, not mid-batch
+        #: execution strategy -- "thread" (inline) | "process" (None:
+        #: FVEVAL_EXECUTOR per flush); an explicit bad value fails here,
+        #: not mid-batch
         #: (the stored value is re-resolved per flush so e.g. the
         #: daemonic-worker fallback tracks where the service runs)
         if executor is not None:
@@ -291,24 +356,20 @@ class VerificationService:
         self._init_runtime()
 
     def _init_runtime(self) -> None:
-        """Unpicklable per-process state (locks, the worker pool)."""
-        #: serializes whole scheduling passes: one batch plans/executes
-        #: at a time per service (reentrant so one thread may interleave
-        #: two of its own stream() generators without deadlocking)
+        """Unpicklable per-process state (locks, the process pool)."""
+        #: serializes batch planning: one batch plans at a time per
+        #: service (reentrant so one thread may interleave two of its
+        #: own stream() generators without deadlocking)
         self._sched_lock = threading.RLock()
-        #: guards the short mutations shared with worker threads
-        #: (pending swap, dedup/batch counters)
+        #: guards the short mutations shared by concurrently executing
+        #: flushes (pending swap, pins, dedup/batch/pool counters)
         self._state_lock = threading.Lock()
-        self._pool = None
         self._procpool = None
-        #: parallel batches currently executing on the pool -- a pool
-        #: another batch still uses is never torn down to grow
-        self._inflight = 0
 
     def __getstate__(self):
-        # picklable across FVEVAL_JOBS workers: proof sessions, worker
-        # pools and in-flight handles are process-local, verdict memory
-        # travels
+        # picklable across FVEVAL_JOBS workers: proof sessions, the
+        # process pool and in-flight handles are process-local, verdict
+        # memory travels
         from collections import OrderedDict
         state = dict(self.__dict__)
         state["_provers"] = OrderedDict()
@@ -318,7 +379,7 @@ class VerificationService:
         # the admission controller (locks, per-connection state) belongs
         # to the serving process; a forked worker schedules unguarded
         state["admission"] = None
-        for name in ("_sched_lock", "_state_lock", "_pool", "_procpool"):
+        for name in ("_sched_lock", "_state_lock", "_procpool"):
             state.pop(name, None)
         return state
 
@@ -329,11 +390,8 @@ class VerificationService:
     # -- public API ---------------------------------------------------------
 
     def close(self) -> None:
-        """Tear down the worker pools (idempotent; the service stays
-        usable -- pools respawn on the next flush that needs them)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown()
+        """Tear down the process pool (idempotent; the service stays
+        usable -- the pool respawns on the next flush that needs it)."""
         procpool, self._procpool = self._procpool, None
         if procpool is not None:
             procpool.shutdown()
@@ -376,8 +434,8 @@ class VerificationService:
 
         :meth:`_process` guarantees exactly one response per input index
         (an ``ok=False`` error response when that request failed), so
-        the re-alignment below is total even when workers complete out
-        of order.
+        the re-alignment below is total even when worker processes
+        complete out of order.
         """
         requests = list(requests)
         responses: dict[int, VerifyResponse] = {}
@@ -388,10 +446,11 @@ class VerificationService:
     def stream(self, requests):
         """Yield responses one by one as the batch executes.
 
-        With the serial scheduler (``workers <= 1``) responses arrive in
-        request order; with a worker pool they arrive in *completion*
-        order, each carrying its request position in
-        ``VerifyResponse.index`` so consumers can correlate.
+        Inline (and on a one-worker process pool) responses arrive in
+        request order, duplicates at their own positions; on a process
+        pool of several workers they arrive in *completion* order, each
+        carrying its request position in ``VerifyResponse.index`` so
+        consumers can correlate.
         """
         for _index, response in self._process(list(requests)):
             yield response
@@ -456,83 +515,56 @@ class VerificationService:
                               kind=request.kind)
 
     def _process(self, requests: list[VerifyRequest]):
-        """Yield ``(index, response)`` in completion order.
+        """Yield ``(index, response)`` as the batch executes.
 
         Planning (serial, under the scheduling lock) resolves ids,
-        semantic keys, cache hits and in-flight dedup, and buckets the
-        remaining ``prove`` work into groups by (design signature,
-        engine); execution then runs the batch scheduler's packed
-        pre-pass per group and computes the remaining verdicts -- in
-        request order on the serial scheduler, or concurrently per
-        independent unit on the worker pool (``workers > 1``), where
-        completions arrive out of order.
+        semantic keys, cache hits and in-flight dedup, buckets the
+        remaining work into groups -- prove requests by (design
+        signature, engine), equivalence requests by reference -- and
+        cuts the plan into :class:`Unit` s; :meth:`_execute` then runs
+        them on the inline or the process strategy.
 
         Guarantee: exactly one response is yielded per input index, with
         per-request failures mapped to ``ok=False`` error responses
         (never a skipped index), and ``VerifyResponse.index`` set on
         every response.
         """
-        from .executor import resolve_workers
-        from .procpool import resolve_executor
+        from .procpool import resolve_executor, resolve_workers
         requests = list(requests)
         # planning is serialized, but the lock is RELEASED before any
         # response is yielded: a partially consumed stream() must never
         # block another thread's flush.  Safe overlap rests on prover
         # pinning (_pin_provers): a pool key an in-flight batch owns is
         # answered by a private prover instead of the shared one.
+        owned: set[tuple] = set()
         with self._sched_lock:
             share = (not equiv_sharing_disabled()
                      if self.share_equiv is None else self.share_equiv)
             plan, groups = self._plan(requests, share)
             batching = (not batching_disabled() if self.batching is None
                         else self.batching)
-            workers = resolve_workers(self.workers)
-            crossproc = resolve_executor(self.executor) == "process"
-            config_event = self._executor_config_event()
-            parallel = False
-            pool = None
-            if crossproc:
+            units = self._units(plan, groups)
+            if resolve_executor(self.executor) == "process":
                 # the parent keeps planning/cache/dedup; provers live in
                 # the workers, so nothing is pinned here
-                owned: set[tuple] = set()
-                batch_ids = self._assign_batch_ids(groups)
-                pool = self._process_pool(workers)
+                workers = resolve_workers(self.workers)
+                strategy = self._run_process(
+                    plan, units, batching, share, owned,
+                    self._process_pool(workers))
+                ordered = workers == 1
             else:
-                owned, batch_ids = self._pin_provers(plan, groups)
-                parallel = workers > 1 and len(plan) > 1
-                if parallel:
-                    pool = self._worker_pool(workers)
-                    with self._state_lock:
-                        self._inflight += 1
+                self._pin_provers(plan, units, owned)
+                strategy = self._run_inline(plan, units, batching)
+                ordered = True
+            config_event = self._executor_config_event()
         try:
-            if crossproc:
-                stream = self._execute_process(plan, groups, batch_ids,
-                                               batching, pool, share)
-                if workers == 1:
-                    # the single-worker contract is in-request-order
-                    # responses (mirrors _execute_serial); one worker
-                    # gains nothing from streaming out of order
-                    stream = sorted(stream, key=lambda pair: pair[0])
-            elif parallel:
-                stream = self._execute_parallel(plan, groups, batch_ids,
-                                                batching, pool, workers)
-            else:
-                stream = self._execute_serial(plan, groups, batch_ids,
-                                              batching)
-            if config_event is None:
-                yield from stream
-            else:
-                # an env typo silently changed the execution tier once
-                # already; the first response of the affected flush
-                # carries the `config` event so the fallback is
-                # observable on the wire (docs/robustness.md)
-                first = True
-                for index, response in stream:
-                    if first:
-                        first = False
-                        response.degraded = [config_event.as_dict(),
-                                             *response.degraded]
-                    yield index, response
+            stream = self._execute(plan, strategy, ordered)
+            if config_event is not None:
+                # an env typo silently changed the execution strategy:
+                # the first response carries the `config` event so the
+                # fallback is observable on the wire (docs/robustness.md)
+                stream = _degrade_first(stream, config_event.as_dict())
+            yield from stream
         finally:
             # the batch memo is per-flush state: entries persist while
             # the flush's textual duplicates read them, then go, so a
@@ -541,8 +573,8 @@ class VerificationService:
             # may pin the shared prover and seed its own masks, which
             # this cleanup must not wipe.
             seen: set[int] = set()
-            for members in groups.values():
-                prover = plan[members[0]]["prover"]
+            for unit in units:
+                prover = unit.prover
                 if prover is not None and id(prover) not in seen:
                     seen.add(id(prover))
                     # equivalence slots carry no batch memo
@@ -551,13 +583,154 @@ class VerificationService:
                         memo.clear()
             with self._state_lock:
                 self._active.difference_update(owned)
-                if parallel:
-                    self._inflight -= 1
+
+    def _execute(self, plan: list[PlanEntry], strategy, ordered: bool):
+        """The one execution loop: yield ``(index, response)`` per entry.
+
+        *strategy* yields ``(entry, response)`` for the units' primaries
+        (:meth:`_run_inline` / :meth:`_run_process`); everything else
+        happens here -- ``index`` stamping, the cache put, the fold of a
+        primary's in-flight duplicates, and the answers planning already
+        found.  *ordered* yields in request order, each response as soon
+        as every earlier one is ready (so an inline stream keeps pace
+        with the computation); otherwise planning's answers come first
+        and the rest in completion order, each primary followed by its
+        duplicates.
+        """
+        dups: dict[int, list[PlanEntry]] = {}
+        for entry in plan:
+            if entry.dup_of is not None:
+                dups.setdefault(entry.dup_of, []).append(entry)
+            elif entry.response is not None:
+                entry.response.index = entry.index
+
+        def finish(entry: PlanEntry, response: VerifyResponse) -> None:
+            """Resolve one primary and fold its in-flight duplicates."""
+            response.index = entry.index
+            entry.response = response
+            self._cache_put(entry, response)
+            for dup in dups.get(entry.index, ()):
+                with self._state_lock:
+                    self.dedup_hits += 1
+                dup.response = self._duplicate(dup.request, response)
+                dup.response.index = dup.index
+
+        if not ordered:
+            # a dedup primary is by construction a computed entry, so
+            # planning's answers never have duplicates
+            for entry in plan:
+                if entry.dup_of is None and entry.response is not None:
+                    yield entry.index, entry.response
+            for entry, response in strategy:
+                finish(entry, response)
+                yield entry.index, response
+                for dup in dups.get(entry.index, ()):
+                    yield dup.index, dup.response
+            return
+        cursor = 0
+        while True:
+            while cursor < len(plan) and plan[cursor].response is not None:
+                yield cursor, plan[cursor].response
+                cursor += 1
+            step = next(strategy, None)
+            if step is None:
+                return
+            finish(*step)
+
+    def _run_inline(self, plan: list[PlanEntry], units: list[Unit],
+                    batching: bool):
+        """The inline strategy: compute *units* in the calling thread.
+
+        With batching on, each group first gets its packed pre-pass;
+        then every entry computes in request order.  That order is a
+        contract, not a detail: a pooled prover's incremental sessions
+        carry learned clauses from one proof to the next, so the engine
+        counts of each verdict depend on the call order on its prover.
+        """
+        if batching:
+            for unit in units:
+                if unit.group is not None:
+                    self._presimulate_group(plan, unit)
+        for index in sorted(i for unit in units for i in unit.indices):
+            entry = plan[index]
+            yield entry, self._compute_guarded(entry)
+
+    def _run_process(self, plan: list[PlanEntry], units: list[Unit],
+                     batching: bool, share_equiv: bool, owned: set,
+                     pool):
+        """The process strategy: ship *units* to the worker processes.
+
+        Each unit crosses the process boundary as pickled wire requests
+        (``use_cache=False`` so the worker neither reads nor writes
+        verdict caches, with the resolved per-request deadline baked in)
+        and comes back as streamed responses.  :class:`~repro.service.
+        procpool.ProcessExecutor` resolves every dispatched position
+        exactly once -- as a response, a ``timeout``, a crash error after
+        one retry, or an ``unpicklable`` report -- which carries
+        :meth:`_process`'s one-response-per-index invariant across
+        worker death.  Units that could not be pickled run on the inline
+        strategy once the pool is released, on engines pinned by
+        :meth:`_pin_provers` (their keys join *owned*).
+        """
+        if not units:
+            return
+        wires = []
+        for unit in units:
+            wires.append({
+                "id": len(wires),
+                "entries": [(i, dataclasses.replace(
+                    plan[i].request, use_cache=False,
+                    deadline_s=plan[i].deadline_s)) for i in unit.indices],
+                "deadline_s": [plan[i].deadline_s for i in unit.indices],
+                "batching": batching, "share_equiv": share_equiv,
+                "batch_id": unit.batch_id, "affinity": unit.affinity})
+        local: list[tuple[Unit, list[int]]] = []
+        for event in pool.execute(wires):
+            kind, wire = event[0], event[1]
+            if kind == "unit_done":
+                self._merge_worker_stats(event[2])
+            elif kind == "response":
+                _, _, position, response = event
+                if wire["events"]:  # crash-retry provenance
+                    response.degraded = [*wire["events"],
+                                         *response.degraded]
+                if response.batch_id is not None:
+                    # worker-local batch id -> this flush's id
+                    response.batch_id = wire["batch_id"]
+                yield plan[wire["entries"][position][0]], response
+            else:  # ("failed", unit, positions, cause)
+                _, _, positions, cause = event
+                entries = [plan[wire["entries"][p][0]] for p in positions]
+                if cause == "unpicklable":
+                    for entry in entries:
+                        entry.faults.append(_faults().FaultEvent(
+                            "unpicklable", stage="dispatch",
+                            detail="request could not cross the process "
+                                   "boundary; computed in-process"
+                        ).as_dict())
+                    local.append((units[wire["id"]],
+                                  [entry.index for entry in entries]))
+                    continue
+                for entry in entries:
+                    if cause == "timeout":
+                        response = self._timeout_response(entry, wire)
+                    else:  # crash: retried once already
+                        response = self._error(
+                            entry.request,
+                            "worker process crashed while computing this "
+                            "request (retried once on a fresh worker)",
+                            faults=wire["events"])
+                    yield entry, response
+        if local:
+            self._pin_provers(plan, [unit for unit, _ in local], owned)
+            yield from self._run_inline(
+                plan, [dataclasses.replace(unit, indices=indices)
+                       for unit, indices in local], batching)
 
     def _executor_config_event(self):
-        """A ``config`` FaultEvent when this flush's execution tier was
-        silently downgraded by an ``FVEVAL_EXECUTOR`` typo (None on the
-        clean path, and only once per distinct bad value -- the event
+        """A ``config`` FaultEvent when this flush's execution strategy
+        was silently downgraded by an ``FVEVAL_EXECUTOR`` typo (None on
+        the clean path, and only once per distinct bad value -- the event
         marks the *first* affected response, not every one)."""
         if self.executor is not None:
             return None  # explicit setting: the env is never consulted
@@ -573,7 +746,7 @@ class VerificationService:
         """Serial planning pass: ids, keys, cache, dedup, and work groups
         (prove requests by design cone; equivalence requests by routing
         signature when sharing is on)."""
-        plan: list[dict] = []
+        plan: list[PlanEntry] = []
         primaries: dict[tuple, int] = {}  # (ns, key) -> plan index
         groups: dict[tuple, list[int]] = {}  # prover pool key -> indices
         no_cache = _cache_module().caching_disabled()
@@ -587,39 +760,36 @@ class VerificationService:
             if not request.request_id:
                 self._seq += 1
                 request.request_id = f"req{self._seq}"
-            entry: dict = {"request": request, "index": index,
-                           "response": None, "key": None, "cache": None,
-                           "dup_of": None, "group": None, "prover": None,
-                           "faults": [],
-                           "deadline_s": (request.deadline_s
+            entry = PlanEntry(request, index,
+                              deadline_s=(request.deadline_s
                                           if request.deadline_s is not None
-                                          else deadline_s)}
+                                          else deadline_s))
             if self.admission is not None:
                 # mandatory effective deadline: the server ceiling wins
                 # over whatever the request asked for (or didn't)
-                entry["deadline_s"] = self.admission.effective_deadline(
-                    entry["deadline_s"])
+                entry.deadline_s = self.admission.effective_deadline(
+                    entry.deadline_s)
             plan.append(entry)
             try:
                 try:
                     request.validate()
                 except RequestError as exc:
-                    entry["response"] = self._error(request, str(exc))
+                    entry.response = self._error(request, str(exc))
                     continue
                 prepared = self._prepare(request, entry, reference_keys)
             except Exception as exc:  # a planning crash costs one request
                 event = _faults().classify(exc, stage="plan")
-                entry["response"] = self._error(
+                entry.response = self._error(
                     request, event.detail, faults=[event.as_dict()])
                 continue
             if prepared is not None:
-                entry["response"] = prepared
+                entry.response = prepared
                 continue
             if (request.kind in _CACHED_KINDS and request.use_cache
                     and not no_cache):
                 cache = self._cache(request.namespace)
                 try:
-                    key = cache.key(*entry["key_parts"])
+                    key = cache.key(*entry.key_parts)
                 except CanonicalizationError:
                     key = None  # unparseable sample: just compute
                 if key is not None:
@@ -627,89 +797,90 @@ class VerificationService:
                     # cache, so hit/miss/put counters describe distinct work
                     primary = primaries.get((request.namespace, key))
                     if primary is not None:
-                        entry["dup_of"] = primary
+                        entry.dup_of = primary
                         continue
-                    entry["cache"], entry["key"] = cache, key
+                    entry.cache, entry.key = cache, key
                     hit = cache.get(key)
                     # a degraded tier (dead cache-serve process, bad
                     # FVEVAL_CACHE_TIERS term) fails open: it surfaces
                     # as response provenance, never as an error
-                    entry["faults"].extend(cache.drain_faults())
+                    entry.faults.extend(cache.drain_faults())
                     if hit is not None:
                         response = self._from_entry(request, hit,
                                                     cache_hit=True)
-                        if entry["faults"]:
-                            response.degraded = [*entry["faults"],
+                        if entry.faults:
+                            response.degraded = [*entry.faults,
                                                  *response.degraded]
-                        entry["response"] = response
+                        entry.response = response
                         continue
                     primaries[(request.namespace, key)] = index
             if request.kind == "prove" or (request.kind == "equivalence"
                                            and share_equiv):
-                group_key = entry["pool_key"]
-                groups.setdefault(group_key, []).append(index)
-                entry["group"] = group_key
+                groups.setdefault(entry.pool_key, []).append(index)
+                entry.group = entry.pool_key
         return plan, groups
 
-    def _pin_provers(self, plan: list[dict], groups: dict):
-        """Resolve one prover per prove group and pin it for the batch.
+    def _units(self, plan: list[PlanEntry], groups: dict) -> list[Unit]:
+        """Cut a plan into units: one per work group, carrying this
+        flush's batch id, then one per remaining computed request."""
+        units = [Unit([entry.index]) for entry in plan
+                 if entry.group is None and entry.dup_of is None
+                 and entry.response is None]
+        if not groups:  # a warm flush: skip the imports and the lock
+            return units
+        from .batch import group_affinity
+        from .ring import stable_hash
+        with self._state_lock:
+            first = self._batch_seq + 1
+            self._batch_seq += len(groups)
+        return [Unit(members, pool_key, f"b{first + n}",
+                     # affinity on the design/routing signature alone
+                     # (not the engine fingerprint): every engine variant
+                     # of one cone or reference prefers the same slot
+                     affinity=stable_hash(group_affinity(pool_key)))
+                for n, (pool_key, members)
+                in enumerate(groups.items())] + units
 
-        Runs on the planning thread under the scheduling lock.  A pool
-        key no in-flight batch owns comes from (and is pinned in) the
-        LRU pool; a key another batch is still executing gets a fresh
-        *private* prover instead -- overlapping batches then share no
-        mutable engine state, at the cost of one session rebuild.
-        Returns the set of pool keys this batch pinned (to unpin in the
-        caller's ``finally``) and the pre-assigned batch ids.
+    def _pin_provers(self, plan: list[PlanEntry], units: list[Unit],
+                     owned: set) -> None:
+        """Resolve one engine per group unit and pin it for the batch.
+
+        The engine is a prover for a prove group, a shared-checker slot
+        for an equivalence group.  A pool key no in-flight batch owns
+        comes from (and is pinned in) the LRU pool; a key another batch
+        is still executing gets a fresh *private* engine instead --
+        overlapping batches then share no mutable engine state, at the
+        cost of one session rebuild.  Pinned keys join *owned*, for the
+        caller's ``finally`` to unpin.
         """
         from ..formal.prover import Prover
-        owned: set[tuple] = set()
-        batch_ids: dict[tuple, str] = {}
         with self._state_lock:
-            for pool_key, members in groups.items():
-                self._batch_seq += 1
-                batch_ids[pool_key] = f"b{self._batch_seq}"
-                first = plan[members[0]]
-                if first["request"].kind == "equivalence":
-                    # equivalence groups pin a shared-checker slot by the
-                    # same protocol: a key an in-flight batch owns gets a
-                    # fresh private slot, never the pooled one
-                    if pool_key in self._active:
-                        self.equiv_builds += 1
-                        slot = _EquivSlot()
-                    else:
-                        self._active.add(pool_key)
-                        owned.add(pool_key)
-                        slot = self._equiv_slot_for(pool_key)
-                    for index in members:
-                        plan[index]["prover"] = slot
+            for unit in units:
+                pool_key = unit.group
+                if pool_key is None:
                     continue
-                design = first["design"]
-                if pool_key in self._active:
-                    self.prover_builds += 1
-                    prover = Prover(design, profile=self.profile,
-                                    **dict(pool_key[1]))
-                else:
+                private = pool_key in self._active
+                if not private:
                     self._active.add(pool_key)
                     owned.add(pool_key)
-                    prover = self._prover_for(design, pool_key)
-                for index in members:
-                    plan[index]["prover"] = prover
-        return owned, batch_ids
+                first = plan[unit.indices[0]]
+                if first.request.kind == "equivalence":
+                    if private:
+                        self.equiv_builds += 1
+                        engine = _EquivSlot()
+                    else:
+                        engine = self._equiv_slot_for(pool_key)
+                elif private:
+                    self.prover_builds += 1
+                    engine = Prover(first.design, profile=self.profile,
+                                    **dict(pool_key[1]))
+                else:
+                    engine = self._prover_for(first.design, pool_key)
+                unit.prover = engine
+                for index in unit.indices:
+                    plan[index].prover = engine
 
-    def _assign_batch_ids(self, groups: dict) -> dict:
-        """Batch ids without prover pinning (the process executor's
-        provers live in the workers; only the id allocation is shared
-        with :meth:`_pin_provers`)."""
-        batch_ids: dict[tuple, str] = {}
-        with self._state_lock:
-            for pool_key in groups:
-                self._batch_seq += 1
-                batch_ids[pool_key] = f"b{self._batch_seq}"
-        return batch_ids
-
-    def _presimulate_group(self, plan: list[dict], prover,
-                           members: list[int], batch_id: str) -> None:
+    def _presimulate_group(self, plan: list[PlanEntry], unit: Unit) -> None:
         """Run the packed cross-sample pre-pass for one prove group.
 
         Assume-carrying requests are excluded: their falsifier runs
@@ -719,14 +890,14 @@ class VerificationService:
         aborting the batch.
         """
         from .batch import presimulate
-        if not members or plan[members[0]]["request"].kind != "prove":
+        if plan[unit.indices[0]].request.kind != "prove":
             return  # equivalence groups have no packed pre-pass
-        members = [i for i in members if not plan[i]["assumes"]]
+        members = [i for i in unit.indices if not plan[i].assumes]
         if len(members) < 2:
             return
         try:
             covered = presimulate(
-                prover, [plan[i]["assertion"] for i in members])
+                unit.prover, [plan[i].assertion for i in members])
         except Exception as exc:
             # per-sample path computes the same verdicts; record the
             # degradation on every member the pre-pass would have served
@@ -735,7 +906,7 @@ class VerificationService:
                 detail=f"packed pre-pass failed "
                        f"({type(exc).__name__}: {exc})"[:200]).as_dict()
             for i in members:
-                plan[i]["faults"].append(event)
+                plan[i].faults.append(event)
             return
         n = sum(covered)
         if n:
@@ -744,252 +915,21 @@ class VerificationService:
                 self.batch_members += n
         for i, flag in zip(members, covered):
             if flag:
-                plan[i]["batch_id"] = batch_id
+                plan[i].batch_id = unit.batch_id
 
-    def _execute_serial(self, plan: list[dict], groups: dict,
-                        batch_ids: dict, batching: bool):
-        """Single-threaded execution in request order (the reference)."""
-        if batching:
-            # batch scheduler: one packed falsification pass per cone,
-            # over every candidate assertion a prove group carries
-            for pool_key, members in groups.items():
-                self._presimulate_group(plan, plan[members[0]]["prover"],
-                                        members, batch_ids[pool_key])
-        # execute in request order; a dedup primary always precedes
-        # its duplicates, so its verdict is ready when they fold
-        for entry in plan:
-            if entry["dup_of"] is not None:
-                with self._state_lock:
-                    self.dedup_hits += 1
-                entry["response"] = self._duplicate(
-                    entry["request"],
-                    plan[entry["dup_of"]]["response"])
-            elif entry["response"] is None:
-                entry["response"] = self._compute_guarded(entry)
-            entry["response"].index = entry["index"]
-            yield entry["index"], entry["response"]
-
-    def _execute_parallel(self, plan: list[dict], groups: dict,
-                          batch_ids: dict, batching: bool, pool,
-                          workers: int):
-        """Concurrent execution of the plan's independent units.
-
-        Unit boundaries guarantee no shared mutable engine state across
-        workers: one unit per prove group (its pinned prover belongs to
-        that unit alone for the flush), one unit per remaining computed
-        request, and in-flight duplicates ride in their primary's unit
-        (the primary always executes first within it).
-        """
-        from .batch import group_affinity
-        from .executor import current_worker_id
-        from .ring import stable_hash
-        units: list[dict] = []
-        unit_by_group: dict[tuple, dict] = {}
-        unit_by_index: dict[int, dict] = {}
-        instants: list[dict] = []
-        for entry in plan:
-            if entry["dup_of"] is not None:
-                continue  # attached to its primary's unit below
-            if entry["response"] is not None:
-                instants.append(entry)
-                continue
-            group = entry["group"]
-            if group is not None:
-                unit = unit_by_group.get(group)
-                if unit is None:
-                    # affinity on the design/routing signature alone (not
-                    # the engine fingerprint): every engine variant of one
-                    # cone or reference prefers the same lane
-                    unit = {"indices": [], "group": group,
-                            "batch_id": batch_ids[group],
-                            "prover": entry["prover"],
-                            "affinity": stable_hash(group_affinity(group))}
-                    unit_by_group[group] = unit
-                    units.append(unit)
-                unit["indices"].append(entry["index"])
-            else:
-                unit = {"indices": [entry["index"]], "group": None,
-                        "batch_id": None, "prover": None,
-                        "affinity": None}
-                units.append(unit)
-            unit_by_index[entry["index"]] = unit
-        for entry in plan:
-            if entry["dup_of"] is not None:
-                unit_by_index[entry["dup_of"]]["indices"].append(
-                    entry["index"])
-
-        def run_unit(unit: dict) -> list[tuple[int, VerifyResponse]]:
-            worker_id = current_worker_id()
-            if batching and unit["group"] is not None:
-                members = [i for i in unit["indices"]
-                           if plan[i]["dup_of"] is None]
-                self._presimulate_group(plan, unit["prover"], members,
-                                        unit["batch_id"])
-            out = []
-            for i in unit["indices"]:
-                entry = plan[i]
-                if entry["dup_of"] is not None:
-                    with self._state_lock:
-                        self.dedup_hits += 1
-                    response = self._duplicate(
-                        entry["request"],
-                        plan[entry["dup_of"]]["response"])
-                else:
-                    response = self._compute_guarded(entry)
-                response.index = i
-                response.worker_id = worker_id
-                entry["response"] = response
-                out.append((i, response))
-            return out
-
-        # requests answered during planning complete "first"
-        for entry in instants:
-            entry["response"].index = entry["index"]
-            yield entry["index"], entry["response"]
-        # limit (not pool size) enforces this flush's width: the pool
-        # is shared and only ever grows, but at most `workers` units of
-        # this batch are in flight at once, so a lowered FVEVAL_WORKERS
-        # (or the FVEVAL_JOBS clamp) takes effect on the next flush
-        for results in pool.map_unordered(
-                run_unit, units, limit=workers,
-                affinity=lambda unit: unit["affinity"]):
-            yield from results
-
-    def _execute_process(self, plan: list[dict], groups: dict,
-                         batch_ids: dict, batching: bool, pool,
-                         share_equiv: bool = True):
-        """Execute the plan's units on the process pool (crash-isolated).
-
-        The parent owns planning, cache writes, dedup folding and stats;
-        each unit -- one prove group or one remaining computed request,
-        the thread executor's exact unit shape -- crosses the process
-        boundary as pickled wire requests (``use_cache=False`` so the
-        worker neither reads nor writes verdict caches, with the
-        resolved per-request deadline baked in) and comes back as
-        streamed responses.  :class:`~repro.service.procpool.
-        ProcessExecutor` guarantees every dispatched position resolves
-        exactly once -- as a response, a ``timeout``, a crash error
-        after one retry, or an ``unpicklable`` fallback the parent
-        computes in-process -- which carries :meth:`_process`'s
-        one-response-per-index invariant across worker death.
-        """
-        import dataclasses
-        faults = _faults()
-        dups: dict[int, list[dict]] = {}
-        for entry in plan:
-            if entry["dup_of"] is not None:
-                dups.setdefault(entry["dup_of"], []).append(entry)
-
-        def finish(entry: dict, response: VerifyResponse):
-            """Resolve one primary and fold its in-flight duplicates."""
-            response.index = entry["index"]
-            entry["response"] = response
-            yield entry["index"], response
-            for dup in dups.get(entry["index"], ()):
-                with self._state_lock:
-                    self.dedup_hits += 1
-                folded = self._duplicate(dup["request"], response)
-                folded.index = dup["index"]
-                dup["response"] = folded
-                yield dup["index"], folded
-
-        # requests answered during planning complete "first" (errors,
-        # cache hits, measured syntax gates); they never have duplicates
-        # -- dedup primaries are by construction computed entries
-        for entry in plan:
-            if entry["dup_of"] is None and entry["response"] is not None:
-                entry["response"].index = entry["index"]
-                yield entry["index"], entry["response"]
-
-        from .batch import group_affinity
-        from .ring import stable_hash
-        units: list[dict] = []
-
-        def make_unit(indices: list[int], batch_id: str | None,
-                      affinity: int | None = None) -> None:
-            entries, deadlines = [], []
-            for i in indices:
-                entry = plan[i]
-                wire = dataclasses.replace(
-                    entry["request"], use_cache=False,
-                    deadline_s=entry["deadline_s"])
-                entries.append((i, wire))
-                deadlines.append(entry["deadline_s"])
-            units.append({"id": len(units), "entries": entries,
-                          "deadline_s": deadlines, "batching": batching,
-                          "share_equiv": share_equiv,
-                          "batch_id": batch_id, "affinity": affinity})
-
-        grouped: set[int] = set()
-        for pool_key, members in groups.items():
-            live = [i for i in members if plan[i]["response"] is None]
-            if live:
-                # signature-only affinity, as in the thread tier: the
-                # worker slot's own single-worker service pools provers
-                # (and shared equivalence checkers) by signature+engine,
-                # so keeping a cone or reference on one slot is what
-                # makes its pool hit across flushes
-                make_unit(live, batch_ids[pool_key],
-                          affinity=stable_hash(group_affinity(pool_key)))
-                grouped.update(live)
-        for entry in plan:
-            if (entry["dup_of"] is None and entry["response"] is None
-                    and entry["index"] not in grouped):
-                make_unit([entry["index"]], None)
-        if not units:
-            return
-
-        for event in pool.execute(units):
-            kind, unit = event[0], event[1]
-            if kind == "response":
-                _, _, position, response = event
-                index = unit["entries"][position][0]
-                entry = plan[index]
-                if unit["events"]:  # crash-retry provenance
-                    response.degraded = [*unit["events"],
-                                         *response.degraded]
-                if response.batch_id is not None:
-                    # worker-local batch id -> this flush's id
-                    response.batch_id = unit["batch_id"]
-                self._cache_put(entry, response)
-                yield from finish(entry, response)
-            elif kind == "unit_done":
-                self._merge_worker_stats(event[2])
-            else:  # ("failed", unit, positions, cause)
-                _, _, positions, cause = event
-                for position in positions:
-                    index = unit["entries"][position][0]
-                    entry = plan[index]
-                    if cause == "timeout":
-                        response = self._timeout_response(entry, unit)
-                    elif cause == "unpicklable":
-                        entry["faults"].append(faults.FaultEvent(
-                            "unpicklable", stage="dispatch",
-                            detail="request could not cross the process "
-                                   "boundary; computed in-process"
-                        ).as_dict())
-                        response = self._compute_guarded(entry)
-                    else:  # crash: retried once already
-                        response = self._error(
-                            entry["request"],
-                            "worker process crashed while computing this "
-                            "request (retried once on a fresh worker)",
-                            faults=unit["events"])
-                    yield from finish(entry, response)
-
-    def _timeout_response(self, entry: dict,
-                          unit: dict) -> VerifyResponse:
+    def _timeout_response(self, entry: PlanEntry,
+                          wire: dict) -> VerifyResponse:
         """The deadline SIGKILL backstop fired: a structured ``timeout``
         verdict (``ok`` stays True -- expiry is a measured outcome)."""
-        deadline = entry["deadline_s"]
-        response = self._response(entry["request"])
+        deadline = entry.deadline_s
+        response = self._response(entry.request)
         response.verdict = "timeout"
         response.detail = (f"deadline exceeded ({deadline:g}s): worker "
                            f"killed past the grace period")
-        response.degraded = [*unit["events"], *entry["faults"],
+        response.degraded = [*wire["events"], *entry.faults,
                              _faults().FaultEvent(
                                  "timeout", stage="worker",
-                                 attempt=unit.get("attempt", 0),
+                                 attempt=wire.get("attempt", 0),
                                  detail="worker overran the unit deadline "
                                         "and was SIGKILLed").as_dict()]
         return response
@@ -1015,9 +955,9 @@ class VerificationService:
             self.equiv_builds += stats.get("equiv_builds", 0)
 
     def _process_pool(self, workers: int):
-        """The shared process pool, grown on demand (mirrors
-        :meth:`_worker_pool`: never torn down under an executing batch;
-        ``ProcessExecutor.execute`` serializes batches internally)."""
+        """The shared process pool, grown on demand (never torn down
+        under an executing batch; ``ProcessExecutor.execute`` serializes
+        batches internally)."""
         from .procpool import ProcessExecutor
         pool = self._procpool
         if pool is not None and pool.owner_pid != os.getpid():
@@ -1030,25 +970,6 @@ class VerificationService:
                 pool.shutdown()
             pool = ProcessExecutor(workers)
             self._procpool = pool
-        return pool
-
-    def _worker_pool(self, workers: int):
-        """The shared thread pool, grown on demand.
-
-        The pool only ever grows, and never while another batch is
-        executing on it (tearing down an executor mid-flight would fail
-        that batch's pending submissions); per-flush width is enforced
-        by the ``limit`` passed to ``map_unordered``, not by pool size.
-        """
-        from .executor import WorkerPool
-        pool = self._pool
-        with self._state_lock:
-            busy = self._inflight > 0
-        if pool is None or (pool.workers < workers and not busy):
-            if pool is not None:
-                pool.shutdown()
-            pool = WorkerPool(workers)
-            self._pool = pool
         return pool
 
     # -- planning helpers ---------------------------------------------------
@@ -1077,7 +998,7 @@ class VerificationService:
         response.detail = detail
         return response
 
-    def _prepare(self, request: VerifyRequest, entry: dict,
+    def _prepare(self, request: VerifyRequest, entry: PlanEntry,
                  reference_keys: dict) -> VerifyResponse | None:
         """Resolve key parts (and, for prove, the design/assertion).
 
@@ -1100,7 +1021,7 @@ class VerificationService:
                           DEFAULT_MAX_CONFLICTS)
             if request.engine:
                 engine_key = (*engine_key, sorted(request.engine.items()))
-            entry["key_parts"] = _LazyParts(lambda: (
+            entry.key_parts = _LazyParts(lambda: (
                 "equiv",
                 _reference_key(request, reference_keys),
                 canonical_key(request.candidate, request.params),
@@ -1108,15 +1029,15 @@ class VerificationService:
                 sorted((request.params or {}).items()),
                 engine_key))
             from .batch import equiv_group_key
-            entry["pool_key"] = equiv_group_key(request,
-                                                _freeze(request.engine))
+            entry.pool_key = equiv_group_key(request,
+                                             _freeze(request.engine))
             return None
         if kind == "prove":
             return self._prepare_prove(request, entry)
         return None  # syntax / trace: uncached, computed directly
 
     def _prepare_prove(self, request: VerifyRequest,
-                       entry: dict) -> VerifyResponse | None:
+                       entry: PlanEntry) -> VerifyResponse | None:
         from ..formal.prover import Prover
         from ..rtl.elaborate import ElaborationError, elaborate
         from ..sva.parser import ParseError, parse_assertion
@@ -1157,20 +1078,22 @@ class VerificationService:
         except ParseError as exc:
             return self._measured(request, "syntax_error",
                                   f"assume: {exc}"[:160])
-        entry["design"] = design
-        entry["assertion"] = assertion
-        entry["assumes"] = assumes
+        entry.design = design
+        entry.assertion = assertion
+        entry.assumes = assumes
         signature = design_signature(design)
         engine_key = sorted(request.engine.items())
         parts = ["prove", signature]
-        entry["key_parts"] = _LazyParts(lambda: (
+        entry.key_parts = _LazyParts(lambda: (
             *parts, canonical_key(assertion, design.params), engine_key,
             *((("assumes", tuple(canonical_key(a, design.params)
                                  for a in assumes)),) if assumes else ())))
-        entry["pool_key"] = (signature, _freeze(request.engine))
+        entry.pool_key = (signature, _freeze(request.engine))
         return None
 
     def _prover_for(self, design, pool_key: tuple):
+        """The pooled prover of one pool key (LRU; caller holds
+        _state_lock)."""
         from ..formal.prover import Prover
         prover = self._provers.get(pool_key)
         if prover is not None:
@@ -1235,7 +1158,7 @@ class VerificationService:
         response.cache_hit = cache_hit
         return response
 
-    def _compute_guarded(self, entry: dict) -> VerifyResponse:
+    def _compute_guarded(self, entry: PlanEntry) -> VerifyResponse:
         """Compute one verdict; an engine crash costs that request only.
 
         The per-index response guarantee of :meth:`_process` rests here:
@@ -1255,19 +1178,19 @@ class VerificationService:
             try:
                 response = self._compute(entry)
             except Exception as exc:
-                event = faults.classify(exc, stage=entry["request"].kind,
+                event = faults.classify(exc, stage=entry.request.kind,
                                         attempt=attempt)
                 events.append(event.as_dict())
                 if event.retryable and attempt == 0:
                     continue
-                return self._error(entry["request"], event.detail,
-                                   faults=[*entry["faults"], *events])
+                return self._error(entry.request, event.detail,
+                                   faults=[*entry.faults, *events])
             if events:  # first attempt degraded, retry answered
                 response.degraded = [*events, *response.degraded]
             return response
 
-    def _compute(self, entry: dict) -> VerifyResponse:
-        request = entry["request"]
+    def _compute(self, entry: PlanEntry) -> VerifyResponse:
+        request = entry.request
         if _faults().inject("engine_error") is not None:
             raise _faults().InjectedFault(
                 f"injected engine_error ({request.namespace})")
@@ -1277,18 +1200,18 @@ class VerificationService:
         if self.admission is not None:
             # feed the Retry-After estimator with real unit latency
             self.admission.observe(response.elapsed_s)
-        response.batch_id = entry.get("batch_id")
-        if entry["faults"]:  # planning/pre-pass degradations
-            response.degraded = [*entry["faults"], *response.degraded]
-        self._cache_put(entry, response)
+        response.batch_id = entry.batch_id
+        if entry.faults:  # planning/pre-pass degradations
+            response.degraded = [*entry.faults, *response.degraded]
         return response
 
-    def _cache_put(self, entry: dict, response: VerifyResponse) -> None:
+    def _cache_put(self, entry: PlanEntry,
+                   response: VerifyResponse) -> None:
         """Memoize one computed verdict.  ``timeout`` verdicts are
         deliberately not cached: they describe this run's wall-clock
         budget, not the sample, and must not mask a future verdict
         computed under a longer (or no) deadline."""
-        cache, key = entry.get("cache"), entry.get("key")
+        cache, key = entry.cache, entry.key
         if cache is None or key is None:
             return
         if not response.ok or response.verdict == "timeout":
@@ -1297,7 +1220,7 @@ class VerificationService:
             cache.note_uncacheable()
             return
         payload = {}
-        for name in _CACHED_FIELDS[entry["request"].kind]:
+        for name in _CACHED_FIELDS[entry.request.kind]:
             value = getattr(response, name)
             payload[name] = dict(value) if isinstance(value, dict) \
                 else value
@@ -1307,7 +1230,7 @@ class VerificationService:
             response.degraded = [*response.degraded, *events]
 
     def _compute_syntax(self, request: VerifyRequest,
-                        entry: dict) -> VerifyResponse:
+                        entry: PlanEntry) -> VerifyResponse:
         report = check_assertion_syntax(
             request.candidate, signal_widths=dict(request.widths),
             params=request.params,
@@ -1320,15 +1243,15 @@ class VerificationService:
         return response
 
     def _compute_equivalence(self, request: VerifyRequest,
-                             entry: dict) -> VerifyResponse:
+                             entry: PlanEntry) -> VerifyResponse:
         from ..formal.equivalence import EquivChecker, check_equivalence
         from ..formal.prover import bump
         options = {k: v for k, v in request.engine.items()
                    if k != "strategy"}
         # shared-reference path: the pinned slot's checker serves every
-        # candidate of this routing signature (entry["prover"] is absent
-        # or None when sharing is off -- the isolated oracle)
-        slot = entry.get("prover")
+        # candidate of this routing signature (entry.prover is None when
+        # sharing is off -- the isolated oracle)
+        slot = entry.prover
         checker = None
         if slot is not None:
             checker = slot.checker
@@ -1359,13 +1282,10 @@ class VerificationService:
         return response
 
     def _compute_prove(self, request: VerifyRequest,
-                       entry: dict) -> VerifyResponse:
-        # parallel units carry their prover (resolved on the planning
-        # thread); the serial scheduler resolves lazily from the pool
-        prover = entry.get("prover") or self._prover_for(entry["design"],
-                                                         entry["pool_key"])
-        result = prover.prove(entry["assertion"], assumes=entry["assumes"],
-                              deadline_s=entry.get("deadline_s"))
+                       entry: PlanEntry) -> VerifyResponse:
+        # every prove entry computes on the prover _pin_provers pinned
+        result = entry.prover.prove(entry.assertion, assumes=entry.assumes,
+                                    deadline_s=entry.deadline_s)
         response = self._response(request)
         response.verdict = result.status
         response.func = result.is_proven
@@ -1381,7 +1301,7 @@ class VerificationService:
         return response
 
     def _compute_trace(self, request: VerifyRequest,
-                       entry: dict) -> VerifyResponse:
+                       entry: PlanEntry) -> VerifyResponse:
         from ..formal.prover import check_trace
         from ..sva.parser import ParseError, parse_assertion
         assertion = request.assertion
@@ -1434,6 +1354,16 @@ def _reference_key(request: VerifyRequest, keys: dict) -> str:
     if key is None:
         key = keys[slot] = canonical_key(reference, request.params)
     return key
+
+
+def _degrade_first(stream, event: dict):
+    """*stream* with *event* prepended to its first response's
+    ``degraded`` provenance."""
+    for index, response in stream:
+        if event is not None:
+            response.degraded = [event, *response.degraded]
+            event = None
+        yield index, response
 
 
 def _freeze(value):

@@ -2,8 +2,8 @@
 
 Three layers of guarantees:
 
-* ``sat.Solver`` honours ``conflict_budget`` / ``interrupt()`` (the
-  primitives the scheduler is built on);
+* ``sat.Solver`` honours ``conflict_budget`` (the primitive the
+  scheduler is built on);
 * the ``strategy`` configurations are sound -- in particular a k-induction
   step-case proof is never accepted before its base cases are discharged;
 * ``strategy="portfolio"`` verdicts are record-identical (status, engine,
@@ -127,18 +127,6 @@ class TestSolverBudget:
                                            conflict_budget=100_000)
         assert result.status == "unknown" and result.limit == "conflicts"
 
-    def test_interrupt_stops_and_solver_survives(self):
-        nv, clauses = _php_clauses(4)
-        solver = Solver(nv, clauses)
-        solver.interrupt()
-        result = solver.solve()
-        assert result.status == "unknown"
-        assert result.limit == "interrupt"
-        # sticky until cleared
-        assert solver.solve().limit == "interrupt"
-        solver.clear_interrupt()
-        assert solver.solve().status == "unsat"
-
     def test_budget_does_not_affect_sat(self):
         result = Solver(2, [[1, 2], [-1, 2]]).solve(conflict_budget=1)
         assert result.is_sat
@@ -247,12 +235,8 @@ class TestPortfolioScheduler:
         assert "conflict budget exhausted" in auto.detail
 
     def test_proof_cancels_deeper_bmc_probes(self, design):
-        # pinned to the ladder scheduler: whether the *threaded* race
-        # cancels anything here depends on thread timing (covered by
-        # TestThreadedPortfolio), while the ladder's requeue cancel is
-        # deterministic
         prover = Prover(design, strategy="portfolio", use_simulation=False,
-                        max_bmc=10, portfolio_threads=0)
+                        max_bmc=10)
         r = prover.prove(parse_assertion(COUNTER_ASSERTS[1]))
         assert r.is_proven
         # proven at small k: the BMC depths beyond k were never solved
@@ -266,137 +250,6 @@ class TestPortfolioScheduler:
         assumes = (parse_assertion(
             "assume property (@(posedge clk) disable iff (!reset_) set);"),)
         assert_parity(design, assertion, assumes=assumes)
-
-
-# ---------------------------------------------------------------------------
-# threaded portfolio: OS-thread race with interrupt-driven cancellation
-# ---------------------------------------------------------------------------
-
-
-def assert_threaded_parity(design, assertion, assumes=(), **kwargs):
-    """Threaded race vs the sequential ladder vs auto: same record."""
-    ladder = Prover(design, strategy="portfolio", portfolio_threads=0,
-                    **kwargs).prove(assertion, assumes=assumes)
-    threaded = Prover(design, strategy="portfolio", portfolio_threads=2,
-                      **kwargs).prove(assertion, assumes=assumes)
-    assert record_fields(ladder) == record_fields(threaded), (
-        ladder, threaded)
-    auto = Prover(design, strategy="auto", **kwargs).prove(
-        assertion, assumes=assumes)
-    assert record_fields(auto) == record_fields(threaded), (auto, threaded)
-    return threaded
-
-
-class TestThreadedPortfolio:
-    @pytest.fixture(scope="class")
-    def design(self):
-        return elaborate(COUNTER)
-
-    @pytest.mark.parametrize("text", COUNTER_ASSERTS)
-    def test_counter_parity(self, design, text):
-        assert_threaded_parity(design, parse_assertion(text))
-
-    @pytest.mark.parametrize("text", COUNTER_ASSERTS)
-    def test_counter_parity_sat_only(self, design, text):
-        """Simulation disabled: the verdict must come from the race."""
-        assert_threaded_parity(design, parse_assertion(text),
-                               use_simulation=False)
-
-    def test_sticky_base_case_trap(self):
-        """The threaded race must also withhold a step-case proof until
-        the base cases are discharged: inductive invariant + violated
-        base is a cex, never 'proven'."""
-        design = elaborate(STICKY)
-        assertion = parse_assertion(
-            "assert property (@(posedge clk) disable iff (!reset_) "
-            "latch == 1'b1);")
-        r = Prover(design, strategy="portfolio", portfolio_threads=2,
-                   use_simulation=False).prove(assertion)
-        assert r.status == "cex"
-
-    def test_assumption_parity(self):
-        design = elaborate(STICKY)
-        assertion = parse_assertion(
-            "assert property (@(posedge clk) disable iff (!reset_) "
-            "set |-> ##1 latch);")
-        assumes = (parse_assertion(
-            "assume property (@(posedge clk) disable iff (!reset_) "
-            "set);"),)
-        assert_threaded_parity(design, assertion, assumes=assumes)
-
-    def test_budget_exhaustion_parity(self, design):
-        r = assert_threaded_parity(design,
-                                   parse_assertion(COUNTER_ASSERTS[1]),
-                                   use_simulation=False, max_conflicts=1)
-        assert r.status == "undetermined"
-        assert "conflict budget exhausted" in r.detail
-
-    def test_interrupt_cancellation_observable(self, design):
-        """The winning side cancels the loser: with 61 BMC depths racing
-        a small-k induction proof the induction thread wins long before
-        BMC drains its queue, and the dropped probes (and any interrupt
-        delivered mid-solve) are visible in the profile counters."""
-        assertion = parse_assertion(COUNTER_ASSERTS[1])
-        for _attempt in range(3):  # timing-dependent; retry, never flake
-            prover = Prover(design, strategy="portfolio",
-                            portfolio_threads=2, use_simulation=False,
-                            max_bmc=60)
-            r = prover.prove(assertion)
-            assert r.is_proven and r.engine == "k-induction"
-            assert prover.profile.get("portfolio_solves", 0) > 0
-            if (prover.profile.get("portfolio_cancelled", 0) > 0
-                    or prover.profile.get("portfolio_interrupts", 0) > 0):
-                return
-        raise AssertionError(
-            "no race ever cancelled the losing strategy: "
-            f"profile={prover.profile}")
-
-    def test_sessions_survive_the_race(self, design):
-        """Interrupt flags are cleared post-join: the same prover keeps
-        proving correctly after a race, including the vacuity check on
-        the reachable-init session."""
-        prover = Prover(design, strategy="portfolio", portfolio_threads=2,
-                        use_simulation=False)
-        first = prover.prove(parse_assertion(COUNTER_ASSERTS[2]))
-        assert first.status == "cex"
-        again = prover.prove(parse_assertion(COUNTER_ASSERTS[0]))
-        assert again.is_proven
-        # vacuously-true implication: the post-race vacuity solve must
-        # run on a cleared solver, not report a stale interrupt
-        vac = prover.prove(parse_assertion(
-            _D + "(q == 4'd9 && q == 4'd2) |-> ##1 en);"))
-        assert vac.is_proven and vac.vacuous
-
-    def test_env_var_enables_threads(self, design, monkeypatch):
-        monkeypatch.setenv("FVEVAL_PORTFOLIO_THREADS", "2")
-        assert Prover(design, strategy="portfolio").portfolio_threads == 2
-        # explicit configuration beats the environment
-        assert Prover(design, strategy="portfolio",
-                      portfolio_threads=0).portfolio_threads == 0
-        monkeypatch.delenv("FVEVAL_PORTFOLIO_THREADS")
-        assert Prover(design, strategy="portfolio").portfolio_threads == 0
-
-    @pytest.mark.parametrize("category", ["fsm", "arbiter"])
-    def test_bench_workload_parity(self, category):
-        for design, assertion in _bench_workload(category, 2):
-            assert_threaded_parity(design, assertion, **GEN_KWARGS)
-
-    def test_task_records_identical(self):
-        """End-to-end through Design2SvaTask: records under the threaded
-        portfolio match the sequential auto engine field for field."""
-        def run(kwargs):
-            task = Design2SvaTask("fsm", count=3, use_cache=False,
-                                  prover_kwargs=dict(GEN_KWARGS, **kwargs))
-            result = run_model_on_task("gpt-4o", task,
-                                       RunConfig(n_samples=2,
-                                                 temperature=0.8))
-            return [(r.problem_id, r.sample_idx, r.syntax_ok, r.verdict,
-                     r.func, r.partial, r.detail, r.meta.get("engine"),
-                     r.meta.get("depth"), r.meta.get("vacuous"))
-                    for r in result.records]
-
-        assert run({}) == run({"strategy": "portfolio",
-                               "portfolio_threads": 2})
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from repro.service import (
     routing_signature,
     stable_hash,
 )
-from repro.service.executor import WorkerPool, current_worker_id
 from repro.service.router import parse_replicas
 
 TOY_TEMPLATE = """
@@ -60,7 +59,7 @@ def _hermetic_env(monkeypatch):
                  "FVEVAL_WORKERS", "FVEVAL_EXECUTOR",
                  "FVEVAL_MAX_QUEUE", "FVEVAL_MAX_INFLIGHT",
                  "FVEVAL_DEADLINE_S", "FVEVAL_CACHE_MEM_MAX",
-                 "FVEVAL_NO_BATCH", "FVEVAL_JOBS", "FVEVAL_POOL_JOBS"):
+                 "FVEVAL_NO_BATCH", "FVEVAL_JOBS"):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -228,61 +227,8 @@ class TestRoutingSignature:
 
 
 # ---------------------------------------------------------------------------
-# worker affinity (thread lanes + process slots)
+# worker affinity (process slots)
 # ---------------------------------------------------------------------------
-
-
-class TestWorkerPoolAffinity:
-    def test_same_key_keeps_the_same_lane(self):
-        pool = WorkerPool(4)
-        try:
-            seen: dict[int, set] = {}
-            def run(unit):
-                time.sleep(0.005)
-                return unit["key"], current_worker_id()
-            units = [{"key": k} for k in (0, 1, 2, 3) * 3]
-            for key, lane in pool.map_unordered(
-                    run, units, limit=4, affinity=lambda u: u["key"]):
-                seen.setdefault(key, set()).add(lane)
-            # every key's preferred lane was idle whenever it was
-            # placed, so placement never moved
-            assert seen == {0: {0}, 1: {1}, 2: {2}, 3: {3}}
-            assert pool.affinity_stats() == {"hits": 12, "spills": 0}
-        finally:
-            pool.shutdown()
-
-    def test_busy_preferred_lane_spills_to_an_idle_one(self):
-        pool = WorkerPool(2)
-        release = threading.Event()
-        try:
-            def run(unit):
-                if unit["block"]:
-                    release.wait(10)
-                return current_worker_id()
-            units = [{"key": 0, "block": True},
-                     {"key": 0, "block": False}]
-            lanes = []
-            for lane in pool.map_unordered(
-                    run, units, limit=2, affinity=lambda u: u["key"]):
-                lanes.append(lane)
-                release.set()
-            assert sorted(lanes) == [0, 1]
-            stats = pool.affinity_stats()
-            assert stats["hits"] == 1 and stats["spills"] == 1
-        finally:
-            release.set()
-            pool.shutdown()
-
-    def test_units_without_affinity_are_unaffected(self):
-        pool = WorkerPool(2)
-        try:
-            results = list(pool.map_unordered(
-                lambda u: u * 2, [1, 2, 3], limit=2,
-                affinity=lambda u: None))
-            assert sorted(results) == [2, 4, 6]
-            assert pool.affinity_stats() == {"hits": 0, "spills": 0}
-        finally:
-            pool.shutdown()
 
 
 class TestProcessSlotAffinity:
@@ -302,6 +248,62 @@ class TestProcessSlotAffinity:
         # units without affinity take the lowest free slot, uncounted
         assert ex._pick([{}], {0: object()}) == (0, 1)
         assert ex.affinity_stats() == {"hits": 2, "spills": 1}
+
+    def test_same_cone_keeps_the_same_slot(self):
+        """End to end: a design cone flushed on its own always finds its
+        affinity slot free, so every flush of it lands on one worker
+        process -- and that worker's prover pool serves the later
+        flushes warm."""
+        def request(round_, cone):
+            wire = _prove_wire(
+                f"ap_{round_}: assert property (@(posedge clk) a |=> b);",
+                f"r{round_}-{cone}")
+            wire["source"] = wire["source"].replace(
+                "module toy", f"module toy{cone}")
+            return request_from_json(wire)
+
+        service = VerificationService(executor="process", workers=2)
+        # the slot each cone's work group prefers (planned, not run)
+        preferred = {}
+        for cone in range(3):
+            plan, groups = service._plan([request(0, cone)])
+            [unit] = service._units(plan, groups)
+            preferred[cone] = unit.affinity % 2
+        assert set(preferred.values()) == {0, 1}  # both slots in play
+        slots: dict[int, set] = {}
+        try:
+            for round_ in range(2):
+                for cone in range(3):
+                    [response] = service.run([request(round_, cone)])
+                    assert response.verdict == "proven"
+                    slots.setdefault(cone, set()).add(response.worker_id)
+            assert slots == {cone: {slot}
+                             for cone, slot in preferred.items()}
+            assert service._procpool.affinity_stats() == \
+                {"hits": 6, "spills": 0}
+            stats = service.stats()
+            assert (stats["prover_builds"], stats["prover_hits"]) == (3, 3)
+        finally:
+            service.close()
+
+    def test_ungrouped_units_place_without_affinity(self):
+        """Requests outside any work group (equivalence with sharing
+        off) carry no affinity key: they still spread over the slots,
+        and neither affinity counter moves."""
+        service = VerificationService(executor="process", workers=2,
+                                      share_equiv=False)
+        try:
+            responses = service.run([request_from_json(_equiv_wire(
+                candidate, f"e{i}")) for i, candidate in enumerate((
+                    "assert property (@(posedge clk) a |-> ##0 b);",
+                    "assert property (@(posedge clk) a |-> !b);"))])
+            assert [r.verdict for r in responses] == \
+                ["equivalent", "inequivalent"]
+            assert all(r.worker_id in (0, 1) for r in responses)
+            assert service._procpool.affinity_stats() == \
+                {"hits": 0, "spills": 0}
+        finally:
+            service.close()
 
 
 # ---------------------------------------------------------------------------

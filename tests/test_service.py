@@ -286,9 +286,9 @@ class TestHandles:
         assert healthy.result().verdict == "equivalent"
 
     def test_stream_yields_in_order(self):
-        # in-request-order delivery is the *serial* scheduler's
-        # contract; out-of-order streaming is tested with workers>1 in
-        # tests/test_service_concurrency.py
+        # in-request-order delivery is the inline strategy's contract;
+        # the process strategy's out-of-order streaming is tested in
+        # tests/test_service_parity.py (TestExecutorParity)
         service = VerificationService(workers=1)
         ids = []
         for response in service.stream([equiv_request(SAME),
@@ -307,10 +307,9 @@ class TestHandles:
 class TestServeFrontend:
     @staticmethod
     def serve(lines, workers=1):
-        # the in-request-order assertions below are the single-worker
-        # contract, so the service is pinned serial regardless of any
-        # ambient FVEVAL_WORKERS (the CI concurrency matrix sets it);
-        # out-of-order serving is covered by test_service_concurrency
+        # the in-request-order assertions below are the inline
+        # contract; out-of-order serving on the process strategy is
+        # covered by tests/test_service_faults.py
         out = io.StringIO()
         status = serve_stream(io.StringIO("\n".join(lines) + "\n"), out,
                               VerificationService(workers=workers))

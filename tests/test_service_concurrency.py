@@ -1,37 +1,38 @@
-"""Thread-safety of the concurrent verification service.
+"""Thread-safety of the verification service.
 
-Four layers of guarantees:
+Five layers of guarantees:
 
-* :func:`repro.service.executor.resolve_workers` implements the
-  worker-count rules, including the ``FVEVAL_JOBS`` x ``FVEVAL_WORKERS``
-  anti-oversubscription clamp;
-* :meth:`repro.formal.sat.Solver.interrupt` delivered from another
-  thread stops a deliberately hard solve promptly, and the
-  clear-between-solves handshake is well-defined under barrier-forced
-  interleavings;
+* :func:`repro.service.resolve_workers` implements the process-pool
+  sizing rules;
 * concurrent ``submit``/``flush`` from multiple threads resolve every
   handle exactly once with correct verdicts, and the dedup +
   verdict-cache counters stay consistent under contention;
+* the process pool's out-of-order completions re-align by ``index``
+  (``run``, ``serve`` lines, and composed with ``FVEVAL_JOBS``);
+* overlapping flushes never share a pooled engine -- including the
+  process executor's in-parent fallback for units that cannot be
+  pickled;
 * ``FVEVAL_CACHE`` disk entries stay atomic (never torn) with racing
   writers and readers.
+
+Record and counter parity across execution strategies lives in
+``tests/test_service_parity.py`` (``TestExecutorParity``).
 """
 
 import json
 import os
 import threading
-import time
 
 import pytest
 
 from repro.core.cache import VerdictCache
-from repro.formal.sat import Solver
 from repro.service import (
     VerificationService,
     VerifyRequest,
     resolve_workers,
     serve_stream,
 )
-from repro.service.executor import MAX_WORKERS
+from repro.service.procpool import MAX_PROC_WORKERS
 
 EQ_WIDTHS = {"clk": 1, "a": 1, "b": 1}
 REF = "assert property (@(posedge clk) a |-> b);"
@@ -84,8 +85,7 @@ EXPECTED_MULTI_CONE = ["proven", "cex"] * 3 + ["error"]
 @pytest.fixture(autouse=True)
 def _hermetic_env(monkeypatch):
     for name in ("FVEVAL_CACHE", "FVEVAL_CACHE_TIERS", "FVEVAL_JOBS",
-                 "FVEVAL_NO_CACHE", "FVEVAL_NO_BATCH",
-                 "FVEVAL_POOL_JOBS"):
+                 "FVEVAL_NO_CACHE", "FVEVAL_NO_BATCH"):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -121,115 +121,7 @@ class TestResolveWorkers:
 
     def test_ceiling(self, monkeypatch):
         monkeypatch.delenv("FVEVAL_WORKERS", raising=False)
-        assert resolve_workers(10 ** 6) == MAX_WORKERS
-
-    def test_pool_jobs_clamp(self, monkeypatch):
-        """Inside an FVEVAL_JOBS pool worker, jobs x threads never
-        oversubscribes: the thread count is clamped to cpu // jobs."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setenv("FVEVAL_POOL_JOBS", "4")
-        assert resolve_workers(8) == 2
-        monkeypatch.setenv("FVEVAL_WORKERS", "8")
-        assert resolve_workers() == 2
-        # more jobs than cores: each worker stays serial
-        monkeypatch.setenv("FVEVAL_POOL_JOBS", "16")
-        assert resolve_workers(8) == 1
-
-    def test_pool_init_advertises_jobs(self, monkeypatch):
-        """runner._pool_init publishes the pool width the clamp reads."""
-        from repro.core import runner
-        from repro.core.tasks import Nl2SvaMachineTask
-        from repro.models.base import SimulatedModel
-        monkeypatch.setenv("FVEVAL_JOBS", "3")
-        runner._pool_init(SimulatedModel("gpt-4o"),
-                          Nl2SvaMachineTask(count=2), runner.RunConfig())
-        assert os.environ["FVEVAL_POOL_JOBS"] == "3"
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert resolve_workers(4) == 2
-
-
-# ---------------------------------------------------------------------------
-# solver interruption across threads (the cancellation primitive)
-# ---------------------------------------------------------------------------
-
-
-def _php_clauses(holes: int):
-    """Pigeonhole CNF (unsat, exponentially many conflicts)."""
-    pigeons = holes + 1
-    var = lambda p, h: p * holes + h + 1
-    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
-    for h in range(holes):
-        for p1 in range(pigeons):
-            for p2 in range(p1 + 1, pigeons):
-                clauses.append([-var(p1, h), -var(p2, h)])
-    return pigeons * holes, clauses
-
-
-class TestSolverInterruptThreads:
-    def test_interrupt_from_another_thread_is_prompt(self):
-        """A deliberately hard instance (PHP-9 runs for minutes) is
-        stopped promptly by an interrupt delivered from another thread,
-        thanks to the conflict/propagation/restart-boundary polls."""
-        nv, clauses = _php_clauses(9)
-        solver = Solver(nv, clauses)
-        outcome = {}
-
-        def solve():
-            outcome["result"] = solver.solve()
-
-        thread = threading.Thread(target=solve, daemon=True)
-        thread.start()
-        time.sleep(0.1)  # let the search get deep into the instance
-        t0 = time.perf_counter()
-        solver.interrupt()
-        thread.join(timeout=10.0)
-        latency = time.perf_counter() - t0
-        assert not thread.is_alive(), "interrupt was never honoured"
-        assert outcome["result"].status == "unknown"
-        assert outcome["result"].limit == "interrupt"
-        assert latency < 10.0
-
-    def test_handshake_interleavings_with_barrier(self):
-        """The documented handshake: interrupts may come from any thread
-        at any time during a race; the solving thread clears only
-        between solves, after the interrupting thread is joined -- and
-        then a re-issued solve runs to a real verdict."""
-        nv, clauses = _php_clauses(7)
-        solver = Solver(nv, clauses)
-        barrier = threading.Barrier(2)
-
-        def interrupter():
-            barrier.wait()
-            time.sleep(0.02)  # land mid-solve
-            solver.interrupt()
-
-        thread = threading.Thread(target=interrupter, daemon=True)
-        thread.start()
-        barrier.wait()
-        first = solver.solve()
-        thread.join(timeout=10.0)
-        assert first.status == "unknown" and first.limit == "interrupt"
-        # sticky until the solving thread clears: a second solve under a
-        # late/stale flag returns immediately instead of racing
-        assert solver.solve().limit == "interrupt"
-        # interrupter joined -> the solving thread may clear and retry;
-        # the solver state survived both interrupted attempts
-        solver.clear_interrupt()
-        done = solver.solve(max_conflicts=200_000)
-        assert done.status == "unsat"
-
-    def test_interrupt_before_solve_hits_next_solve(self):
-        """A late interrupt (delivered after the target solve already
-        returned) lands on the next solve -- the defined behaviour the
-        clear-between-solves discipline relies on."""
-        solver = Solver(2, [[1, 2], [-1, 2]])
-        first = solver.solve()
-        assert first.is_sat
-        solver.interrupt()  # "late" cancellation of the finished solve
-        nxt = solver.solve()
-        assert nxt.status == "unknown" and nxt.limit == "interrupt"
-        solver.clear_interrupt()
-        assert solver.solve().is_sat
+        assert resolve_workers(10 ** 6) == MAX_PROC_WORKERS
 
 
 # ---------------------------------------------------------------------------
@@ -352,32 +244,27 @@ class TestConcurrentSubmitFlush:
 
 
 # ---------------------------------------------------------------------------
-# worker-pool scheduling parity
+# process-pool completion order
 # ---------------------------------------------------------------------------
 
 
-class TestWorkerPoolParity:
+class TestProcessPoolOrdering:
+    """Four worker processes complete units out of request order; the
+    service re-aligns them by ``index`` and never re-verdicts."""
+
     def test_run_realigns_out_of_order_completions(self):
-        serial = VerificationService(workers=1).run(multi_cone_requests())
-        pooled = VerificationService(workers=4).run(multi_cone_requests())
-        assert [r.verdict for r in serial] == EXPECTED_MULTI_CONE
+        inline = VerificationService().run(multi_cone_requests())
+        service = VerificationService(executor="process", workers=4)
+        try:
+            pooled = service.run(multi_cone_requests())
+        finally:
+            service.close()
+        assert [r.verdict for r in inline] == EXPECTED_MULTI_CONE
         assert [(r.verdict, r.func, r.partial, r.detail, r.meta)
-                for r in serial] == \
+                for r in inline] == \
                [(r.verdict, r.func, r.partial, r.detail, r.meta)
                 for r in pooled]
         assert [r.index for r in pooled] == list(range(len(pooled)))
-
-    def test_stream_indexes_reassemble(self):
-        service = VerificationService(workers=4)
-        responses = list(service.stream(multi_cone_requests()))
-        assert sorted(r.index for r in responses) == \
-            list(range(len(EXPECTED_MULTI_CONE)))
-        by_index = {r.index: r.verdict for r in responses}
-        assert [by_index[i] for i in range(len(by_index))] == \
-            EXPECTED_MULTI_CONE
-        # computed responses carry the pool thread that produced them
-        assert all(r.worker_id is not None for r in responses
-                   if r.verdict in ("proven", "cex"))
 
     def test_serve_out_of_order_lines_correlate_by_index(self):
         import io
@@ -389,33 +276,23 @@ class TestWorkerPoolParity:
         lines = [json.dumps({"kind": "prove", "source": source})
                  for source in sources]
         out = io.StringIO()
-        status = serve_stream(io.StringIO("\n".join(lines) + "\n"), out,
-                              VerificationService(workers=4))
+        service = VerificationService(executor="process", workers=4)
+        try:
+            status = serve_stream(io.StringIO("\n".join(lines) + "\n"),
+                                  out, service)
+        finally:
+            service.close()
         assert status == 0
         responses = [json.loads(line)
                      for line in out.getvalue().splitlines()]
         by_index = {r["index"]: r["verdict"] for r in responses}
         assert [by_index[i] for i in range(4)] == \
             ["proven", "cex", "proven", "cex"]
-
-    def test_dedup_and_batch_counters_with_workers(self):
-        service = VerificationService(workers=4, batching=True)
-        requests = multi_cone_requests()[:6]
-        requests.append(VerifyRequest(
-            kind="prove", source=TOY_DESIGN.replace("module toy",
-                                                    "module toy0"),
-            assertion="assert property (@(posedge clk) a |=> b);"))
-        responses = service.run(requests)
-        assert responses[6].dedup_of == responses[0].request_id
-        assert service.stats()["dedup_hits"] == 1
-        # one packed pre-pass per cone, counted without lost updates
-        assert service.stats()["batch_groups"] == 3
-        assert service.stats()["batch_members"] == 6
-        assert service.profile.get("sim_batch_passes", 0) == 3
+        assert all(r["worker_id"] in range(4) for r in responses)
 
     def test_pooled_task_matches_golden_workers(self, monkeypatch):
-        """FVEVAL_JOBS process fan-out composes with FVEVAL_WORKERS
-        in-service threads: records stay identical to the serial run."""
+        """FVEVAL_JOBS process fan-out composes with a process executor
+        inside each job: records stay identical to the inline run."""
         from repro.core.runner import RunConfig, run_model_on_task
         from repro.core.tasks import Nl2SvaMachineTask
 
@@ -426,12 +303,70 @@ class TestWorkerPoolParity:
             return [(r.problem_id, r.sample_idx, r.verdict, r.func,
                      r.partial, r.detail) for r in result.records]
 
+        monkeypatch.delenv("FVEVAL_EXECUTOR", raising=False)
         monkeypatch.delenv("FVEVAL_WORKERS", raising=False)
-        serial = run()
-        monkeypatch.setenv("FVEVAL_WORKERS", "4")
-        assert run() == serial
+        inline = run()
+        monkeypatch.setenv("FVEVAL_EXECUTOR", "process")
+        monkeypatch.setenv("FVEVAL_WORKERS", "2")
+        assert run() == inline
         monkeypatch.setenv("FVEVAL_JOBS", "2")
-        assert run() == serial
+        assert run() == inline
+
+
+# ---------------------------------------------------------------------------
+# the process executor's in-parent fallback
+# ---------------------------------------------------------------------------
+
+
+class TestUnpicklableFallback:
+    def test_overlapping_fallbacks_never_share_a_prover(self, monkeypatch):
+        """Units the process executor cannot pickle compute in the
+        parent on the inline strategy, under the same pinning rule:
+        two threads flushing the same cone at once get distinct provers
+        -- the pooled one and a private one -- never one shared engine.
+        A barrier holds each thread inside ``Prover.prove`` until the
+        other arrives, so the two proofs are in flight together."""
+        from repro.formal.prover import Prover
+        from repro.service.procpool import ProcessExecutor
+        monkeypatch.setattr(ProcessExecutor, "_dispatch",
+                            lambda self, slot, unit: False)
+        barrier = threading.Barrier(2, timeout=30.0)
+        entered: dict[str, set] = {}
+        real_prove = Prover.prove
+
+        def prove(self, *args, **kwargs):
+            entered.setdefault(threading.current_thread().name,
+                               set()).add(id(self))
+            barrier.wait()
+            return real_prove(self, *args, **kwargs)
+
+        monkeypatch.setattr(Prover, "prove", prove)
+        service = VerificationService(executor="process", workers=1)
+        requests = lambda: [VerifyRequest(  # noqa: E731
+            kind="prove", source=TOY_DESIGN, assertion=text,
+            use_cache=False)
+            for text in ("assert property (@(posedge clk) a |=> b);",
+                         "assert property (@(posedge clk) a |=> !b);")]
+        verdicts: dict[str, list] = {}
+
+        def flush(name: str) -> None:
+            verdicts[name] = [(r.verdict, [e["code"] for e in r.degraded])
+                              for r in service.run(requests())]
+
+        threads = [threading.Thread(target=flush, args=(name,), name=name,
+                                    daemon=True) for name in ("a", "b")]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            service.close()
+        assert not any(thread.is_alive() for thread in threads)
+        expected = [("proven", ["unpicklable"]), ("cex", ["unpicklable"])]
+        assert verdicts == {"a": expected, "b": expected}
+        assert len(entered["a"]) == len(entered["b"]) == 1
+        assert entered["a"].isdisjoint(entered["b"])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ the pre-service direct-call path.
 directly, commit d17737e) produced for a small fixed configuration.
 The service-backed tasks must reproduce them byte for byte -- under
 per-sample and batched evaluation, with and without the verdict cache,
-serial and pooled, and with the in-service worker pool (``workers > 1``,
-out-of-order completion) -- because the service only reschedules work,
-it never changes what a verdict means.
+serial and pooled, and on both execution strategies (inline and
+process, one or four workers) -- because the service only reschedules
+work, it never changes what a verdict means.
 """
 
 import json
@@ -167,8 +167,8 @@ class TestCacheParity:
 
 class TestTieredCacheParity:
     """``FVEVAL_CACHE_TIERS`` runs stay record-identical to the goldens
-    -- cold and warm, with the in-service worker pool and the process
-    executor -- because tiers change where verdicts are *stored*, never
+    -- cold and warm, with several workers and under ``FVEVAL_JOBS``
+    fan-out -- because tiers change where verdicts are *stored*, never
     what they are."""
 
     @pytest.fixture()
@@ -218,54 +218,144 @@ class TestTieredCacheParity:
         assert result.stats["cache"]["tiers"]["remote"]["hits"] > 0
 
 
-class TestWorkerPoolParity:
-    """The in-service worker pool reschedules, never re-verdicts: every
-    golden pinned from the pre-service serial code must reproduce byte
-    for byte with ``workers > 1`` (out-of-order completion re-aligned by
-    request index)."""
+#: every execution setting a service can be built with: the inline
+#: strategy ignores ``workers``, the process strategy sizes its pool by it
+EXECUTORS = [("thread", 1), ("thread", 4), ("process", 1), ("process", 4)]
+EXECUTOR_IDS = [f"{executor}-{workers}" for executor, workers in EXECUTORS]
+
+TOY_DESIGN = """
+module toy(clk, rst, a, b);
+input clk, rst, a;
+output reg b;
+always_ff @(posedge clk) begin
+    if (rst) b <= 1'b0;
+    else b <= a;
+end
+endmodule
+"""
+
+
+def cone_batch():
+    """Prove requests over three design cones with an in-flight duplicate
+    of the first request at position 3, plus an equivalence pair."""
+    from repro.service import VerifyRequest
+    requests = []
+    for i in range(3):
+        source = TOY_DESIGN.replace("module toy", f"module toy{i}")
+        for text in ("a |=> b", "a |=> !b"):
+            requests.append(VerifyRequest(
+                kind="prove", source=source,
+                assertion=f"assert property (@(posedge clk) {text});"))
+    requests.insert(3, VerifyRequest(
+        kind="prove", source=TOY_DESIGN.replace("module toy", "module toy0"),
+        assertion="assert property (@(posedge clk) a |=> b);"))
+    for candidate in ("a |-> ##0 b", "a |-> !b"):
+        requests.append(VerifyRequest(
+            kind="equivalence",
+            reference="assert property (@(posedge clk) a |-> b);",
+            candidate=f"assert property (@(posedge clk) {candidate});",
+            widths={"clk": 1, "a": 1, "b": 1}))
+    return requests
+
+
+CONE_VERDICTS = ["proven", "cex", "proven", "proven", "cex", "proven", "cex",
+                 "equivalent", "inequivalent"]
+
+
+@pytest.mark.parametrize("executor,workers", EXECUTORS, ids=EXECUTOR_IDS)
+class TestExecutorParity:
+    """Both execution strategies at both pool sizes reschedule, never
+    re-verdict: the goldens pinned from the pre-service serial code
+    reproduce byte for byte, and so do the dedup and batch counters."""
+
+    @pytest.fixture()
+    def service(self, executor, workers):
+        from repro.service import VerificationService
+        service = VerificationService(executor=executor, workers=workers,
+                                      batching=True)
+        yield service
+        service.close()
 
     @pytest.mark.parametrize("category", ["fsm", "pipeline"])
-    def test_design2sva_workers(self, category):
-        records, _ = run_records(design_task(category, workers=4))
+    def test_design2sva(self, executor, workers, category):
+        task = design_task(category, executor=executor, workers=workers)
+        try:
+            records, _ = run_records(task)
+        finally:
+            task.service.close()
         assert records == GOLDEN[f"design2sva_{category}"]
 
-    def test_design2sva_arbiter_workers(self):
-        records, _ = arbiter_records(workers=4)
+    def test_design2sva_arbiter(self, executor, workers):
+        records, task = arbiter_records(executor=executor, workers=workers)
+        task.service.close()
         assert records == GOLDEN["design2sva_arbiter"]
 
-    def test_nl2sva_workers(self):
-        records, _ = run_records(Nl2SvaHumanTask(workers=4), limit=4)
+    def test_uncached(self, executor, workers):
+        task = design_task("fsm", executor=executor, workers=workers,
+                           use_cache=False)
+        try:
+            records, _ = run_records(task)
+        finally:
+            task.service.close()
+        assert records == GOLDEN["design2sva_fsm"]
+
+    def test_batching_disabled(self, executor, workers):
+        task = design_task("fsm", executor=executor, workers=workers,
+                           batching=False)
+        try:
+            records, _ = run_records(task)
+        finally:
+            task.service.close()
+        assert records == GOLDEN["design2sva_fsm"]
+
+    def test_env_route(self, executor, workers, monkeypatch):
+        """``FVEVAL_EXECUTOR`` / ``FVEVAL_WORKERS`` build the same
+        setting the constructor arguments do; the worker count sizes
+        only the process pool."""
+        monkeypatch.setenv("FVEVAL_EXECUTOR", executor)
+        monkeypatch.setenv("FVEVAL_WORKERS", str(workers))
+        task = design_task("fsm")
+        try:
+            records, _ = run_records(task)
+            pool = task.service._procpool
+            assert (None if pool is None else pool.workers) == \
+                (workers if executor == "process" else None)
+        finally:
+            task.service.close()
+        assert records == GOLDEN["design2sva_fsm"]
+
+    def test_nl2sva(self, service):
+        records, _ = run_records(Nl2SvaHumanTask(service=service), limit=4)
         assert records == GOLDEN["nl2sva_human"]
-        records, _ = run_records(Nl2SvaMachineTask(count=6, workers=4))
+        records, _ = run_records(Nl2SvaMachineTask(count=6, service=service))
         assert records == GOLDEN["nl2sva_machine"]
 
-    def test_workers_env_route(self, monkeypatch):
-        monkeypatch.setenv("FVEVAL_WORKERS", "4")
-        records, _ = run_records(design_task("fsm"))
-        assert records == GOLDEN["design2sva_fsm"]
+    def test_counters(self, service):
+        responses = service.run(cone_batch())
+        assert [r.verdict for r in responses] == CONE_VERDICTS
+        assert responses[3].dedup_of == responses[0].request_id
+        stats = service.stats()
+        assert stats["dedup_hits"] == 1
+        # one packed pre-pass per cone
+        assert (stats["batch_groups"], stats["batch_members"]) == (3, 6)
+        assert service.profile["sim_batch_passes"] == 3
 
-    def test_workers_with_batching_disabled(self):
-        records, _ = run_records(design_task("fsm", workers=4,
-                                             batching=False))
-        assert records == GOLDEN["design2sva_fsm"]
-
-    def test_workers_uncached(self):
-        records, _ = run_records(design_task("fsm", workers=4,
-                                             use_cache=False))
-        assert records == GOLDEN["design2sva_fsm"]
-
-    def test_workers_threaded_portfolio_combined(self):
-        """Worker pool and thread-racing portfolio composed: still the
-        same records the serial auto engine pinned (the portfolio is
-        record-identical to auto on this suite; see
-        tests/test_formal_portfolio.py for the general contract)."""
-        task = design_task("fsm", workers=4, use_cache=False)
-        task.prover_kwargs["strategy"] = "portfolio"
-        task.prover_kwargs["portfolio_threads"] = 2
-        task._engine = {k: v for k, v in task.prover_kwargs.items()
-                        if k != "profile"}
-        records, _ = run_records(task)
-        assert records == GOLDEN["design2sva_fsm"]
+    def test_order(self, service, executor, workers):
+        responses = list(service.stream(cone_batch()))
+        indices = [r.index for r in responses]
+        if executor == "thread" or workers == 1:
+            # request order, the duplicate at its own position
+            assert indices == list(range(len(CONE_VERDICTS)))
+        else:  # completion order: correlate by index
+            assert sorted(indices) == list(range(len(CONE_VERDICTS)))
+        by_index = {r.index: r for r in responses}
+        assert [by_index[i].verdict for i in sorted(by_index)] == \
+            CONE_VERDICTS
+        computed = [r for r in responses if r.dedup_of is None]
+        if executor == "thread":
+            assert all(r.worker_id is None for r in responses)
+        else:  # the process slot that computed it
+            assert all(r.worker_id in range(workers) for r in computed)
 
 
 class TestUnrollCounters:
@@ -289,7 +379,7 @@ class TestUnrollCounters:
         assert prover["step_template_nodes"] > 0
         assert prover["unroll_s"] > 0
         assert "frames_walked" not in prover  # every cone templates
-        if not options:
+        if options.get("executor") != "process":  # computed in-service
             assert prover["frames_stamped"] \
                 == task.service.profile["frames_stamped"]
 
