@@ -91,6 +91,11 @@ def const_eval(expr: Expr, env: dict[str, int]) -> int:
     if isinstance(expr, Binary):
         a = const_eval(expr.left, env)
         b = const_eval(expr.right, env)
+        if b == 0 and expr.op in ("/", "%"):
+            raise ElaborationError(f"division by zero in constant ({expr.op})")
+        if b < 0 and expr.op in ("<<", ">>"):
+            raise ElaborationError(f"negative shift amount in constant "
+                                   f"({expr.op} {b})")
         ops = {
             "+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
             "/": lambda: a // b, "%": lambda: a % b, "**": lambda: a ** b,

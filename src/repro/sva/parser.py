@@ -1,4 +1,4 @@
-"""Recursive-descent parser for SystemVerilog expressions, sequences and properties.
+"""Parser for SystemVerilog expressions, sequences and properties.
 
 Implements the subset of IEEE 1800-2017 clause 16 (plus clause 11 expressions)
 exercised by the FVEval benchmark: concurrent assertions with clocking events,
@@ -7,8 +7,11 @@ exercised by the FVEval benchmark: concurrent assertions with clocking events,
 expression grammar (including reduction operators, concatenation, replication
 and system functions).
 
-Operator precedence follows LRM Tables 11-2 and 16-3.  Anything outside the
-subset raises :class:`ParseError`; the evaluation flow reports that as a
+The property and sequence layers (LRM Table 16-3) are recursive descent, with
+backtracking where ``(`` may open an expression or a sequence.  The binary
+operators of LRM Table 11-2 are one binding-power loop,
+:meth:`Parser._parse_binary`, reading :data:`_BINARY_BP`.  Anything outside
+the subset raises :class:`ParseError`; the evaluation flow reports that as a
 syntax failure, which is the role JasperGold's front end plays in the paper.
 """
 
@@ -75,6 +78,30 @@ _BASE_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
 #: Figure 7.
 HALLUCINATED_PROPERTY_OPS = frozenset({"eventually", "s_always"})
 
+#: LRM Table 11-2, loosest first (the conditional operator is below all
+#: of these, in :meth:`Parser.parse_expression`)
+_PRECEDENCE = (("||",), ("&&",), ("|",), ("^", "^~", "~^"), ("&",),
+               ("==", "!=", "===", "!=="), ("<", "<=", ">", ">="),
+               ("<<", ">>", "<<<", ">>>"), ("+", "-"), ("*", "/", "%"),
+               ("**",))
+
+#: binary operator -> (binding power, least power its right operand may
+#: bind): one more than its own, or the same for right-associative ``**``
+_BINARY_BP = {op: (bp, bp if op == "**" else bp + 1)
+              for bp, ops in enumerate(_PRECEDENCE, start=1) for op in ops}
+
+#: where a delay or repetition bound enters the loop (``DEPTH-1``, ``2*N``)
+_SHIFT_BP = _BINARY_BP["<<"][0]
+
+_UNARY_OPS = frozenset(("!", "~", "&", "|", "^", "~&", "~|", "~^", "^~",
+                        "+", "-"))
+
+#: token kinds the hot paths test (an Enum member lookup is ten times
+#: slower than a module global)
+_EOF, _OP, _IDENT, _NUMBER, _SYSFUNC, _DIRECTIVE = (
+    TokKind.EOF, TokKind.OP, TokKind.IDENT, TokKind.NUMBER,
+    TokKind.SYSFUNC, TokKind.DIRECTIVE)
+
 
 def parse_number(text: str, token: Token | None = None) -> Number:
     """Parse a Verilog numeric literal into a :class:`Number` node."""
@@ -125,31 +152,35 @@ class Parser:
         self.params = dict(params or {})
 
     # -- token helpers ------------------------------------------------------
+    # ``next()`` never moves past the EOF sentinel, so ``toks[pos]`` always
+    # exists; EOF's text is empty, so a token matched by text is not EOF.
 
     def peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.toks) - 1)
-        return self.toks[i]
+        if offset:
+            return self.toks[min(self.pos + offset, len(self.toks) - 1)]
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
-        if t.kind is not TokKind.EOF:
+        if t.kind is not _EOF:
             self.pos += 1
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.toks[self.pos].text == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        if self.toks[self.pos].text == text:
+            self.pos += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.text != text:
             raise ParseError(f"expected {text!r}", t)
-        return self.next()
+        self.pos += 1
+        return t
 
     def at_end(self) -> bool:
         return self.peek().kind is TokKind.EOF
@@ -380,7 +411,7 @@ class Parser:
 
     def _parse_const_int(self) -> int:
         """A compile-time constant: number, parameter name, or simple arith."""
-        expr = self._parse_shift()  # permits DEPTH-1, 2*N, etc.
+        expr = self._parse_binary(_SHIFT_BP)  # permits DEPTH-1, 2*N, etc.
         value = self._const_eval(expr)
         if value is None:
             raise ParseError("expected a compile-time constant", self.peek())
@@ -461,99 +492,62 @@ class Parser:
     # -- expression layer (LRM Table 11-2) -----------------------------------
 
     def parse_expression(self) -> Expr:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> Expr:
-        cond = self._parse_logical_or()
-        if self.accept("?"):
-            if_true = self._parse_ternary()
+        cond = self._parse_binary(0)
+        if self.accept("?"):  # lowest, right-associative
+            if_true = self.parse_expression()
             self.expect(":")
-            if_false = self._parse_ternary()
+            if_false = self.parse_expression()
             return Ternary(cond=cond, if_true=if_true, if_false=if_false)
         return cond
 
-    def _binary_level(self, ops: tuple[str, ...], sub) -> Expr:
-        left = sub()
-        while self.peek().text in ops and self.peek().kind is TokKind.OP:
-            op = self.next().text
-            right = sub()
-            left = Binary(op=op, left=left, right=right)
-        return left
-
-    def _parse_logical_or(self) -> Expr:
-        return self._binary_level(("||",), self._parse_logical_and)
-
-    def _parse_logical_and(self) -> Expr:
-        return self._binary_level(("&&",), self._parse_bitor)
-
-    def _parse_bitor(self) -> Expr:
-        return self._binary_level(("|",), self._parse_bitxor)
-
-    def _parse_bitxor(self) -> Expr:
-        return self._binary_level(("^", "^~", "~^"), self._parse_bitand)
-
-    def _parse_bitand(self) -> Expr:
-        return self._binary_level(("&",), self._parse_equality)
-
-    def _parse_equality(self) -> Expr:
-        return self._binary_level(("==", "!=", "===", "!=="),
-                                  self._parse_relational)
-
-    def _parse_relational(self) -> Expr:
-        return self._binary_level(("<", "<=", ">", ">="), self._parse_shift)
-
-    def _parse_shift(self) -> Expr:
-        return self._binary_level(("<<", ">>", "<<<", ">>>"),
-                                  self._parse_additive)
-
-    def _parse_additive(self) -> Expr:
-        return self._binary_level(("+", "-"), self._parse_multiplicative)
-
-    def _parse_multiplicative(self) -> Expr:
-        return self._binary_level(("*", "/", "%"), self._parse_power)
-
-    def _parse_power(self) -> Expr:
+    def _parse_binary(self, min_bp: int) -> Expr:
+        """Precedence climbing: a unary operand, then every binary operator
+        that binds at least *min_bp*, each taking as right operand what
+        binds at least its right power (:data:`_BINARY_BP`)."""
         left = self._parse_unary()
-        if self.at("**"):
-            self.next()
-            right = self._parse_power()
-            return Binary(op="**", left=left, right=right)
-        return left
-
-    _UNARY_OPS = ("!", "~", "&", "|", "^", "~&", "~|", "~^", "^~", "+", "-")
+        toks = self.toks
+        while True:
+            t = toks[self.pos]
+            bp = _BINARY_BP.get(t.text)
+            if bp is None or bp[0] < min_bp or t.kind is not _OP:
+                return left
+            self.pos += 1
+            left = Binary(op=t.text, left=left,
+                          right=self._parse_binary(bp[1]))
 
     def _parse_unary(self) -> Expr:
-        t = self.peek()
-        if t.kind is TokKind.OP and t.text in self._UNARY_OPS:
-            self.next()
+        t = self.toks[self.pos]
+        if t.kind is _OP and t.text in _UNARY_OPS:
+            self.pos += 1
             return Unary(op=t.text, operand=self._parse_unary())
         return self._parse_primary()
 
     def _parse_primary(self) -> Expr:
-        t = self.peek()
-        if t.kind is TokKind.NUMBER:
-            self.next()
+        t = self.toks[self.pos]
+        kind = t.kind
+        if kind is _NUMBER:
+            self.pos += 1
             return parse_number(t.text, t)
-        if t.kind is TokKind.SYSFUNC:
+        if kind is _SYSFUNC:
             return self._parse_syscall()
-        if t.kind is TokKind.DIRECTIVE:
+        if kind is _DIRECTIVE:
             # `WIDTH style macro use; resolved against params if known.
-            self.next()
+            self.pos += 1
             name = t.text[1:]
             if name in self.params:
                 return Number(value=self.params[name], text=t.text)
             return Identifier(name=t.text)
         if t.text == "(":
-            self.next()
+            self.pos += 1
             inner = self.parse_expression()
             self.expect(")")
             return self._parse_select_postfix(inner)
         if t.text == "{":
             return self._parse_concat()
-        if t.kind is TokKind.IDENT:
-            self.next()
+        if kind is _IDENT:
+            self.pos += 1
             return self._parse_select_postfix(Identifier(name=t.text))
-        if t.kind is TokKind.KEYWORD:
+        if kind is TokKind.KEYWORD:
             raise ParseError(f"keyword {t.text!r} not valid in expression", t)
         raise ParseError("expected expression", t)
 
@@ -588,10 +582,12 @@ class Parser:
         return self._parse_select_postfix(Concat(tuple(parts)))
 
     def _parse_select_postfix(self, base: Expr) -> Expr:
+        toks = self.toks
         while True:
-            if self.at("["):
+            text = toks[self.pos].text
+            if text == "[":
                 # distinguish bit select, range select, from repetition [*
-                self.next()
+                self.pos += 1
                 msb = self.parse_expression()
                 if self.accept(":"):
                     lsb = self.parse_expression()
@@ -600,13 +596,13 @@ class Parser:
                 else:
                     self.expect("]")
                     base = Index(base=base, index=msb)
-            elif self.at(".") and isinstance(base, Identifier):
+            elif text == "." and isinstance(base, Identifier):
                 # hierarchical name a.b -- folded into a dotted identifier
-                self.next()
-                field_tok = self.peek()
-                if field_tok.kind is not TokKind.IDENT:
+                self.pos += 1
+                field_tok = toks[self.pos]
+                if field_tok.kind is not _IDENT:
                     raise ParseError("expected field name", field_tok)
-                self.next()
+                self.pos += 1
                 base = Identifier(name=f"{base.name}.{field_tok.text}")
             else:
                 return base

@@ -161,6 +161,18 @@ class TestProveKind:
                                             source="module broken(")])
         assert resp.ok and resp.verdict == "syntax_error"
 
+    @pytest.mark.parametrize("value", ["4 / 0", "4 % 0", "8 >> (0-1)",
+                                       "8 << (0-1)", "Q"])
+    def test_bad_constant_is_syntax_error(self, value):
+        """A constant the elaborator cannot evaluate is a verdict about
+        the input, never an engine fault."""
+        source = TOY_DESIGN.replace(
+            "output reg b;", f"output reg b;\nlocalparam P = {value};")
+        service = VerificationService()
+        [resp] = service.run([VerifyRequest(kind="prove", source=source)])
+        assert resp.verdict == "syntax_error", resp.detail
+        assert resp.degraded == []
+
     def test_no_assertion_detail(self):
         source = TOY_DESIGN.replace(
             "ap_follow: assert property (@(posedge clk) a |=> b);", "")

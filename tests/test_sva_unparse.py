@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sva.parser import parse_assertion, parse_expression
 from repro.sva.unparse import unparse
+from test_sva_expr_core import expressions as unparenthesized
 
 ROUND_TRIP_CASES = [
     "assert property (@(posedge clk) a |-> b);",
@@ -56,10 +57,15 @@ def _exprs(depth):
     )
 
 
-@given(_exprs(3))
+@given(_exprs(3), unparenthesized)
 @settings(max_examples=150, deadline=None)
-def test_expression_round_trip(text):
-    e1 = parse_expression(text)
-    text2 = unparse(e1)
-    e2 = parse_expression(text2)
-    assert unparse(e2) == text2
+def test_expression_round_trip(text, flat):
+    """Fully parenthesized inputs, and the expression-core net's
+    unparenthesized chains (where precedence and associativity decide
+    the tree that unparse must reproduce)."""
+    for source in (text, flat):
+        e1 = parse_expression(source)
+        text2 = unparse(e1)
+        e2 = parse_expression(text2)
+        assert e2 == e1
+        assert unparse(e2) == text2
