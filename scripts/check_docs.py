@@ -5,7 +5,7 @@ Run from the repo root (CI's docs job does)::
 
     PYTHONPATH=src python scripts/check_docs.py
 
-Checks, over README.md, DESIGN.md and docs/*.md:
+Checks, over README.md and docs/*.md:
 
 * **intra-repo links** -- every relative markdown link target must exist,
   and a ``#fragment`` into a markdown file must match one of its heading
@@ -40,7 +40,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DOC_FILES = ["README.md", "DESIGN.md", *sorted(
+DOC_FILES = ["README.md", *sorted(
     p.relative_to(ROOT).as_posix() for p in (ROOT / "docs").glob("*.md"))]
 
 RUN_MARKER = "<!-- check-docs: run -->"
@@ -241,7 +241,7 @@ class Checker:
 # ---------------------------------------------------------------------------
 
 #: substrings identifying a doc line that talks about one of our CLIs
-_CLI_MARKERS = ("repro", "bench_prover", "check_docs")
+_CLI_MARKERS = ("repro", "check_docs")
 _FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
@@ -279,9 +279,8 @@ def live_cli_flags() -> dict[str, set[str]]:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
                 commands[f"python -m repro {name}"] = _parser_flags(sub)
-    for script in ("bench_prover.py", "check_docs.py"):
-        commands[f"scripts/{script}"] = _parser_flags(
-            _script_parser(ROOT / "scripts" / script))
+    commands["scripts/check_docs.py"] = _parser_flags(
+        _script_parser(ROOT / "scripts" / "check_docs.py"))
     return commands
 
 

@@ -34,6 +34,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .options import Options
+
 
 def _cmd_tables(args) -> int:
     from .core import reports
@@ -108,20 +110,25 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _mem_caps(max_entries: int | None, max_bytes: int | None):
+    """Memory-tier caps of a long-running server: the explicit ones, else
+    ``FVEVAL_CACHE_MEM_MAX``, else 65536 entries -- a server must not
+    grow per distinct request forever (a disk tier still holds
+    everything and is compacted by cache-gc).  Eviction is LRU."""
+    if max_entries is None and max_bytes is None:
+        options = Options.from_env()
+        max_entries = options.max_cache_entries
+        max_bytes = options.max_cache_bytes
+        if max_entries is None and max_bytes is None:
+            max_entries = 65536
+    return max_entries, max_bytes
+
+
 def _cmd_serve(args) -> int:
-    from .core.cache import mem_cap_from_env
     from .service import (
         AdmissionController, VerificationService, serve_http, serve_stream,
     )
-    # the in-memory verdict layer is capped: serve is a long-running
-    # process and must not grow per distinct request forever (the disk
-    # layer, when FVEVAL_CACHE is set, still holds everything and is
-    # compacted by cache-gc).  FVEVAL_CACHE_MEM_MAX overrides the
-    # default entry cap and/or adds an approximate byte cap; eviction
-    # is LRU either way.
-    max_entries, max_bytes = mem_cap_from_env()
-    if max_entries is None and max_bytes is None:
-        max_entries = 65536
+    max_entries, max_bytes = _mem_caps(None, None)
     admission = AdmissionController(max_queue=args.max_queue,
                                     max_inflight=args.max_inflight,
                                     max_deadline_s=args.max_deadline)
@@ -150,22 +157,16 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_cache_serve(args) -> int:
-    from .core.cache import mem_cap_from_env
     from .service.cacheserve import serve_cache
-    max_entries, max_bytes = args.max_entries, args.max_bytes
-    if max_entries is None and max_bytes is None:
-        max_entries, max_bytes = mem_cap_from_env()
-        if max_entries is None and max_bytes is None:
-            max_entries = 65536  # a long-running server must be bounded
+    max_entries, max_bytes = _mem_caps(args.max_entries, args.max_bytes)
     return serve_cache(args.listen, max_entries=max_entries,
                        max_bytes=max_bytes, disk_dir=args.dir,
                        ttl_s=args.ttl)
 
 
 def _cmd_cache_gc(args) -> int:
-    import os
     from .core.cache import gc_cache_dir
-    root = args.dir or os.environ.get("FVEVAL_CACHE")
+    root = args.dir or Options.from_env().cache_dir
     if not root:
         print("no cache directory: pass DIR or set FVEVAL_CACHE",
               file=sys.stderr)
@@ -187,6 +188,16 @@ def _cmd_cache_gc(args) -> int:
           f"{verb} {stats['removed']} ({stats['bytes_freed']} bytes), "
           f"kept {stats['kept']} ({stats['bytes_kept']} bytes)")
     return 0
+
+
+def _positive_seconds(text: str) -> float:
+    """A deadline in seconds; zero or negative is refused (omit the flag
+    for no deadline)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"must be positive, got {text!r} (omit it for no deadline)")
+    return value
 
 
 #: proof-engine scheduling policies (mirrors Prover.STRATEGIES; kept as a
@@ -237,10 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "more than one, responses stream out of order "
                         "with an 'index' field (default: "
                         "$FVEVAL_WORKERS, else 1; ignored inline)")
-    p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
+    p.add_argument("--deadline", type=_positive_seconds, default=None,
+                   metavar="SECONDS",
                    help="default per-request wall-clock deadline; expiry "
                         "is a structured 'timeout' verdict (default: "
-                        "$FVEVAL_DEADLINE_S, else none)")
+                        "$FVEVAL_DEADLINE_S, else none; must be "
+                        "positive)")
     p.add_argument("--executor", default=None,
                    choices=["thread", "process"],
                    help="execution strategy: 'thread' computes inline "
@@ -274,9 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verdict-cache tier stack, e.g. "
                         "'memory,disk,remote=HOST:PORT' -- reads promote "
                         "front-ward, writes go to every tier, a dead "
-                        "tier fails open (default: $FVEVAL_CACHE_TIERS, "
-                        "else memory plus $FVEVAL_CACHE disk; "
-                        "docs/cache.md)")
+                        "tier fails open; a bare 'disk' is "
+                        "$FVEVAL_CACHE (default: $FVEVAL_CACHE_TIERS, "
+                        "else memory,disk=$FVEVAL_CACHE when set, else "
+                        "memory; docs/cache.md)")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("route",

@@ -23,16 +23,17 @@ The cache is a stack of *tiers*, each implementing the small
   ``python -m repro cache-serve`` endpoint, so N ``serve`` replicas share
   one warm tier (:mod:`repro.service.cacheserve`, docs/cache.md).
 
-Tier composition comes from ``FVEVAL_CACHE_TIERS`` (e.g.
-``memory,disk,remote=HOST:PORT``); unset, the legacy stack is used:
-memory plus a disk tier that resolves ``FVEVAL_CACHE`` per operation.
-Reads go front to back with *read-through promotion* (a hit in tier *i*
-is copied into tiers ``0..i-1``); writes go *write-through* to every
-tier.  A failing tier (dead cache-serve process, unreachable host) is
-**fail-open**: the error is recorded as a ``cache_remote``
-:class:`~repro.core.faults.FaultEvent`, the tier is skipped for a short
-cooldown, and the lookup falls through to the next tier -- a broken
-cache can degrade latency but never a response.
+Tier composition is one spec string (e.g.
+``memory,disk=DIR,remote=HOST:PORT``), parsed once from
+``FVEVAL_CACHE_TIERS`` / ``FVEVAL_CACHE`` by :class:`repro.options.
+Options` (``FVEVAL_CACHE=DIR`` means ``memory,disk=DIR``; neither set
+means ``memory``).  Reads go front to back with *read-through
+promotion* (a hit in tier *i* is copied into tiers ``0..i-1``); writes
+go *write-through* to every tier.  A failing tier (dead cache-serve
+process, unreachable host) is **fail-open**: the error is recorded as a
+``cache_remote`` :class:`~repro.core.faults.FaultEvent`, the tier is
+skipped for a short cooldown, and the lookup falls through to the next
+tier -- a broken cache can degrade latency but never a response.
 
 Keys are SHA-256 over a stable JSON rendering and include the engine
 configuration (prover kwargs / equivalence settings) plus a schema
@@ -78,57 +79,6 @@ KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 
 #: namespaces are path-safe identifiers
 NAMESPACE_RE = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
-
-
-def cache_dir_from_env() -> str | None:
-    """Directory of the on-disk layer, or None when disabled."""
-    if os.environ.get("FVEVAL_NO_CACHE", "") == "1":
-        return None
-    return os.environ.get("FVEVAL_CACHE") or None
-
-
-def caching_disabled() -> bool:
-    return os.environ.get("FVEVAL_NO_CACHE", "") == "1"
-
-
-def tiers_from_env() -> str | None:
-    """The ``FVEVAL_CACHE_TIERS`` tier-stack spec, or None when unset."""
-    if os.environ.get("FVEVAL_NO_CACHE", "") == "1":
-        return None
-    return os.environ.get("FVEVAL_CACHE_TIERS", "").strip() or None
-
-
-def mem_cap_from_env() -> tuple[int | None, int | None]:
-    """``FVEVAL_CACHE_MEM_MAX``: in-memory layer cap for long-running
-    services, as ``(max_entries, max_bytes)``.
-
-    A plain integer caps *entries*; a ``K``/``M``/``G``-suffixed value
-    caps approximate JSON *bytes*; a comma joins both (``"50000,64M"``).
-    Unset, non-positive or unparsable terms cap nothing -- the caller
-    (``python -m repro serve``) applies its own default when both come
-    back None.
-    """
-    raw = os.environ.get("FVEVAL_CACHE_MEM_MAX", "").strip()
-    entries: int | None = None
-    max_bytes: int | None = None
-    units = {"K": 1024, "M": 1024 ** 2, "G": 1024 ** 3}
-    for term in raw.split(","):
-        term = term.strip().upper()
-        if not term:
-            continue
-        scale = units.get(term[-1])
-        try:
-            if scale is not None:
-                value = int(term[:-1]) * scale
-                if value > 0:
-                    max_bytes = value
-            else:
-                value = int(term)
-                if value > 0:
-                    entries = value
-        except ValueError:
-            continue
-    return entries, max_bytes
 
 
 class CacheBackendError(Exception):
@@ -358,9 +308,6 @@ class MemoryBackend(CacheBackend):
 class DiskBackend(CacheBackend):
     """Atomic-write JSON-file tier under ``<root>/<ns>/<k[:2]>/<k>.json``.
 
-    ``root=None`` resolves ``FVEVAL_CACHE`` per operation so a worker
-    process inherits the environment naturally; an empty/unset
-    environment disables the tier (every operation is a miss/no-op).
     Writes are temp-file + ``os.replace`` -- atomic on POSIX, so racing
     writers in *any* process need no locking and readers never observe a
     torn entry.  Corrupt/truncated entries (a writer died mid-write on a
@@ -371,25 +318,17 @@ class DiskBackend(CacheBackend):
 
     name = "disk"
 
-    def __init__(self, root: str | os.PathLike | None = None):
+    def __init__(self, root: str | os.PathLike):
         super().__init__()
-        self.root = os.fspath(root) if root is not None else None
+        self.root = os.fspath(root)
         #: corrupt entries quarantined (monotonic)
         self.corrupt = 0
 
-    def _resolve_root(self) -> str | None:
-        return self.root if self.root is not None else cache_dir_from_env()
-
-    def _path(self, namespace: str, key: str) -> Path | None:
-        root = self._resolve_root()
-        if not root:
-            return None
-        return Path(root) / namespace / key[:2] / f"{key}.json"
+    def _path(self, namespace: str, key: str) -> Path:
+        return Path(self.root) / namespace / key[:2] / f"{key}.json"
 
     def _get(self, namespace: str, key: str) -> dict | None:
         path = self._path(namespace, key)
-        if path is None:
-            return None
         try:
             raw = path.read_text()
         except OSError:
@@ -424,8 +363,6 @@ class DiskBackend(CacheBackend):
 
     def _put(self, namespace: str, key: str, value: dict) -> None:
         path = self._path(namespace, key)
-        if path is None:
-            return
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -440,19 +377,13 @@ class DiskBackend(CacheBackend):
             pass  # disk tier is best-effort; upper tiers already hold it
 
     def _delete(self, namespace: str, key: str) -> None:
-        path = self._path(namespace, key)
-        if path is None:
-            return
         try:
-            path.unlink()
+            self._path(namespace, key).unlink()
         except OSError:
             pass
 
     def _scan(self, namespace: str) -> list[str]:
-        root = self._resolve_root()
-        if not root:
-            return []
-        space = Path(root) / namespace
+        space = Path(self.root) / namespace
         if not space.is_dir():
             return []
         return sorted(p.stem for p in space.rglob("*.json") if p.is_file())
@@ -634,10 +565,12 @@ def parse_tiers(spec: str, *,
     """Build a backend stack from a ``FVEVAL_CACHE_TIERS`` spec.
 
     Grammar: comma-separated terms, front tier first --
-    ``memory`` | ``disk`` | ``disk=/path`` |
+    ``memory`` | ``disk=/path`` |
     ``remote=HOST:PORT[;HOST:PORT...]`` (``;``-joined endpoints shard
-    client-side over a consistent-hash ring).
-    ``disk`` without a path resolves ``FVEVAL_CACHE`` per operation.
+    client-side over a consistent-hash ring).  A bare ``disk`` is bound
+    to ``FVEVAL_CACHE`` when the options are parsed
+    (:class:`repro.options.Options`); one that arrives here unbound
+    names no directory.
     Returns ``(backends, errors)``; an unknown/malformed term is skipped
     and reported, never fatal (the caller records a ``config`` fault).
     """
@@ -654,8 +587,12 @@ def parse_tiers(spec: str, *,
             if name == "memory" and not arg:
                 backends.append(MemoryBackend(max_entries=max_mem_entries,
                                               max_bytes=max_mem_bytes))
+            elif name == "disk" and arg:
+                backends.append(DiskBackend(arg))
             elif name == "disk":
-                backends.append(DiskBackend(arg or None))
+                errors.append(f"cache tier term {term!r} names no "
+                              "directory (set FVEVAL_CACHE or write "
+                              "disk=DIR)")
             elif name == "remote" and arg:
                 backends.append(RemoteBackend(arg))
             else:
@@ -668,13 +605,12 @@ def parse_tiers(spec: str, *,
 class VerdictCache:
     """Tiered verdict store over a :class:`CacheBackend` stack.
 
-    ``namespace`` separates task families.  The legacy constructor shape
-    is preserved: ``disk_dir=None`` means the disk tier resolves
-    ``FVEVAL_CACHE`` per operation (so worker processes inherit it),
-    ``disk_dir=""`` disables the disk tier outright.  ``tiers`` -- a
-    ``FVEVAL_CACHE_TIERS``-grammar string or a prebuilt backend list --
-    overrides the stack; None consults the environment and falls back to
-    the legacy ``memory,disk`` pair.
+    ``namespace`` separates task families.  ``tiers`` -- a
+    ``FVEVAL_CACHE_TIERS``-grammar string (:func:`parse_tiers`) or a
+    prebuilt backend list -- is the whole stack; the cache never reads
+    the environment (the service passes ``Options.cache_tiers``).  A
+    spec that builds no tier at all falls back to ``memory`` with a
+    ``config`` fault.
 
     Reads promote front-ward (a hit in tier *i* is written into tiers
     ``0..i-1``); writes go to every tier.  A tier raising
@@ -685,10 +621,10 @@ class VerdictCache:
     as an error response.
     """
 
-    def __init__(self, namespace: str, disk_dir: str | None | object = None,
+    def __init__(self, namespace: str,
+                 tiers: str | list[CacheBackend] = "memory",
                  max_mem_entries: int | None = None,
-                 max_mem_bytes: int | None = None,
-                 tiers: str | list[CacheBackend] | None = None):
+                 max_mem_bytes: int | None = None):
         self.namespace = namespace
         #: caps on the in-memory tier (None = unbounded).  Benchmark
         #: runs terminate, so they default unbounded; long-running
@@ -700,8 +636,6 @@ class VerdictCache:
         self.max_mem_bytes = max_mem_bytes
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
-        self.remote_hits = 0
         self.puts = 0
         #: cache-eligible results that turned out uncacheable (``timeout``
         #: verdicts): their plan-time miss can never become a hit, so the
@@ -713,8 +647,6 @@ class VerdictCache:
         #: per-tier fail-open cooldown deadlines (time.monotonic)
         self._skip_until: dict[int, float] = {}
         config_errors: list[str] = []
-        if tiers is None:
-            tiers = tiers_from_env()
         if isinstance(tiers, str):
             self.backends, config_errors = parse_tiers(
                 tiers, max_mem_entries=max_mem_entries,
@@ -722,16 +654,11 @@ class VerdictCache:
             if not self.backends:
                 config_errors.append(
                     f"cache tier spec {tiers!r} built no tiers; "
-                    "using memory,disk")
-                self.backends = None
+                    "using memory")
+                self.backends = [MemoryBackend(max_entries=max_mem_entries,
+                                               max_bytes=max_mem_bytes)]
         else:
             self.backends = tiers
-        if self.backends is None:
-            # legacy stack: always-on memory + env/explicit disk
-            self.backends = [MemoryBackend(max_entries=max_mem_entries,
-                                           max_bytes=max_mem_bytes)]
-            if disk_dir != "":  # "" disables the disk tier outright
-                self.backends.append(DiskBackend(disk_dir))
         #: per-tier counters, index-aligned with ``self.backends``
         self.tier_stats: list[dict] = [
             {"hits": 0, "misses": 0, "puts": 0, "promotions": 0,
@@ -840,10 +767,6 @@ class VerdictCache:
             with self._lock:
                 self.tier_stats[index]["hits"] += 1
                 self.hits += 1
-                if backend.name == "disk":
-                    self.disk_hits += 1
-                elif backend.name == "remote":
-                    self.remote_hits += 1
             # read-through promotion: copy the hit into every faster tier
             for front in range(index):
                 if not self._tier_available(front):
@@ -921,11 +844,11 @@ class VerdictCache:
         return name if total == 1 else f"{name}{index}"
 
     def stats(self) -> dict:
-        """Legacy flat counters plus a nested per-tier breakdown."""
+        """Whole-stack counters plus a nested per-tier breakdown
+        (``stats()["tiers"]["disk"]["hits"]`` counts disk hits)."""
         with self._lock:
             stats: dict = {
-                "hits": self.hits, "misses": self.misses,
-                "disk_hits": self.disk_hits, "puts": self.puts,
+                "hits": self.hits, "misses": self.misses, "puts": self.puts,
                 "entries": len(self.mem), "corrupt": self.corrupt,
                 "uncacheable": self.uncacheable,
             }

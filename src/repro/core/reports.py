@@ -169,10 +169,9 @@ def strategy_stats(profile: dict) -> tuple[dict, dict, dict]:
     profile dict.
 
     The single decoder of the ``win_*`` / ``portfolio_*`` keys the prover
-    writes -- :func:`run_summary` and ``scripts/bench_prover.py`` both
-    render through this, so a new counter shows up on every surface at
-    once.  All three dicts are empty when the profile carries no
-    strategy data.
+    writes -- :func:`run_summary` renders through this, so a new counter
+    shows up there at once.  All three dicts are empty when the profile
+    carries no strategy data.
     """
     wins = {key[len("win_"):]: value for key, value in sorted(profile.items())
             if key.startswith("win_")}
@@ -207,9 +206,14 @@ def run_summary(result: RunResult, task=None) -> str:
     if cache:
         total = cache.get("hits", 0) + cache.get("misses", 0)
         rate = cache.get("hits", 0) / total if total else 0.0
+        # per-tier labels are "disk", or "disk1", "disk2"... when a
+        # stack holds several disk tiers
+        disk_hits = sum(tier.get("hits", 0) for label, tier
+                        in cache.get("tiers", {}).items()
+                        if label.startswith("disk"))
         lines.append(f"  verdict cache: {cache.get('hits', 0)} hits / "
                      f"{total} lookups ({rate:.1%}), "
-                     f"{cache.get('disk_hits', 0)} from disk, "
+                     f"{disk_hits} from disk, "
                      f"{cache.get('entries', 0)} entries")
     service = stats.get("service")
     if service:

@@ -22,7 +22,8 @@ record as its problem completes, for callers that stream results.
 
 Independent problems evaluate in parallel when the ``FVEVAL_JOBS``
 environment variable asks for more than one worker (``FVEVAL_JOBS=0`` or
-``auto`` uses every core).  Each worker process receives the (model, task,
+``auto`` uses every core; :class:`repro.options.Options`, read once as
+each run starts).  Each worker process receives the (model, task,
 config) triple once at pool start-up and evaluates whole problems, so
 records stay deterministic and identical to a serial run -- the pool only
 changes wall-clock, never results.  Each worker's verification service
@@ -33,7 +34,7 @@ each result; the merged totals land in ``RunResult.stats`` just as a
 serial run's do.  The default is serial, which keeps CI runs
 reproducible under tools that dislike forks.  Workers share formal
 verdicts through the on-disk verdict cache when
-``FVEVAL_CACHE`` is set (docs/engine.md, "Environment variables") -- with
+``FVEVAL_CACHE`` is set (docs/engine.md, "Options") -- with
 an engine strategy like ``portfolio`` this is the fleet-level layer of
 the portfolio: problems race across processes while strategies race
 within each prover.
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field
 
 from ..eval.metrics import corpus_bleu, mean, pass_at_k
 from ..models.base import GenerationRequest, SimulatedModel
+from ..options import Options
 from .tasks import Design2SvaTask, EvalRecord
 
 
@@ -123,19 +125,6 @@ class RunResult:
 
     def partial_at(self, k: int) -> float:
         return self.pass_at(k, lambda r: r.partial)
-
-
-def parallel_jobs() -> int:
-    """Worker count requested via ``FVEVAL_JOBS`` (default 1 = serial)."""
-    raw = os.environ.get("FVEVAL_JOBS", "1").strip().lower()
-    if raw in ("", "1"):
-        return 1
-    if raw in ("0", "auto"):
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _problem_list(task, config: RunConfig) -> list:
@@ -345,7 +334,7 @@ def iter_run_model_on_task(model: SimulatedModel | str, task,
     config = config or RunConfig()
     problems = _problem_list(task, config)
     total = len(problems)
-    jobs = parallel_jobs()
+    jobs = Options.from_env().jobs
     if jobs > 1 and total > 1:
         try:
             for records in _iter_parallel(model, task, config, total, jobs,
@@ -380,7 +369,7 @@ def run_model_on_task(model: SimulatedModel | str, task,
     result = RunResult(model=model.name, task=task.name)
     problems = _problem_list(task, config)
     total = len(problems)
-    jobs = parallel_jobs()
+    jobs = Options.from_env().jobs
     if jobs > 1 and total > 1:
         stats: dict = {}
         try:

@@ -317,11 +317,10 @@ class Design2SvaTask:
 
         The single construction path (fence stripping, testbench splice,
         engine/cache configuration) shared by :meth:`evaluate_batch` and
-        external workload builders like ``scripts/bench_prover.py
-        --workers``.  An assertion-only response arrives already bound
-        onto the problem's shared base design and travels as ``design``;
-        one with support code travels as ``source`` and the service
-        elaborates it.  Raises :class:`SpliceError`/``ValueError`` when
+        external workload builders.  An assertion-only response arrives
+        already bound onto the problem's shared base design and travels
+        as ``design``; one with support code travels as ``source`` and
+        the service elaborates it.  Raises :class:`SpliceError`/``ValueError`` when
         the response cannot be spliced into the testbench or its
         assertion does not resolve there.
         """

@@ -667,7 +667,7 @@ class Prover:
             result.degraded = [*result.degraded,
                                *(e.as_dict() for e in events)]
         # per-strategy win accounting: which engine produced the verdict
-        # (surfaced by reports.run_summary and bench_prover --profile)
+        # (surfaced by reports.run_summary)
         win = (result.status if result.status == "timeout"
                else result.engine or result.status)
         bump(self.profile, f"win_{win}", 1)

@@ -37,17 +37,15 @@ from .api import (
     request_from_json,
     response_to_json,
 )
+from ..options import resolve_executor, resolve_workers
 from .frontend import serve_stream
 from .http import BackgroundServer, HttpVerificationServer, serve_http
-from .procpool import resolve_executor, resolve_workers
 from .ring import HashRing, stable_hash
 from .router import BackgroundRouter, RouterServer, serve_route
 from .signature import routing_signature
 from .service import (
     Handle,
     VerificationService,
-    batching_disabled,
-    deadline_from_env,
     design_signature,
 )
 
@@ -56,9 +54,9 @@ __all__ = [
     "BackgroundRouter", "BackgroundServer", "CacheServer", "Handle",
     "HashRing", "HttpVerificationServer", "RequestError",
     "RouterServer", "VerificationService", "VerifyRequest",
-    "VerifyResponse", "batching_disabled", "deadline_from_env",
-    "design_signature", "request_from_json", "resolve_executor",
-    "resolve_workers", "response_to_json", "routing_signature",
+    "VerifyResponse", "design_signature", "request_from_json",
+    "resolve_executor", "resolve_workers", "response_to_json",
+    "routing_signature",
     "serve_cache", "serve_http", "serve_route", "serve_stream",
     "stable_hash",
 ]

@@ -39,6 +39,8 @@ from __future__ import annotations
 import os
 import threading
 
+from ..options import Options
+
 #: default bounded-queue size in units (FVEVAL_MAX_QUEUE overrides)
 DEFAULT_MAX_QUEUE = 256
 
@@ -60,29 +62,6 @@ def _faults():
     this package (same cycle note as :mod:`repro.service.service`)."""
     from ..core import faults
     return faults
-
-
-def _env_positive_int(name: str) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def max_queue_from_env() -> int | None:
-    """``FVEVAL_MAX_QUEUE``: bounded-queue size in units (unset/invalid/
-    non-positive: the built-in default)."""
-    return _env_positive_int("FVEVAL_MAX_QUEUE")
-
-
-def max_inflight_from_env() -> int | None:
-    """``FVEVAL_MAX_INFLIGHT``: executing-unit cap (unset/invalid/
-    non-positive: the built-in default)."""
-    return _env_positive_int("FVEVAL_MAX_INFLIGHT")
 
 
 def default_max_inflight() -> int:
@@ -127,8 +106,10 @@ class AdmissionController:
     Thread-safe: the HTTP frontend mutates it from the event-loop
     thread while ``observe()`` arrives from the executor threads that
     flush the service.
-    All limits fall back to the environment (``FVEVAL_MAX_QUEUE``,
-    ``FVEVAL_MAX_INFLIGHT``) and then to built-in defaults.
+    ``max_queue`` / ``max_inflight`` left at None (or non-positive)
+    take their :class:`~repro.options.Options` field, read from the
+    environment once, here (``FVEVAL_MAX_QUEUE``,
+    ``FVEVAL_MAX_INFLIGHT``), and then the built-in defaults.
     """
 
     def __init__(self, max_queue: int | None = None,
@@ -137,11 +118,12 @@ class AdmissionController:
                  high_watermark: int | None = None,
                  max_deadline_s: float | None = None,
                  per_conn_units: int | None = None):
+        options = Options.from_env()
         self.max_queue = (max_queue if max_queue and max_queue > 0
-                          else max_queue_from_env() or DEFAULT_MAX_QUEUE)
+                          else options.max_queue or DEFAULT_MAX_QUEUE)
         self.max_inflight = (max_inflight
                              if max_inflight and max_inflight > 0
-                             else max_inflight_from_env()
+                             else options.max_inflight
                              or default_max_inflight())
         high = (high_watermark if high_watermark and high_watermark > 0
                 else self.max_queue)

@@ -1,8 +1,9 @@
 """Process-pool execution tier: crash-isolated verification workers.
 
-``FVEVAL_EXECUTOR=process`` (or ``VerificationService(executor=
-"process")`` / ``serve --executor process``) moves a batch's scheduled
-units out of the service process: each unit -- one work group or one
+``VerificationService(executor="process")`` (or
+``FVEVAL_EXECUTOR=process`` / ``serve --executor process``) moves a
+batch's scheduled units out of the service process: each unit -- one
+work group or one
 remaining computed request (:class:`~repro.service.service.Unit`) --
 is pickled to a persistent worker process that runs its own inline
 :class:`~repro.service.service.VerificationService` and streams
@@ -42,98 +43,22 @@ merges into the service's shared profile, so ``--profile`` output and
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import signal
 import threading
 import time
 
+from ..options import MAX_PROC_WORKERS
+
 #: extra wall-clock seconds past a unit's deadline before the parent
 #: SIGKILLs the worker (the cooperative in-worker deadline should have
 #: answered by then); tests lower it to keep the backstop path fast
 DEADLINE_GRACE_S = 1.0
 
-#: hard ceiling on worker processes (a typo'd FVEVAL_WORKERS must not
-#: fork hundreds of interpreters)
-MAX_PROC_WORKERS = 16
-
 #: profile keys that are high-water marks, not additive counters
 _HIGH_WATER = ("learned_db",)
-
-_EXECUTORS = ("thread", "process")
-
-
-def resolve_executor(requested: str | None = None) -> str:
-    """Effective executor for one scheduling pass.
-
-    ``thread`` means the inline strategy: the flushing thread computes
-    the batch itself.  ``requested`` is the service's configured value
-    (None defers to ``FVEVAL_EXECUTOR``, read per flush); an explicit
-    bad value raises, an env typo falls back to ``thread`` (matching
-    the lenient env conventions elsewhere).  Inside a daemonic process
-    (a process-executor worker) the process tier is unavailable
-    (daemonic processes may not have children), so ``thread`` is
-    forced.
-    """
-    if requested is not None:
-        value = str(requested).strip().lower()
-        if value not in _EXECUTORS:
-            raise ValueError(f"unknown executor {value!r}; "
-                             f"expected one of {_EXECUTORS}")
-    else:
-        value = os.environ.get("FVEVAL_EXECUTOR", "").strip().lower()
-        if value not in _EXECUTORS:
-            value = "thread"
-    if value == "process":
-        import multiprocessing
-        if multiprocessing.current_process().daemon:
-            return "thread"
-    return value
-
-
-def resolve_workers(requested: int | None = None) -> int:
-    """Process-pool size for one flush of ``executor="process"``.
-
-    ``requested`` is the service's configured count (``None`` defers to
-    ``FVEVAL_WORKERS``, read per flush; unset or unparseable means 1);
-    ``0`` -- or ``auto`` in the environment -- means all cores.  The
-    result is clamped to ``[1, MAX_PROC_WORKERS]``.  The inline strategy
-    ignores it: it computes in the calling thread.
-    """
-    if requested is None:
-        raw = os.environ.get("FVEVAL_WORKERS", "").strip().lower()
-        try:
-            workers = 0 if raw == "auto" else int(raw or 1)
-        except ValueError:
-            workers = 1
-    else:
-        workers = int(requested)
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, MAX_PROC_WORKERS))
-
-
-def executor_env_fault():
-    """A ``config`` FaultEvent describing the ``FVEVAL_EXECUTOR`` typo
-    this process is silently falling back from, or None when the env is
-    unset or names a real tier.
-
-    :func:`resolve_executor` deliberately tolerates the typo (an env
-    mistake must not take the service down), but the fallback changed
-    the execution tier -- crash isolation, deadline SIGKILL backstop --
-    so the service attaches this event to the first affected response
-    (:meth:`~repro.service.service.VerificationService._process`)
-    instead of staying silent.
-    """
-    raw = os.environ.get("FVEVAL_EXECUTOR", "")
-    value = raw.strip().lower()
-    if not value or value in _EXECUTORS:
-        return None
-    from ..core.faults import FaultEvent
-    return FaultEvent(
-        "config", stage="config",
-        detail=f"FVEVAL_EXECUTOR={raw.strip()!r} is not one of "
-               f"{_EXECUTORS}; fell back to 'thread'")
 
 
 def _profile_delta(current: dict, base: dict) -> dict:
@@ -166,7 +91,7 @@ def _worker_main(conn, slot: int) -> None:
     # never deadlock this (single-threaded) child
     _prover._PROFILE_LOCK = _threading.Lock()
     from .service import VerificationService
-    service = VerificationService()
+    service = VerificationService(executor="thread")
     while True:
         try:
             message = conn.recv()
@@ -179,8 +104,8 @@ def _worker_main(conn, slot: int) -> None:
             # parent-drawn fault injection: die exactly like a
             # segfaulted/OOM-killed worker would
             os.kill(os.getpid(), signal.SIGKILL)
-        service.batching = batching
-        service.share_equiv = share_equiv
+        service.options = dataclasses.replace(
+            service.options, batching=batching, share_equiv=share_equiv)
         base = dict(service.profile)
         groups0 = service.batch_groups
         members0 = service.batch_members

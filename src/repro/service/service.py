@@ -56,6 +56,11 @@ The verdict cache (:class:`repro.core.cache.VerdictCache`) lives here --
 one namespace per task family -- using the same semantic keys the tasks
 computed before the service existed, so ``FVEVAL_CACHE`` directories
 written by either side of the redesign stay mutually readable.
+
+Configuration is one :class:`repro.options.Options`, read when the
+service is constructed: the environment supplies every setting a
+constructor keyword leaves at None, and changing it afterwards changes
+nothing for this service.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .. import memo
+from ..options import Options
 from ..sva.canonical import CanonicalizationError, canonical_key
 from ..sva.syntax import check_assertion_syntax
 from .api import RequestError, VerifyRequest, VerifyResponse
@@ -97,18 +103,6 @@ def _faults():
     from ..core import faults
     return faults
 
-
-def deadline_from_env() -> float | None:
-    """``FVEVAL_DEADLINE_S``: default per-request wall-clock deadline in
-    seconds (unset/empty/non-positive: no deadline)."""
-    raw = os.environ.get("FVEVAL_DEADLINE_S", "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
 
 #: request kinds whose verdicts are cached.  A syntax gate is not: it
 #: is memoised in process instead (``repro.sva.syntax``), where a hit is
@@ -143,18 +137,6 @@ def _prover_engine_opts() -> frozenset[str]:
     from ..formal.prover import Prover
     return frozenset(set(inspect.signature(Prover.__init__).parameters)
                      - {"self", "design", "profile"})
-
-
-def batching_disabled() -> bool:
-    """``FVEVAL_NO_BATCH=1`` disables cross-sample batch scheduling."""
-    return os.environ.get("FVEVAL_NO_BATCH", "") == "1"
-
-
-def equiv_sharing_disabled() -> bool:
-    """``FVEVAL_NO_EQUIV_SHARE=1`` disables shared-reference equivalence
-    sessions (every candidate gets a fresh isolated checker -- the parity
-    oracle path)."""
-    return os.environ.get("FVEVAL_NO_EQUIV_SHARE", "") == "1"
 
 
 class _EquivSlot:
@@ -259,17 +241,22 @@ class Handle:
 class VerificationService:
     """Request/response front of the formal engine.
 
-    ``batching`` controls the cross-sample packed-lane scheduler
-    (``None`` reads ``FVEVAL_NO_BATCH`` at flush time); ``profile``
-    is the prover-profile dict shared by every prover the service
-    builds (stage timings, win counters, ``sim_batch_passes``).
-    ``executor`` picks the execution strategy -- ``"thread"`` computes
-    inline in the calling thread, ``"process"`` in crash-isolated worker
-    processes (``None`` reads ``FVEVAL_EXECUTOR`` at flush time) -- and
-    ``workers`` sizes only that process pool (``None`` reads
-    ``FVEVAL_WORKERS``; :func:`repro.service.procpool.resolve_workers`).
-    Inline responses arrive in request order; the strategy never
-    changes verdicts.
+    Every configuration keyword left at None takes its
+    :class:`~repro.options.Options` field from the environment, once,
+    here: ``batching`` the cross-sample packed-lane scheduler,
+    ``share_equiv`` shared-reference equivalence sessions (``False`` is
+    the isolated per-candidate oracle the parity suite pins against),
+    ``executor`` the execution strategy -- ``"thread"`` computes inline
+    in the calling thread, ``"process"`` in crash-isolated worker
+    processes -- ``workers`` the size of only that process pool,
+    ``deadline_s`` the default per-request deadline (a request's own
+    wins; a non-positive value raises), ``cache_tiers`` the
+    verdict-cache tier stack (docs/cache.md) and ``max_cache_entries`` /
+    ``max_cache_bytes`` the caps on its memory tier.  ``profile`` is the
+    prover-profile dict shared by every prover the service builds
+    (stage timings, win counters, ``sim_batch_passes``).  Inline
+    responses arrive in request order; the strategy never changes
+    verdicts.
     """
 
     def __init__(self, batching: bool | None = None,
@@ -281,24 +268,16 @@ class VerificationService:
                  max_cache_bytes: int | None = None,
                  admission=None, cache_tiers: str | None = None,
                  share_equiv: bool | None = None):
-        from .procpool import resolve_executor
-        self.batching = batching
-        #: shared-reference equivalence sessions (None reads
-        #: ``FVEVAL_NO_EQUIV_SHARE`` at flush time); ``False`` is the
-        #: isolated per-candidate oracle the parity suite pins against
-        self.share_equiv = share_equiv
+        self.options = Options.from_env(
+            batching=batching, share_equiv=share_equiv, workers=workers,
+            deadline_s=deadline_s, executor=executor,
+            cache_tiers=cache_tiers, max_cache_entries=max_cache_entries,
+            max_cache_bytes=max_cache_bytes)
+        #: an ``FVEVAL_EXECUTOR`` typo not yet reported: the first
+        #: response of the next flush carries it as a ``config`` event
+        self._executor_error = self.options.executor_error
         self.profile: dict = {} if profile is None else profile
         self.max_provers = max_provers
-        #: per-namespace caps on the in-memory verdict layer; benchmark
-        #: runs terminate and default unbounded, long-running `serve`
-        #: sessions pass caps so verdict memory cannot grow forever
-        self.max_cache_entries = max_cache_entries
-        self.max_cache_bytes = max_cache_bytes
-        #: verdict-cache tier stack spec (``FVEVAL_CACHE_TIERS`` grammar,
-        #: e.g. ``"memory,disk,remote=HOST:PORT"``; None reads the
-        #: environment, falling back to the legacy memory+disk pair --
-        #: docs/cache.md)
-        self.cache_tiers = cache_tiers
         #: shared :class:`~repro.service.admission.AdmissionController`
         #: (None outside `serve`): clamps request deadlines to the
         #: server ceiling and receives per-unit latency observations
@@ -306,20 +285,6 @@ class VerificationService:
         #: at the bounded queue -- happens in the frontends, before
         #: requests ever reach the scheduler.
         self.admission = admission
-        #: process-pool size of the process strategy (None:
-        #: FVEVAL_WORKERS per flush); the inline strategy ignores it
-        self.workers = workers
-        #: default per-request wall-clock deadline in seconds
-        #: (None: FVEVAL_DEADLINE_S per flush; request.deadline_s wins)
-        self.deadline_s = deadline_s
-        #: execution strategy -- "thread" (inline) | "process" (None:
-        #: FVEVAL_EXECUTOR per flush); an explicit bad value fails here,
-        #: not mid-batch
-        #: (the stored value is re-resolved per flush so e.g. the
-        #: daemonic-worker fallback tracks where the service runs)
-        if executor is not None:
-            resolve_executor(executor)
-        self.executor = executor
         from collections import OrderedDict
         self._caches: dict[str, VerdictCache] = {}
         #: (design signature, engine fingerprint) -> Prover, LRU-ordered
@@ -332,9 +297,6 @@ class VerificationService:
         #: eviction so presimulated batch state survives its own flush
         self._active: set[tuple] = set()
         self._pending: list[Handle] = []
-        #: FVEVAL_EXECUTOR typos already reported as `config` events
-        #: (one FaultEvent per distinct bad value per service)
-        self._config_faults: set[str] = set()
         self._seq = 0
         self._batch_seq = 0
         self.requests = 0
@@ -464,8 +426,8 @@ class VerificationService:
         merge recursively, so two namespaces sharing a tier layout sum
         tier by tier.
         """
-        totals: dict = {"hits": 0, "misses": 0, "disk_hits": 0, "puts": 0,
-                        "entries": 0, "corrupt": 0}
+        totals: dict = {"hits": 0, "misses": 0, "puts": 0, "entries": 0,
+                        "corrupt": 0}
 
         def merge(into: dict, stats: dict) -> dict:
             for key, value in stats.items():
@@ -505,9 +467,9 @@ class VerificationService:
         cache = self._caches.get(namespace)
         if cache is None:
             cache = self._caches[namespace] = _cache_module().VerdictCache(
-                namespace, max_mem_entries=self.max_cache_entries,
-                max_mem_bytes=self.max_cache_bytes,
-                tiers=self.cache_tiers)
+                namespace, tiers=self.options.cache_tiers,
+                max_mem_entries=self.options.max_cache_entries,
+                max_mem_bytes=self.options.max_cache_bytes)
         return cache
 
     def _response(self, request: VerifyRequest) -> VerifyResponse:
@@ -529,7 +491,7 @@ class VerificationService:
         (never a skipped index), and ``VerifyResponse.index`` set on
         every response.
         """
-        from .procpool import resolve_executor, resolve_workers
+        options = self.options
         requests = list(requests)
         # planning is serialized, but the lock is RELEASED before any
         # response is yielded: a partially consumed stream() must never
@@ -538,32 +500,29 @@ class VerificationService:
         # answered by a private prover instead of the shared one.
         owned: set[tuple] = set()
         with self._sched_lock:
-            share = (not equiv_sharing_disabled()
-                     if self.share_equiv is None else self.share_equiv)
-            plan, groups = self._plan(requests, share)
-            batching = (not batching_disabled() if self.batching is None
-                        else self.batching)
+            plan, groups = self._plan(requests, options.share_equiv)
             units = self._units(plan, groups)
-            if resolve_executor(self.executor) == "process":
+            if options.executor == "process" and not _daemonic():
                 # the parent keeps planning/cache/dedup; provers live in
                 # the workers, so nothing is pinned here
-                workers = resolve_workers(self.workers)
                 strategy = self._run_process(
-                    plan, units, batching, share, owned,
-                    self._process_pool(workers))
-                ordered = workers == 1
+                    plan, units, options.batching, options.share_equiv,
+                    owned, self._process_pool(options.workers))
+                ordered = options.workers == 1
             else:
                 self._pin_provers(plan, units, owned)
-                strategy = self._run_inline(plan, units, batching)
+                strategy = self._run_inline(plan, units, options.batching)
                 ordered = True
-            config_event = self._executor_config_event()
+            config_event, self._executor_error = self._executor_error, None
         try:
             stream = self._execute(plan, strategy, ordered)
             if config_event is not None:
                 # an env typo silently changed the execution strategy:
                 # the first response carries the `config` event so the
                 # fallback is observable on the wire (docs/robustness.md)
-                stream = _degrade_first(stream, config_event.as_dict())
+                stream = _degrade_first(stream, _faults().FaultEvent(
+                    "config", stage="config",
+                    detail=config_event).as_dict())
             yield from stream
         finally:
             # the batch memo is per-flush state: entries persist while
@@ -727,20 +686,6 @@ class VerificationService:
                 plan, [dataclasses.replace(unit, indices=indices)
                        for unit, indices in local], batching)
 
-    def _executor_config_event(self):
-        """A ``config`` FaultEvent when this flush's execution strategy
-        was silently downgraded by an ``FVEVAL_EXECUTOR`` typo (None on
-        the clean path, and only once per distinct bad value -- the event
-        marks the *first* affected response, not every one)."""
-        if self.executor is not None:
-            return None  # explicit setting: the env is never consulted
-        from .procpool import executor_env_fault
-        event = executor_env_fault()
-        if event is None or event.detail in self._config_faults:
-            return None
-        self._config_faults.add(event.detail)
-        return event
-
     def _plan(self, requests: list[VerifyRequest],
               share_equiv: bool = True):
         """Serial planning pass: ids, keys, cache, dedup, and work groups
@@ -749,11 +694,10 @@ class VerificationService:
         plan: list[PlanEntry] = []
         primaries: dict[tuple, int] = {}  # (ns, key) -> plan index
         groups: dict[tuple, list[int]] = {}  # prover pool key -> indices
-        no_cache = _cache_module().caching_disabled()
-        # once per flush: the default deadline, and the canonical key of
-        # each distinct reference (shared by every sample scored on it)
-        deadline_s = (self.deadline_s if self.deadline_s is not None
-                      else deadline_from_env())
+        caching = self.options.caching
+        deadline_s = self.options.deadline_s
+        # once per flush: the canonical key of each distinct reference
+        # (shared by every sample scored on it)
         reference_keys: dict[tuple, str] = {}
         for index, request in enumerate(requests):
             self.requests += 1
@@ -786,7 +730,7 @@ class VerificationService:
                 entry.response = prepared
                 continue
             if (request.kind in _CACHED_KINDS and request.use_cache
-                    and not no_cache):
+                    and caching):
                 cache = self._cache(request.namespace)
                 try:
                     key = cache.key(*entry.key_parts)
@@ -1354,6 +1298,13 @@ def _reference_key(request: VerifyRequest, keys: dict) -> str:
     if key is None:
         key = keys[slot] = canonical_key(reference, request.params)
     return key
+
+
+def _daemonic() -> bool:
+    """True inside a daemonic process (a process-executor worker), which
+    may not have children: there the process strategy computes inline."""
+    import multiprocessing
+    return multiprocessing.current_process().daemon
 
 
 def _degrade_first(stream, event: dict):

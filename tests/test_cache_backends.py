@@ -279,20 +279,26 @@ class TestTierSpecParsing:
         assert len(errors) == 2
 
     def test_env_spec_builds_the_cache_stack(self, monkeypatch, tmp_path):
+        from repro.options import Options
         monkeypatch.setenv("FVEVAL_CACHE_TIERS",
                            f"memory,disk={tmp_path}")
-        cache = VerdictCache("ns")
+        cache = VerdictCache("ns", tiers=Options.from_env().cache_tiers)
         assert [b.name for b in cache.backends] == ["memory", "disk"]
         key = cache.key("env")
         cache.put(key, {"verdict": "proven"})
         assert (tmp_path / "ns" / key[:2] / f"{key}.json").exists()
 
-    def test_unbuildable_spec_falls_back_to_legacy(self, monkeypatch):
-        monkeypatch.setenv("FVEVAL_CACHE_TIERS", "warp-drive")
-        cache = VerdictCache("ns")
-        assert [b.name for b in cache.backends] == ["memory", "disk"]
+    def test_unbuildable_spec_falls_back_to_memory(self):
+        cache = VerdictCache("ns", tiers="warp-drive")
+        assert [b.name for b in cache.backends] == ["memory"]
         faults = cache.drain_faults()
         assert faults and all(f["code"] == "config" for f in faults)
+
+    def test_bare_disk_without_a_directory_is_reported(self):
+        backends, errors = parse_tiers("memory,disk")
+        assert [b.name for b in backends] == ["memory"]
+        [error] = errors
+        assert "'disk'" in error and "FVEVAL_CACHE" in error
 
 
 class TestTieredPromotion:

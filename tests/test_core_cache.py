@@ -9,9 +9,7 @@ semantically duplicate samples, persisting across runs/workers through
 import json
 from dataclasses import asdict
 
-import pytest
-
-from repro.core.cache import VerdictCache, cache_dir_from_env
+from repro.core.cache import VerdictCache
 from repro.core.runner import RunConfig, run_model_on_task
 from repro.core.tasks import Design2SvaTask, Nl2SvaMachineTask
 
@@ -40,7 +38,7 @@ def _design_records(use_cache=True, repeats=2, count=3, prover=None,
 
 class TestVerdictCache:
     def test_memory_roundtrip(self):
-        cache = VerdictCache("t", disk_dir="")
+        cache = VerdictCache("t")
         k = cache.key("a", [1, 2], {"x": 3})
         assert cache.get(k) is None
         cache.put(k, {"verdict": "proven"})
@@ -54,15 +52,15 @@ class TestVerdictCache:
         assert VerdictCache.key("x") != VerdictCache.key("y")
 
     def test_disk_roundtrip(self, tmp_path):
-        first = VerdictCache("t", disk_dir=str(tmp_path))
+        first = VerdictCache("t", tiers=f"memory,disk={tmp_path}")
         k = first.key("entry")
         first.put(k, {"verdict": "cex"})
-        fresh = VerdictCache("t", disk_dir=str(tmp_path))
+        fresh = VerdictCache("t", tiers=f"memory,disk={tmp_path}")
         assert fresh.get(k) == {"verdict": "cex"}
-        assert fresh.stats()["disk_hits"] == 1
+        assert fresh.stats()["tiers"]["disk"]["hits"] == 1
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        cache = VerdictCache("t", disk_dir=str(tmp_path))
+        cache = VerdictCache("t", tiers=f"memory,disk={tmp_path}")
         k = cache.key("entry")
         path = tmp_path / "t" / k[:2] / f"{k}.json"
         path.parent.mkdir(parents=True)
@@ -72,7 +70,8 @@ class TestVerdictCache:
     def test_mem_cap_evicts_oldest(self, tmp_path):
         """A capped memory layer (long-running serve) evicts LRU; a
         persisted entry survives via the disk layer."""
-        cache = VerdictCache("t", disk_dir=str(tmp_path), max_mem_entries=2)
+        cache = VerdictCache("t", tiers=f"memory,disk={tmp_path}",
+                             max_mem_entries=2)
         keys = [cache.key("entry", i) for i in range(3)]
         for i, k in enumerate(keys):
             cache.put(k, {"verdict": f"v{i}"})
@@ -80,13 +79,13 @@ class TestVerdictCache:
         assert keys[0] not in cache.mem
         # evicted but persisted: next get re-reads from disk
         assert cache.get(keys[0]) == {"verdict": "v0"}
-        assert cache.stats()["disk_hits"] == 1
+        assert cache.stats()["tiers"]["disk"]["hits"] == 1
         assert len(cache.mem) == 2  # the disk re-read respects the cap
 
     def test_lru_get_refreshes_recency(self):
         """Eviction order follows last *read*, not insertion: a serve
         workload's hot entries survive a scan of cold ones."""
-        cache = VerdictCache("t", disk_dir="", max_mem_entries=2)
+        cache = VerdictCache("t", max_mem_entries=2)
         ka, kb, kc = (VerdictCache.key("entry", x) for x in "abc")
         cache.put(ka, {"verdict": "a"})
         cache.put(kb, {"verdict": "b"})
@@ -99,7 +98,7 @@ class TestVerdictCache:
     def test_byte_cap_bounds_memory(self):
         payload = {"verdict": "proven", "pad": "x" * 200}
         size = len(json.dumps(payload, separators=(",", ":")))
-        cache = VerdictCache("t", disk_dir="", max_mem_bytes=3 * size)
+        cache = VerdictCache("t", max_mem_bytes=3 * size)
         keys = [VerdictCache.key("entry", i) for i in range(5)]
         for k in keys:
             cache.put(k, dict(payload))
@@ -111,32 +110,11 @@ class TestVerdictCache:
     def test_byte_cap_keeps_one_oversized_entry(self):
         """An entry bigger than the whole cap is still usable -- the
         cap bounds growth, it does not reject work."""
-        cache = VerdictCache("t", disk_dir="", max_mem_bytes=8)
+        cache = VerdictCache("t", max_mem_bytes=8)
         k = VerdictCache.key("entry")
         cache.put(k, {"verdict": "proven", "pad": "y" * 100})
         assert cache.get(k) is not None
         assert len(cache.mem) == 1
-
-    def test_env_controls(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("FVEVAL_CACHE", str(tmp_path))
-        assert cache_dir_from_env() == str(tmp_path)
-        monkeypatch.setenv("FVEVAL_NO_CACHE", "1")
-        assert cache_dir_from_env() is None
-
-    @pytest.mark.parametrize("raw,expected", [
-        ("", (None, None)),
-        ("50000", (50000, None)),
-        ("64M", (None, 64 * 1024 ** 2)),
-        ("50000,64K", (50000, 64 * 1024)),
-        ("64k", (None, 64 * 1024)),  # case-insensitive suffix
-        ("junk", (None, None)),
-        ("-5,0", (None, None)),  # non-positive terms cap nothing
-        ("2G", (None, 2 * 1024 ** 3)),
-    ])
-    def test_mem_cap_from_env(self, monkeypatch, raw, expected):
-        from repro.core.cache import mem_cap_from_env
-        monkeypatch.setenv("FVEVAL_CACHE_MEM_MAX", raw)
-        assert mem_cap_from_env() == expected
 
 
 class TestDedupParity:
@@ -184,13 +162,13 @@ class TestDiskPersistence:
         # a fresh task (fresh process in real runs) serves from disk
         second, task2 = _design_records(repeats=1)
         assert second == first
-        assert task2.cache_stats()["disk_hits"] > 0
+        assert task2.cache_stats()["tiers"]["disk"]["hits"] > 0
         assert task2.profile.get("bmc_s") is None  # no proofs re-ran
 
         # changing prover kwargs must invalidate, not serve stale verdicts
         changed = dict(PROVER, max_bmc=PROVER["max_bmc"] + 1)
         third, task3 = _design_records(repeats=1, prover=changed)
-        assert task3.cache_stats()["disk_hits"] == 0
+        assert task3.cache_stats()["tiers"]["disk"]["hits"] == 0
         assert [r["verdict"] for r in third] == \
             [r["verdict"] for r in first]  # easy designs: same verdicts
 
@@ -209,8 +187,8 @@ class TestDiskPersistence:
                                    RunConfig(n_samples=2, temperature=0.8))
         assert [asdict(r) for r in serial.records] == \
             [asdict(r) for r in parallel.records]
-        assert fresh.cache_stats()["disk_hits"] > 0
-        assert serial.stats["cache"]["disk_hits"] > 0
+        assert fresh.cache_stats()["tiers"]["disk"]["hits"] > 0
+        assert serial.stats["cache"]["tiers"]["disk"]["hits"] > 0
 
 
 class TestCacheGc:
@@ -220,7 +198,7 @@ class TestCacheGc:
     def _populate(root, n, namespace="ns", age_step=100.0, now=1_000_000.0):
         """n entries whose mtimes ascend with the key index (0 = oldest)."""
         import os
-        cache = VerdictCache(namespace, disk_dir=str(root))
+        cache = VerdictCache(namespace, tiers=f"memory,disk={root}")
         keys = []
         for i in range(n):
             key = cache.key("entry", i)
@@ -262,7 +240,7 @@ class TestCacheGc:
         """A disk hit must protect the entry from LRU eviction."""
         from repro.core.cache import gc_cache_dir
         cache, keys = self._populate(tmp_path, 4)
-        reader = VerdictCache("ns", disk_dir=str(tmp_path))
+        reader = VerdictCache("ns", tiers=f"memory,disk={tmp_path}")
         assert reader.get(keys[0]) is not None  # touch the oldest entry
         stats = gc_cache_dir(tmp_path, max_entries=2)
         assert stats["kept"] == 2
@@ -284,7 +262,7 @@ class TestCacheGc:
         assert not list(tmp_path.rglob("*.json"))
         assert not any(p.is_dir() for p in tmp_path.iterdir())
         # the evicted cache keeps serving: next get recomputes via put
-        fresh = VerdictCache("ns", disk_dir=str(tmp_path))
+        fresh = VerdictCache("ns", tiers=f"memory,disk={tmp_path}")
         assert fresh.get(keys[0]) is None
         fresh.put(keys[0], {"verdict": "cex"})
         assert fresh.get(keys[0]) == {"verdict": "cex"}
@@ -350,7 +328,7 @@ def _process_race_writer(root, namespace, n_keys, rounds, seed):
 
     from repro.core.cache import VerdictCache
 
-    cache = VerdictCache(namespace, disk_dir=root)
+    cache = VerdictCache(namespace, tiers=f"memory,disk={root}")
     rng = random.Random(seed)
     for _ in range(rounds):
         i = rng.randrange(n_keys)
@@ -382,7 +360,7 @@ class TestDiskBackendProcessRace:
     def test_no_lost_or_torn_verdicts(self, tmp_path):
         puts = self._race(tmp_path)
         assert all(p == self.ROUNDS for p in puts)
-        reader = VerdictCache("race_ns", disk_dir=str(tmp_path))
+        reader = VerdictCache("race_ns", tiers=f"memory,disk={tmp_path}")
         writers = {f"writer{i}" for i in range(3)}
         for i in range(self.N_KEYS):
             value = reader.get(reader.key("race", i))
@@ -393,7 +371,7 @@ class TestDiskBackendProcessRace:
             assert value["witness"] in writers
         stats = reader.stats()
         assert stats["corrupt"] == 0
-        assert stats["disk_hits"] == self.N_KEYS
+        assert stats["tiers"]["disk"]["hits"] == self.N_KEYS
 
     def test_concurrent_gc_never_corrupts(self, tmp_path):
         """cache-gc compacting *while* writers race: readers still see
@@ -415,7 +393,7 @@ class TestDiskBackendProcessRace:
         assert not list(tmp_path.rglob("*.corrupt"))
         assert not list(tmp_path.rglob("*.tmp"))
         # the directory is still a working cache afterwards
-        cache = VerdictCache("race_ns", disk_dir=str(tmp_path))
+        cache = VerdictCache("race_ns", tiers=f"memory,disk={tmp_path}")
         key = cache.key("post-race")
         cache.put(key, {"verdict": "cex"})
         assert cache.get(key) == {"verdict": "cex"}

@@ -1,34 +1,17 @@
-"""FVEVAL_JOBS process-pool batching: parallel == serial, record for record."""
+"""FVEVAL_JOBS process-pool batching: parallel == serial, record for record.
+
+How the variable itself parses is ``tests/test_options.py``.
+"""
 
 import pytest
 
-from repro.core.runner import RunConfig, parallel_jobs, run_model_on_task
+from repro.core.runner import RunConfig, run_model_on_task
 from repro.core.tasks import Design2SvaTask, Nl2SvaMachineTask
 
 
 def _keys(result):
     return [(r.problem_id, r.sample_idx, r.syntax_ok, r.verdict, r.func,
              r.partial) for r in result.records]
-
-
-class TestJobsKnob:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("FVEVAL_JOBS", raising=False)
-        assert parallel_jobs() == 1
-
-    def test_explicit_count(self, monkeypatch):
-        monkeypatch.setenv("FVEVAL_JOBS", "3")
-        assert parallel_jobs() == 3
-
-    def test_auto_uses_cores(self, monkeypatch):
-        monkeypatch.setenv("FVEVAL_JOBS", "auto")
-        assert parallel_jobs() >= 1
-        monkeypatch.setenv("FVEVAL_JOBS", "0")
-        assert parallel_jobs() >= 1
-
-    def test_garbage_degrades_to_serial(self, monkeypatch):
-        monkeypatch.setenv("FVEVAL_JOBS", "many")
-        assert parallel_jobs() == 1
 
 
 class TestParallelEqualsSerial:

@@ -30,18 +30,20 @@ class TestRepoDocs:
 
     def test_docs_exist(self):
         for rel in ("README.md", "docs/architecture.md", "docs/engine.md",
-                    "docs/benchmarks.md", "DESIGN.md"):
+                    "docs/benchmarks.md"):
             assert (ROOT / rel).is_file(), rel
 
     def test_readme_quickstart_is_marked_runnable(self):
         text = (ROOT / "README.md").read_text()
         assert check_docs.RUN_MARKER in text
 
-    def test_design_md_is_a_pointer(self):
-        text = (ROOT / "DESIGN.md").read_text()
-        assert "docs/architecture.md" in text
-        assert "docs/engine.md" in text
-        assert len(text.splitlines()) < 30  # a pointer, not a copy
+    def test_one_benchmark_harness(self):
+        """bench/ is the benchmark of record: docs/benchmarks.md is
+        written around it, and the harness it replaced is gone."""
+        text = (ROOT / "docs" / "benchmarks.md").read_text()
+        assert "bench/run.py" in text and "bench/compare.py" in text
+        assert not (ROOT / "scripts" / "bench_prover.py").exists()
+        assert not (ROOT / "BENCH_prover.json").exists()
 
     def test_checker_sees_the_doc_set(self):
         checker = check_docs.Checker(execute=False)

@@ -258,7 +258,8 @@ class TestPortfolioScheduler:
 
 
 def _bench_workload(category: str, count: int):
-    """The exact (design, response) pairs scripts/bench_prover.py proves."""
+    """One correct and one flawed template response per generated
+    design: the Table 5 proof workload (docs/benchmarks.md)."""
     for i, generated in enumerate(build_benchmark(category, count, 0)):
         rng = random.Random(i)
         if category == "arbiter":

@@ -666,21 +666,21 @@ def test_callers_cannot_corrupt_a_hit():
 
 
 def test_plan_reads_its_constants_once_per_flush(monkeypatch):
+    from repro.options import Options
     keyed, reads = [], []
     real_key = service_module.canonical_key
-    real_deadline = service_module.deadline_from_env
+    real_from_env = Options.from_env.__func__
 
     def counting_key(assertion, params=None):
         keyed.append("text" if isinstance(assertion, str) else "ast")
         return real_key(assertion, params)
 
-    def counting_deadline():
+    def counting_from_env(cls, *args, **kwargs):
         reads.append(1)
-        return real_deadline()
+        return real_from_env(cls, *args, **kwargs)
 
     monkeypatch.setattr(service_module, "canonical_key", counting_key)
-    monkeypatch.setattr(service_module, "deadline_from_env",
-                        counting_deadline)
+    monkeypatch.setattr(Options, "from_env", classmethod(counting_from_env))
     reference = "assert property (@(posedge clk) a |-> b);"
     candidates = ["assert property (@(posedge clk) a |-> ##0 b);",
                   "assert property (@(posedge clk) a |=> b);",
@@ -702,7 +702,8 @@ def test_plan_reads_its_constants_once_per_flush(monkeypatch):
     assert [r.verdict for r in responses[:4]] \
         == [r.verdict for r in responses[4:]]
     # one key per distinct reference (the AST and the text), one per
-    # candidate text, one deadline read
+    # candidate text, and one options read: at construction, none per
+    # flush
     assert keyed.count("ast") == 1
     assert keyed.count("text") == 1 + len(requests)
     assert reads == [1]

@@ -3,7 +3,7 @@
 Five layers of guarantees:
 
 * :func:`repro.service.resolve_workers` implements the process-pool
-  sizing rules;
+  sizing rules (its environment side is ``tests/test_options.py``);
 * concurrent ``submit``/``flush`` from multiple threads resolve every
   handle exactly once with correct verdicts, and the dedup +
   verdict-cache counters stay consistent under contention;
@@ -95,32 +95,18 @@ def _hermetic_env(monkeypatch):
 
 
 class TestResolveWorkers:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("FVEVAL_WORKERS", raising=False)
-        assert resolve_workers() == 1
+    """The environment cases (``FVEVAL_WORKERS``) live with the other
+    knobs in ``tests/test_options.py``."""
 
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("FVEVAL_WORKERS", "3")
-        assert resolve_workers() == 3
+    def test_explicit_counts(self):
         assert resolve_workers(6) == 6
         assert resolve_workers(1) == 1
 
-    def test_auto_uses_all_cores(self, monkeypatch):
-        monkeypatch.setenv("FVEVAL_WORKERS", "auto")
+    def test_zero_uses_all_cores(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert resolve_workers() == 8
-        monkeypatch.setenv("FVEVAL_WORKERS", "0")
-        assert resolve_workers() == 8
-        # explicit 0 follows the same 0 = all-cores convention
-        monkeypatch.delenv("FVEVAL_WORKERS")
         assert resolve_workers(0) == 8
 
-    def test_garbage_env_falls_back_serial(self, monkeypatch):
-        monkeypatch.setenv("FVEVAL_WORKERS", "lots")
-        assert resolve_workers() == 1
-
-    def test_ceiling(self, monkeypatch):
-        monkeypatch.delenv("FVEVAL_WORKERS", raising=False)
+    def test_ceiling(self):
         assert resolve_workers(10 ** 6) == MAX_PROC_WORKERS
 
 
@@ -376,7 +362,7 @@ class TestUnpicklableFallback:
 
 class TestCacheContention:
     def test_counters_consistent_under_contention(self, tmp_path):
-        cache = VerdictCache("ns", disk_dir=str(tmp_path))
+        cache = VerdictCache("ns", tiers=f"memory,disk={tmp_path}")
         keys = [cache.key("shared", i) for i in range(6)]
         rounds = 40
         threads = 6
@@ -408,7 +394,7 @@ class TestCacheContention:
         The race runs until the reader has parsed ``rounds`` complete
         documents *and* every writer has made ``rounds`` puts, however
         fast or slow the box is."""
-        writers = [VerdictCache("ns", disk_dir=str(tmp_path))
+        writers = [VerdictCache("ns", tiers=f"memory,disk={tmp_path}")
                    for _ in range(3)]
         key = writers[0].key("hot")
         payload = {"verdict": "proven", "detail": "x" * 4096}
@@ -453,7 +439,7 @@ class TestCacheContention:
         assert reads[0] >= rounds
         assert min(puts) >= rounds
         # a cold cache (fresh process) reads the entry back intact
-        fresh = VerdictCache("ns", disk_dir=str(tmp_path))
+        fresh = VerdictCache("ns", tiers=f"memory,disk={tmp_path}")
         assert fresh.get(key) == payload
 
     def test_service_disk_cache_with_worker_pool(self, tmp_path,

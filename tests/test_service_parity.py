@@ -162,7 +162,7 @@ class TestCacheParity:
         # a fresh task (fresh process in real runs) serves from disk
         second, result = run_records(design_task("fsm"))
         assert second == GOLDEN["design2sva_fsm"]
-        assert result.stats["cache"]["disk_hits"] > 0
+        assert result.stats["cache"]["tiers"]["disk"]["hits"] > 0
 
 
 class TestTieredCacheParity:
