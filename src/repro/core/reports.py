@@ -195,8 +195,8 @@ def run_summary(result: RunResult, task=None) -> str:
     """
     stats = dict(result.stats)
     if task is not None:
-        from .runner import _collect_stats
-        stats = _collect_stats(task) or stats
+        from .runner import _stats_since
+        stats = _stats_since(task, {}) or stats
     lines = [f"run: model={result.model} task={result.task} "
              f"records={len(result.records)}"]
     lines.append(f"  rates: syntax={result.syntax_rate:.3f} "

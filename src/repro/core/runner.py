@@ -45,6 +45,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from .. import counters
 from ..eval.metrics import corpus_bleu, mean, pass_at_k
 from ..models.base import GenerationRequest, SimulatedModel
 from ..options import Options
@@ -69,9 +70,11 @@ class RunResult:
     task: str
     records: list[EvalRecord] = field(default_factory=list)
     #: run observability: verdict-cache hit rates, prover stage/solver
-    #: totals and service scheduling counters (parallel runs merge the
-    #: per-worker counters; cache "entries" then counts per-worker
-    #: memory entries, which may overlap across workers)
+    #: totals and service scheduling counters -- what *this run* added,
+    #: serial or pooled (parallel runs merge the per-worker deltas;
+    #: cache "entries" then counts per-worker memory entries, which may
+    #: overlap across workers, and the process-wide ``frontend`` memos
+    #: count each worker's own lookups)
     stats: dict = field(default_factory=dict)
 
     # -- aggregates ------------------------------------------------------------
@@ -173,21 +176,19 @@ def _pool_init(model: SimulatedModel, task, config: RunConfig) -> None:
     _POOL_CTX["model"] = model
     _POOL_CTX["task"] = task
     _POOL_CTX["config"] = config
-    # the unpickled task may arrive with counters the parent already
-    # accumulated before the pool started; remember them so snapshots
-    # report only this worker's own work (no per-worker re-count of the
-    # parent baseline)
+    # the unpickled task (and the forked memos) arrive with counters the
+    # parent already accumulated before the pool started; remember them
+    # so snapshots report only this worker's own work
     _POOL_CTX["baseline"] = _collect_stats(task)
 
 
 def _pool_eval(index: int) -> tuple[list[EvalRecord], int, dict]:
-    """One problem's records plus the worker's cumulative stats snapshot.
+    """One problem's records plus what the worker has counted so far.
 
     The snapshot travels with every result because workers cannot be
     interrogated after the pool drains; counters only ever grow, so the
-    parent keeps the latest snapshot per worker pid and sums across
-    workers (fixing the ``FVEVAL_JOBS`` observability hole where pooled
-    runs attached no stats at all).
+    parent keeps the latest snapshot per worker pid and merges across
+    workers.
     """
     model = _POOL_CTX["model"]
     task = _POOL_CTX["task"]
@@ -195,13 +196,14 @@ def _pool_eval(index: int) -> tuple[list[EvalRecord], int, dict]:
     problems = _problem_list(task, config)
     records = _evaluate_problem(model, task, config, problems[index], index,
                                 len(problems))
-    snapshot = _diff_stats(_collect_stats(task), _POOL_CTX["baseline"])
+    snapshot = _stats_since(task, _POOL_CTX["baseline"])
     return records, os.getpid(), snapshot
 
 
 def _collect_stats(task) -> dict:
-    """Observability payload from a task: cache hit rates, prover profile,
-    service scheduling counters."""
+    """Cumulative observability counters of a task: cache hit rates,
+    prover profile, service scheduling counters.  Every section the task
+    has is present, so any two snapshots diff cleanly."""
     stats: dict = {}
     cache_stats = getattr(task, "cache_stats", None)
     if callable(cache_stats):
@@ -211,60 +213,19 @@ def _collect_stats(task) -> dict:
         stats["prover"] = {k: (round(v, 6) if isinstance(v, float) else v)
                            for k, v in profile.items()}
     service = getattr(task, "service", None)
-    if service is not None and getattr(service, "requests", 0):
-        counters = service.stats()
-        counters.pop("cache", None)  # already reported above
-        stats["service"] = counters
+    if service is not None:
+        stats["service"] = service.stats()
+        stats["service"].pop("cache", None)  # already reported above
     return stats
 
 
-#: profile keys that are high-water marks, not accumulating counters --
-#: merged across workers with max, never summed (and never baselined)
-_HIGH_WATER_KEYS = {"learned_db"}
-
-
-def _diff_stats(current: dict, baseline: dict) -> dict:
-    """Counters accumulated since *baseline* (high-water marks pass
-    through unchanged -- a peak cannot be meaningfully subtracted).
-    Nested sections (the verdict cache's per-tier counters) diff
-    recursively."""
-    out: dict = {}
-    for key, value in current.items():
-        base = baseline.get(key)
-        if isinstance(value, dict):
-            out[key] = _diff_stats(value, base if isinstance(base, dict)
-                                   else {})
-        elif isinstance(value, (int, float)) \
-                and key not in _HIGH_WATER_KEYS:
-            out[key] = value - (base if isinstance(base, (int, float))
-                                else 0)
-        else:
-            out[key] = value
-    return out
-
-
-def _sum_stats(snapshots) -> dict:
-    """Merge per-worker stats snapshots: sum counters, max the peaks.
-    Nested sections (per-tier cache counters) merge recursively."""
-    merged: dict = {}
-    for snapshot in snapshots:
-        _merge_stats(merged, snapshot)
-    return merged
-
-
-def _merge_stats(dst: dict, src: dict) -> dict:
-    for key, value in src.items():
-        if isinstance(value, dict):
-            into = dst.setdefault(key, {})
-            if isinstance(into, dict):
-                _merge_stats(into, value)
-        elif not isinstance(value, (int, float)):
-            continue
-        elif key in _HIGH_WATER_KEYS:
-            dst[key] = max(dst.get(key, 0), value)
-        else:
-            dst[key] = dst.get(key, 0) + value
-    return dst
+def _stats_since(task, baseline: dict) -> dict:
+    """What the task's counters gained since the :func:`_collect_stats`
+    snapshot *baseline* (a service that took no requests is left out)."""
+    stats = counters.diff(_collect_stats(task), baseline)
+    if not stats.get("service", {}).get("requests"):
+        stats.pop("service", None)
+    return stats
 
 
 class _PoolUnavailable(Exception):
@@ -315,7 +276,10 @@ def _iter_parallel(model: SimulatedModel, task, config: RunConfig,
     except infra as exc:
         raise _PoolUnavailable(exc, yielded) from exc
     if stats is not None:
-        stats.update(_sum_stats(worker_stats.values()))
+        merged: dict = {}
+        for snapshot in worker_stats.values():
+            counters.merge(merged, snapshot)
+        stats.update(merged)
 
 
 def iter_run_model_on_task(model: SimulatedModel | str, task,
@@ -335,6 +299,7 @@ def iter_run_model_on_task(model: SimulatedModel | str, task,
     problems = _problem_list(task, config)
     total = len(problems)
     jobs = Options.from_env().jobs
+    baseline = _collect_stats(task)
     if jobs > 1 and total > 1:
         try:
             for records in _iter_parallel(model, task, config, total, jobs,
@@ -350,7 +315,7 @@ def iter_run_model_on_task(model: SimulatedModel | str, task,
         yield from _evaluate_problem(model, task, config, problem, index,
                                      total)
     if stats is not None:
-        stats.update(_collect_stats(task))
+        stats.update(_stats_since(task, baseline))
 
 
 def run_model_on_task(model: SimulatedModel | str, task,
@@ -370,6 +335,7 @@ def run_model_on_task(model: SimulatedModel | str, task,
     problems = _problem_list(task, config)
     total = len(problems)
     jobs = Options.from_env().jobs
+    baseline = _collect_stats(task)
     if jobs > 1 and total > 1:
         stats: dict = {}
         try:
@@ -386,7 +352,7 @@ def run_model_on_task(model: SimulatedModel | str, task,
     for index, problem in enumerate(problems):
         result.records.extend(
             _evaluate_problem(model, task, config, problem, index, total))
-    result.stats = _collect_stats(task)
+    result.stats = _stats_since(task, baseline)
     return result
 
 

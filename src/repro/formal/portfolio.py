@@ -54,8 +54,9 @@ them.
 
 from __future__ import annotations
 
+from ..counters import bump
 from .aig import FALSE, TRUE
-from .prover import ProofResult, bump
+from .prover import ProofResult
 from .semantics import horizon_of
 
 #: default conflict-budget rungs; ``Prover.max_conflicts`` is always

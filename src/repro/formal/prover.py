@@ -51,11 +51,11 @@ are liveness obligations that bounded engines cannot prove; they are reported
 from __future__ import annotations
 
 import sys
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from ..counters import bump, bump_max
 from ..rtl.elaborate import Design
 from ..sva.ast_nodes import (
     Assertion,
@@ -71,27 +71,6 @@ from .bitvec import AigBackend, EvalError, ExprEvaluator, SignalSource
 from .coi import assertion_roots, cone_of_influence
 from .sat import Solver, solve_cnf
 from .semantics import EncodingError, PropertyEncoder, horizon_of
-
-
-#: guards read-modify-write profile updates: profile dicts are shared
-#: across the provers of one service and across the threads that flush
-#: it concurrently (the HTTP frontend's executor threads), where a bare
-#: ``d[k] = d.get(k) + v`` would lose increments between the read and
-#: the write.  One process-wide lock is cheap (updates happen per stage
-#: / per solve call, never per conflict).
-_PROFILE_LOCK = threading.Lock()
-
-
-def bump(profile: dict, key: str, value) -> None:
-    """Atomically accumulate ``value`` into ``profile[key]``."""
-    with _PROFILE_LOCK:
-        profile[key] = profile.get(key, 0) + value
-
-
-def bump_max(profile: dict, key: str, value) -> None:
-    """Atomically raise the high-water mark ``profile[key]``."""
-    with _PROFILE_LOCK:
-        profile[key] = max(profile.get(key, 0), value)
 
 
 def _faults():

@@ -26,11 +26,23 @@ a reference's n-gram tables).  The rule is the same for all of them:
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 
 #: every memo of the process, by name
 _MEMOS: dict[str, "LruMemo"] = {}
+
+
+def _reset_locks() -> None:
+    # a forked child inherits each lock in whatever state the parent's
+    # other threads left it (one may be mid-lookup); the child is
+    # single-threaded at this point, so fresh locks are safe
+    for memo in _MEMOS.values():
+        memo._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_locks)
 
 
 class LruMemo:

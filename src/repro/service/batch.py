@@ -27,8 +27,9 @@ passes changes (``tests/test_service_parity.py``).
 
 from __future__ import annotations
 
+from ..counters import bump
 from ..formal.bitsim import MAX_LANES, packed_violation_masks
-from ..formal.prover import bump, has_unbounded_strong
+from ..formal.prover import has_unbounded_strong
 from ..formal.semantics import PropertyEncoder, horizon_of
 from ..sva.unparse import unparse
 from .signature import routing_signature

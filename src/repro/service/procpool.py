@@ -35,10 +35,11 @@ in-flight unit:
   event).
 
 Workers are respawned lazily and die with the parent (daemon
-processes).  Observability parity: each worker ships per-unit profile /
-batch-counter deltas back with its ``done`` message, which the parent
-merges into the service's shared profile, so ``--profile`` output and
-``stats()`` describe the same work under either executor.
+processes).  Observability parity: each worker ships what one unit
+added to its profile and scheduling counters (:func:`repro.counters.
+diff`) back with its ``done`` message, and the parent folds it in
+(:func:`repro.counters.merge`), so ``--profile`` output and ``stats()``
+describe the same work under either executor.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import signal
 import threading
 import time
 
+from ..counters import diff
 from ..options import MAX_PROC_WORKERS
 
 #: extra wall-clock seconds past a unit's deadline before the parent
@@ -57,39 +59,11 @@ from ..options import MAX_PROC_WORKERS
 #: answered by then); tests lower it to keep the backstop path fast
 DEADLINE_GRACE_S = 1.0
 
-#: profile keys that are high-water marks, not additive counters
-_HIGH_WATER = ("learned_db",)
-
-
-def _profile_delta(current: dict, base: dict) -> dict:
-    """What one unit added to a worker's profile (high-water keys ship
-    their absolute value; the parent merges them with max)."""
-    delta = {}
-    for key, value in current.items():
-        if not isinstance(value, (int, float)):
-            continue
-        if key in _HIGH_WATER:
-            delta[key] = value
-        else:
-            diff = value - base.get(key, 0)
-            if diff:
-                delta[key] = diff
-    return delta
-
 
 def _worker_main(conn, slot: int) -> None:
     """Worker process body: a persistent service (inline, since a
     daemonic process may not fork workers of its own) answering one unit
     at a time over the pipe."""
-    import threading as _threading
-
-    from ..formal import prover as _prover
-
-    # under the fork start method the parent's module locks are copied
-    # in whatever state they were in at fork time; replace the known
-    # process-wide ones so a lock held by another parent thread can
-    # never deadlock this (single-threaded) child
-    _prover._PROFILE_LOCK = _threading.Lock()
     from .service import VerificationService
     service = VerificationService(executor="thread")
     while True:
@@ -106,26 +80,17 @@ def _worker_main(conn, slot: int) -> None:
             os.kill(os.getpid(), signal.SIGKILL)
         service.options = dataclasses.replace(
             service.options, batching=batching, share_equiv=share_equiv)
-        base = dict(service.profile)
-        groups0 = service.batch_groups
-        members0 = service.batch_members
-        hits0 = service.prover_hits
-        builds0 = service.prover_builds
-        ehits0 = service.equiv_hits
-        ebuilds0 = service.equiv_builds
+        base = {"profile": dict(service.profile),
+                "counters": dict(service.counters)}
         try:
             for response in service.stream(requests):
                 response.worker_id = slot
                 conn.send(("res", unit_id, response.index, response))
-            conn.send(("done", unit_id, {
-                "profile": _profile_delta(service.profile, base),
-                "batch_groups": service.batch_groups - groups0,
-                "batch_members": service.batch_members - members0,
-                "prover_hits": service.prover_hits - hits0,
-                "prover_builds": service.prover_builds - builds0,
-                "equiv_hits": service.equiv_hits - ehits0,
-                "equiv_builds": service.equiv_builds - ebuilds0,
-            }))
+            delta = diff({"profile": service.profile,
+                          "counters": service.counters}, base)
+            # the parent counted these requests when it planned them
+            del delta["counters"]["requests"]
+            conn.send(("done", unit_id, delta))
         except (EOFError, OSError, BrokenPipeError):
             return
 
@@ -148,7 +113,8 @@ class ProcessExecutor:
     * ``("response", unit, position, response)`` -- one request of
       *unit* answered (positions index ``unit["entries"]``);
     * ``("unit_done", unit, stats)`` -- a unit completed; ``stats``
-      carries the worker's profile/batch-counter deltas to merge;
+      carries the worker's ``profile`` / ``counters`` deltas to merge
+      (empty when the worker died after its last response);
     * ``("failed", unit, positions, cause)`` -- terminal failure of the
       listed (still unanswered) positions: ``crash`` (retry exhausted),
       ``timeout`` (deadline SIGKILL backstop) or ``unpicklable`` (the

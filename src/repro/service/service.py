@@ -74,6 +74,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .. import memo
+from ..counters import bump, merge
 from ..options import Options
 from ..sva.canonical import CanonicalizationError, canonical_key
 from ..sva.syntax import check_assertion_syntax
@@ -299,22 +300,17 @@ class VerificationService:
         self._pending: list[Handle] = []
         self._seq = 0
         self._batch_seq = 0
-        self.requests = 0
-        self.dedup_hits = 0
-        self.batch_groups = 0
-        self.batch_members = 0
-        #: prover-pool reuse counters: a ``hit`` reuses a pooled prover
-        #: (sessions, unrolled AIGs, sim traces and all), a ``build``
-        #: constructs a fresh one -- the signature-affinity layers exist
-        #: to raise the hit share, and the bench's --route/affinity rows
-        #: report it (docs/router.md)
-        self.prover_hits = 0
-        self.prover_builds = 0
-        #: the equivalence analogues: a ``hit`` reuses a pooled shared
-        #: checker (reference cone, learned clauses and all), a ``build``
-        #: constructs a fresh slot
-        self.equiv_hits = 0
-        self.equiv_builds = 0
+        #: scheduling counters, updated with :func:`repro.counters.bump`
+        #: (a process worker's deltas merge in with the same lock).
+        #: ``prover_hits`` reuse a pooled prover (sessions, unrolled
+        #: AIGs, sim traces and all) and ``prover_builds`` construct a
+        #: fresh one -- the signature-affinity layers exist to raise the
+        #: hit share (docs/router.md); the ``equiv_*`` analogues count
+        #: pooled shared checkers (reference cone, learned clauses)
+        self.counters: dict = dict.fromkeys((
+            "requests", "dedup_hits", "batch_groups", "batch_members",
+            "prover_hits", "prover_builds", "equiv_hits", "equiv_builds"),
+            0)
         self._init_runtime()
 
     def _init_runtime(self) -> None:
@@ -324,7 +320,7 @@ class VerificationService:
         #: own stream() generators without deadlocking)
         self._sched_lock = threading.RLock()
         #: guards the short mutations shared by concurrently executing
-        #: flushes (pending swap, pins, dedup/batch/pool counters)
+        #: flushes (pending swap, pins, pools)
         self._state_lock = threading.Lock()
         self._procpool = None
 
@@ -428,30 +424,13 @@ class VerificationService:
         """
         totals: dict = {"hits": 0, "misses": 0, "puts": 0, "entries": 0,
                         "corrupt": 0}
-
-        def merge(into: dict, stats: dict) -> dict:
-            for key, value in stats.items():
-                # tolerant of counters this service version predates
-                if isinstance(value, dict):
-                    into[key] = merge(into.get(key) or {}, value)
-                elif isinstance(value, (int, float)):
-                    into[key] = into.get(key, 0) + value
-            return into
-
         for cache in self._caches.values():
             merge(totals, cache.stats())
         return totals
 
     def stats(self) -> dict:
         stats = {
-            "requests": self.requests,
-            "dedup_hits": self.dedup_hits,
-            "batch_groups": self.batch_groups,
-            "batch_members": self.batch_members,
-            "prover_hits": self.prover_hits,
-            "prover_builds": self.prover_builds,
-            "equiv_hits": self.equiv_hits,
-            "equiv_builds": self.equiv_builds,
+            **self.counters,
             "cache": self.cache_stats(),
             # process-wide, not per service: the text -> design memos
             # (docs/architecture.md, "Front end: text -> design once")
@@ -569,8 +548,7 @@ class VerificationService:
             entry.response = response
             self._cache_put(entry, response)
             for dup in dups.get(entry.index, ()):
-                with self._state_lock:
-                    self.dedup_hits += 1
+                bump(self.counters, "dedup_hits", 1)
                 dup.response = self._duplicate(dup.request, response)
                 dup.response.index = dup.index
 
@@ -646,8 +624,9 @@ class VerificationService:
         local: list[tuple[Unit, list[int]]] = []
         for event in pool.execute(wires):
             kind, wire = event[0], event[1]
-            if kind == "unit_done":
-                self._merge_worker_stats(event[2])
+            if kind == "unit_done":  # the unit's counter deltas
+                merge(self.profile, event[2].get("profile", {}))
+                merge(self.counters, event[2].get("counters", {}))
             elif kind == "response":
                 _, _, position, response = event
                 if wire["events"]:  # crash-retry provenance
@@ -699,8 +678,8 @@ class VerificationService:
         # once per flush: the canonical key of each distinct reference
         # (shared by every sample scored on it)
         reference_keys: dict[tuple, str] = {}
+        bump(self.counters, "requests", len(requests))
         for index, request in enumerate(requests):
-            self.requests += 1
             if not request.request_id:
                 self._seq += 1
                 request.request_id = f"req{self._seq}"
@@ -810,12 +789,12 @@ class VerificationService:
                 first = plan[unit.indices[0]]
                 if first.request.kind == "equivalence":
                     if private:
-                        self.equiv_builds += 1
+                        bump(self.counters, "equiv_builds", 1)
                         engine = _EquivSlot()
                     else:
                         engine = self._equiv_slot_for(pool_key)
                 elif private:
-                    self.prover_builds += 1
+                    bump(self.counters, "prover_builds", 1)
                     engine = Prover(first.design, profile=self.profile,
                                     **dict(pool_key[1]))
                 else:
@@ -854,9 +833,7 @@ class VerificationService:
             return
         n = sum(covered)
         if n:
-            with self._state_lock:
-                self.batch_groups += 1
-                self.batch_members += n
+            merge(self.counters, {"batch_groups": 1, "batch_members": n})
         for i, flag in zip(members, covered):
             if flag:
                 plan[i].batch_id = unit.batch_id
@@ -877,26 +854,6 @@ class VerificationService:
                                  detail="worker overran the unit deadline "
                                         "and was SIGKILLed").as_dict()]
         return response
-
-    def _merge_worker_stats(self, stats: dict) -> None:
-        """Fold one unit's worker-side profile/batch deltas into the
-        service's shared observability state."""
-        if not stats:
-            return
-        from ..formal.prover import bump, bump_max
-        from .procpool import _HIGH_WATER
-        for key, value in (stats.get("profile") or {}).items():
-            if key in _HIGH_WATER:
-                bump_max(self.profile, key, value)
-            else:
-                bump(self.profile, key, value)
-        with self._state_lock:
-            self.batch_groups += stats.get("batch_groups", 0)
-            self.batch_members += stats.get("batch_members", 0)
-            self.prover_hits += stats.get("prover_hits", 0)
-            self.prover_builds += stats.get("prover_builds", 0)
-            self.equiv_hits += stats.get("equiv_hits", 0)
-            self.equiv_builds += stats.get("equiv_builds", 0)
 
     def _process_pool(self, workers: int):
         """The shared process pool, grown on demand (never torn down
@@ -1042,9 +999,9 @@ class VerificationService:
         prover = self._provers.get(pool_key)
         if prover is not None:
             self._provers.move_to_end(pool_key)
-            self.prover_hits += 1
+            bump(self.counters, "prover_hits", 1)
             return prover
-        self.prover_builds += 1
+        bump(self.counters, "prover_builds", 1)
         # evict least-recently-used provers to bound proof-session
         # memory, but never one the executing batch still needs -- its
         # presimulated packed masks must survive its own flush
@@ -1063,9 +1020,9 @@ class VerificationService:
         slot = self._equiv.get(pool_key)
         if slot is not None:
             self._equiv.move_to_end(pool_key)
-            self.equiv_hits += 1
+            bump(self.counters, "equiv_hits", 1)
             return slot
-        self.equiv_builds += 1
+        bump(self.counters, "equiv_builds", 1)
         evictable = [key for key in self._equiv
                      if key not in self._active]
         while len(self._equiv) >= self.max_equiv and evictable:
@@ -1189,7 +1146,6 @@ class VerificationService:
     def _compute_equivalence(self, request: VerifyRequest,
                              entry: PlanEntry) -> VerifyResponse:
         from ..formal.equivalence import EquivChecker, check_equivalence
-        from ..formal.prover import bump
         options = {k: v for k, v in request.engine.items()
                    if k != "strategy"}
         # shared-reference path: the pinned slot's checker serves every

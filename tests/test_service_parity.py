@@ -358,6 +358,35 @@ class TestExecutorParity:
             assert all(r.worker_id in range(workers) for r in computed)
 
 
+class TestExecutorCounterParity:
+    """The counter deltas process workers ship back add up to what an
+    inline run counts: ``stats()`` less the process-wide ``frontend``
+    memos and the cache tiers' wall-clock ``latency_ms``, and every
+    profile key that is not a ``*_s`` timer."""
+
+    @staticmethod
+    def counters(executor, workers):
+        task = design_task("fsm", executor=executor, workers=workers)
+        try:
+            records, _ = run_records(task)
+            stats = task.service.stats()
+            profile = dict(task.service.profile)
+        finally:
+            task.service.close()
+        assert records == GOLDEN["design2sva_fsm"]
+        del stats["frontend"]
+        for tier in stats["cache"]["tiers"].values():
+            del tier["latency_ms"]
+        return stats, {key: value for key, value in profile.items()
+                       if not key.endswith("_s")}
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_process_counts_what_inline_counts(self, workers):
+        inline = self.counters("thread", 1)
+        assert inline[0]["prover_builds"] > 0
+        assert self.counters("process", workers) == inline
+
+
 class TestUnrollCounters:
     """The unroller's counters (docs/engine.md, "Lower once, stamp per
     frame") ride the shared prover profile like the stage timers:
