@@ -37,7 +37,9 @@ from functools import lru_cache
 
 from ..datasets.design2sva.pipeline_gen import GeneratedDesign
 from ..datasets.design2sva.sweep import build_benchmark
-from ..datasets.design2sva.testbench_gen import SpliceError, merge_for_eval
+from ..datasets.design2sva.testbench_gen import (
+    SpliceError, merge_for_eval, problem_base,
+)
 from ..datasets.nl2sva_human import corpus
 from ..datasets.nl2sva_human.corpus import HumanProblem
 from ..datasets.nl2sva_machine.critic import build_problems
@@ -45,7 +47,9 @@ from ..datasets.nl2sva_machine.generator import (
     SIGNAL_WIDTHS,
     MachineProblem,
 )
-from ..rtl.elaborate import Design, elaborate
+from ..rtl.ast_nodes import AssertionItem
+from ..rtl.elaborate import Design, elaborate_base
+from ..rtl.parser import parse_snippet_items
 from ..service import RequestError, VerificationService, VerifyRequest
 from ..sva.lexer import strip_code_fences
 from ..eval.metrics import sentence_bleu
@@ -176,8 +180,11 @@ class Nl2SvaHumanTask(_EquivalenceTask):
         return corpus.problems()
 
     def testbench_design(self, problem: HumanProblem) -> Design:
-        # text sources are memoised by the elaborator
-        return elaborate(corpus.testbench_source(problem.testbench))
+        """The testbench's elaborated base: its signal widths and
+        parameters, which are all a request's context reads (memoised
+        by the elaborator; the testbench's own assertions are never
+        bound)."""
+        return elaborate_base(corpus.testbench_source(problem.testbench))
 
     def context(self, problem: HumanProblem) -> dict:
         design = self.testbench_design(problem)
@@ -317,20 +324,27 @@ class Design2SvaTask:
 
         The single construction path (fence stripping, testbench splice,
         engine/cache configuration) shared by :meth:`evaluate_batch` and
-        external workload builders.  An assertion-only response arrives
-        already bound onto the problem's shared base design and travels
-        as ``design``; one with support code travels as ``source`` and
-        the service elaborates it.  Raises :class:`SpliceError`/``ValueError`` when
-        the response cannot be spliced into the testbench or its
-        assertion does not resolve there.
+        external workload generators.  An assertion-only response names
+        its base: ``design`` is the problem's shared base and
+        ``assertion`` the response text, which the service binds in the
+        base's scope (an unresolved signal is its ``syntax_error``).
+        One with support code is spliced into the testbench and travels
+        as ``source``, which the service elaborates.  Raises
+        :class:`SpliceError` when the response does not parse as module
+        items.
         """
-        merged = merge_for_eval(problem, problem.tb_source,
-                                strip_code_fences(response))
-        return VerifyRequest(
-            kind="prove", design=merged.design,
-            source="" if merged.design is not None else merged.source_file,
-            top=merged.top, engine=dict(self._engine),
-            cache_ns=self._namespace, use_cache=self.use_cache)
+        code = strip_code_fences(response)
+        request = VerifyRequest(kind="prove", engine=dict(self._engine),
+                                cache_ns=self._namespace,
+                                use_cache=self.use_cache)
+        if all(isinstance(item, AssertionItem)
+               for item in parse_snippet_items(code).items):
+            request.design = problem_base(problem, problem.tb_source)
+            request.assertion = code
+        else:
+            merged = merge_for_eval(problem, problem.tb_source, code)
+            request.source, request.top = merged.source_file, merged.top
+        return request
 
     def evaluate(self, problem: GeneratedDesign, response: str,
                  model: str = "", sample_idx: int = 0) -> EvalRecord:
@@ -342,7 +356,7 @@ class Design2SvaTask:
                        ) -> list[EvalRecord]:
         """Evaluate all samples of one problem as one service batch.
 
-        The service groups the spliced designs by their (shared) design
+        The service groups the samples by their (shared) design
         signature, so the batch's candidate assertions are proved on one
         prover and falsified by one packed simulation pass per cone.
         """

@@ -2,10 +2,12 @@
 
 For every generated design we emit the accompanying formal testbench header
 (paper Appendix C.1: all DUT ports mirrored as testbench inputs, plus
-``tb_reset``).  At evaluation time the model's response -- one assertion plus
-optional support code -- is spliced into the testbench, and DUT + TB are
-merged into a single elaborable module (the role JasperGold's
-elaborate/bind step plays in the paper's flow).
+``tb_reset``).  DUT + TB are merged into a single elaborable module, the
+problem base (the role JasperGold's elaborate/bind step plays in the paper's
+flow).  At evaluation time a response that is assertions only binds onto
+that base; one that brings support code is spliced into the testbench and
+the merge elaborated in full.  The snippet parser both use lives in
+:mod:`repro.rtl.parser` (re-exported here).
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from ...rtl.ast_nodes import (
     PortDecl,
     SourceFile,
 )
-from ...rtl.elaborate import Design, bind, elaborate
-from ...rtl.parser import RtlParser, parse_rtl, preprocess
-from ...sva.parser import ParseError
+from ...rtl.elaborate import Design, elaborate, with_digest
+from ...rtl.parser import (  # noqa: F401  (SpliceError: re-exported)
+    SpliceError, parse_rtl, parse_snippet_items,
+)
 from ...sva.unparse import unparse
 from .pipeline_gen import GeneratedDesign
 
@@ -59,46 +62,12 @@ endmodule
 """
 
 
-class SpliceError(ValueError):
-    """The model's support code does not parse as module items."""
-
-
-#: parsed response snippets by code: about 3 KB of AST each, shared
-#: read-only like every memoised AST (merges copy the item lists, never
-#: the items).  1024 covers one model's 960 Design2SVA responses (2
-#: categories x 96 designs x 5 samples).
-_SNIPPETS = LruMemo("design2sva.snippet", 1024)
-
-
-def parse_snippet_items(code: str) -> ModuleDecl:
-    """Parse a model-response snippet (declarations/assigns/assertions) as
-    the body of an anonymous module; raises :class:`SpliceError` on bad
-    syntax (this is the Design2SVA syntax gate for support code).
-    Memoised: the module is shared and read-only."""
-    return _SNIPPETS.get(code, lambda: _parse_snippet(code))
-
-
-def _parse_snippet(code: str) -> ModuleDecl:
-    wrapped = f"module __snippet__ (); {code} endmodule"
-    try:
-        text, _ = preprocess(wrapped)
-        parser = RtlParser(text)
-        modules = parser.parse_source()
-    except ParseError as exc:
-        raise SpliceError(str(exc)) from exc
-    return modules["__snippet__"]
-
-
 @dataclass
 class MergedBench:
     """A DUT+TB+response merged into one elaborable source."""
 
     source_file: SourceFile
     top: str
-    #: the elaborated merge when the response is assertions only (bound
-    #: late onto the problem's shared base design); None when it brings
-    #: support code, which changes the design and must elaborate in full
-    design: Design | None = None
 
 
 @dataclass
@@ -126,6 +95,13 @@ def _problem_base(dut_source: str, tb_source: str, dut_top: str
                       lambda: _build_base(dut_source, tb_source, dut_top))
 
 
+def problem_base(design: GeneratedDesign, tb_source: str) -> Design:
+    """The elaborated DUT+TB merge every response to *design* shares
+    (read-only): a response that is assertions only binds onto it
+    (:func:`~repro.rtl.elaborate.bind_text`) instead of being spliced."""
+    return _problem_base(design.source, tb_source, design.top).design
+
+
 def _build_base(dut_source: str, tb_source: str, dut_top: str
                 ) -> _ProblemBase:
     dut_sf = parse_rtl(dut_source)
@@ -150,9 +126,9 @@ def _build_base(dut_source: str, tb_source: str, dut_top: str
     modules = dict(dut_sf.modules)
     del modules[dut_top]
     modules[top] = merged
-    return _ProblemBase(
-        modules, top,
-        elaborate(SourceFile(modules=modules, defines={}), top=top))
+    return _ProblemBase(modules, top, with_digest(
+        elaborate(SourceFile(modules=modules, defines={}), top=top),
+        "design2sva.testbench", dut_source, tb_source, dut_top))
 
 
 def merge_for_eval(design: GeneratedDesign, tb_source: str,
@@ -165,10 +141,9 @@ def merge_for_eval(design: GeneratedDesign, tb_source: str,
     testbench.  Submodules of the DUT (pipeline exec units) are kept for
     instantiation.  The model's support code and assertion are appended.
 
-    Everything but the response is fixed per problem and memoised, parsed
-    and elaborated once (:class:`_ProblemBase`); a response that is only
-    assertions costs one snippet parse and one late
-    :func:`~repro.rtl.elaborate.bind`.
+    Everything but the response is fixed per problem and memoised
+    (:class:`_ProblemBase`).  A response that is only assertions never
+    needs this: it binds onto :func:`problem_base` instead.
     """
     base = _problem_base(design.source, tb_source, design.top)
     items = (parse_snippet_items(response_code).items
@@ -184,13 +159,10 @@ def merge_for_eval(design: GeneratedDesign, tb_source: str,
         assertions=list(shared.assertions))
     for item in items:
         _classify(merged, item)
-    bench = MergedBench(
+    return MergedBench(
         source_file=SourceFile(modules={**base.modules, base.top: merged},
                                defines={}),
         top=base.top)
-    if all(isinstance(item, AssertionItem) for item in items):
-        bench.design = bind(base.design, items)
-    return bench
 
 
 def _classify(mod: ModuleDecl, item) -> None:

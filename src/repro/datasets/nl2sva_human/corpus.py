@@ -41,8 +41,10 @@ class HumanProblem:
         return (f"Create a SVA assertion that checks: {self.question}{hint}")
 
 
+@lru_cache(maxsize=None)
 def testbench_source(name: str) -> str:
-    """Raw SystemVerilog source of a corpus testbench."""
+    """Raw SystemVerilog source of a corpus testbench (read once: the
+    corpus is a fixed set of package files)."""
     return (_TB_DIR / f"{name}.sv").read_text()
 
 

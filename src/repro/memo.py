@@ -5,9 +5,11 @@ reference, and re-scoring a run (a second model, a re-rendered table, a
 client resubmitting) repeats every response text.  So the pure
 functions of text each keep one :class:`LruMemo`: the front end
 (``parse_assertion``, ``parse_rtl``, ``elaborate_base``, the Design2SVA
-problem base and response snippets) and the per-response results built
+problem base and response snippets), the per-response results built
 on it (the syntax gate's outcome, ``canonical_key`` of a text, BLEU and
-a reference's n-gram tables).  The rule is the same for all of them:
+a reference's n-gram tables) and the service's raw-key alias from a
+request's inputs to its semantic cache key.  The rule is the same for
+all of them:
 
 * the function is pure, so a hit returns what a recomputation would;
 * results are *shared* between callers and therefore read-only (the
@@ -32,6 +34,8 @@ from collections import OrderedDict
 
 #: every memo of the process, by name
 _MEMOS: dict[str, "LruMemo"] = {}
+
+_MISSING = object()
 
 
 def _reset_locks() -> None:
@@ -62,20 +66,32 @@ class LruMemo:
 
     def get(self, key, compute):
         """The memoised value of *key*, calling ``compute()`` on a miss."""
+        value = self.lookup(key, _MISSING)
+        if value is _MISSING:
+            value = compute()
+            self.store(key, value)
+        return value
+
+    def lookup(self, key, default=None):
+        """The memoised value of *key*, or *default*; counted like
+        :meth:`get`, so a miss here and its later :meth:`store` are one
+        miss."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return self._entries[key]
             self.misses += 1
-        value = compute()
+        return default
+
+    def store(self, key, value) -> None:
+        """Memoise *value* under *key* (uncounted; see :meth:`lookup`)."""
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-        return value
 
     def keys(self) -> list:
         """Least recently used first."""

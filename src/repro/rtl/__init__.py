@@ -6,6 +6,7 @@ from .elaborate import (
     Design,
     ElaborationError,
     bind,
+    bind_text,
     const_eval,
     elaborate,
     elaborate_base,
@@ -18,7 +19,7 @@ from .simulator import Simulator, derive_init
 
 __all__ = [
     "Design", "ElaborationError", "ModuleDecl", "RtlParser", "Simulator",
-    "SourceFile", "bind", "const_eval", "derive_init", "elaborate",
-    "elaborate_base", "parse_rtl", "preprocess", "reset_inactive_value",
-    "rewrite", "substitute",
+    "SourceFile", "bind", "bind_text", "const_eval", "derive_init",
+    "elaborate", "elaborate_base", "parse_rtl", "preprocess",
+    "reset_inactive_value", "rewrite", "substitute",
 ]

@@ -20,6 +20,7 @@ The result, :class:`Design`, is consumed by the simulator
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 
 from ..memo import LruMemo
@@ -1145,9 +1146,27 @@ def elaborate_base(source: SourceFile | str, top: str | None = None,
         from .parser import parse_rtl
         key = (source, top, tuple(sorted((overrides or {}).items())),
                tuple(reset_names))
-        return _BASES.get(key, lambda: _elaborate_base(
-            parse_rtl(source), top, overrides, reset_names))
+        return _BASES.get(key, lambda: with_digest(_elaborate_base(
+            parse_rtl(source), top, overrides, reset_names),
+            "rtl.elaborate", *key))
     return _elaborate_base(source, top, overrides, reset_names)
+
+
+def with_digest(base: Design, *inputs) -> Design:
+    """*base*, with a digest of *inputs* -- everything it was elaborated
+    from, as given -- kept in ``base.derived["digest"]``.
+
+    The digest names a base (and every design bound from it, which
+    shares ``derived``) without holding its texts: the service's raw-key
+    alias keys a request on it (docs/cache.md).  A design without one is
+    never aliased.  Call it where the base is built, once; the first
+    input names the function that built it, so bases built by two
+    functions never share a digest.
+    """
+    base.derived["digest"] = hashlib.blake2b(
+        repr(inputs).encode("utf-8", "surrogatepass"),
+        digest_size=16).hexdigest()
+    return base
 
 
 def _elaborate_base(source: SourceFile, top: str | None,
@@ -1201,6 +1220,30 @@ def bind(base: Design, items: list[AssertionItem]) -> Design:
         _rewrite_assertion_exprs(item.assertion, flatten) for item in items])
     bound.derived, bound.scope = base.derived, scope
     return bound
+
+
+def bind_text(base: Design, text: str) -> Design:
+    """*base* plus the assertion items of *text*, bound like
+    :func:`bind`.
+
+    *text* is SystemVerilog module items, as a Design2SVA response
+    writes them: any number of ``[label:] assert|assume|cover property
+    (...);`` statements, parsed with the base's parameters (so ``##N``
+    and a macro use ```N`` resolve to parameter ``N``) and normalized in
+    its scope, so array elements, slices and unresolved names read
+    exactly as in the source.  Raises
+    :class:`~repro.rtl.parser.SpliceError` on bad syntax or an item that
+    is not an assertion, :class:`ElaborationError` on an unresolved
+    signal.  The new assertions are the bound design's last ones.
+    """
+    from .parser import SpliceError, parse_snippet_items
+    snippet = parse_snippet_items(text, base.params)
+    if len(snippet.assertions) != len(snippet.items):
+        other = next(item for item in snippet.items
+                     if not isinstance(item, AssertionItem))
+        raise SpliceError(f"expected only assertions, got a "
+                          f"{type(other).__name__}")
+    return bind(base, snippet.assertions)
 
 
 def elaborate(source: SourceFile | str, top: str | None = None,

@@ -43,13 +43,15 @@ from .ast_nodes import (
 _DEFINE_RE = re.compile(r"^\s*`define\s+(\w+)\s+(.*?)\s*$", re.MULTILINE)
 
 
-def preprocess(source: str) -> tuple[str, dict[str, str]]:
+def preprocess(source: str, predefined: dict[str, str] | None = None
+               ) -> tuple[str, dict[str, str]]:
     """Extract ```define`` macros and substitute their uses.
 
     Only object-like (constant) macros are supported, which is all the
-    benchmark's RTL uses.
+    benchmark's RTL uses.  *predefined* macros are defined before the
+    text's own.
     """
-    defines: dict[str, str] = {}
+    defines: dict[str, str] = dict(predefined or {})
     for m in _DEFINE_RE.finditer(source):
         defines[m.group(1)] = m.group(2)
     text = _DEFINE_RE.sub("", source)
@@ -503,3 +505,53 @@ def _parse_rtl(source: str) -> SourceFile:
     parser = RtlParser(text)
     modules = parser.parse_source()
     return SourceFile(modules=modules, defines=defines)
+
+
+class SpliceError(ValueError):
+    """A snippet of module items (a Design2SVA response's support code,
+    or an assertion text bound into a design) does not parse."""
+
+
+#: parsed snippets by (code, parameters): about 3 KB of AST each, shared
+#: read-only like every memoised AST (merges copy the item lists, never
+#: the items).  1024 covers one model's 960 Design2SVA responses (2
+#: categories x 96 designs x 5 samples).
+_SNIPPETS = LruMemo("design2sva.snippet", 1024)
+
+_MISSING = object()
+
+
+def parse_snippet_items(code: str,
+                        params: dict[str, int] | None = None) -> ModuleDecl:
+    """Parse a snippet of module items (declarations, assigns,
+    assertions) as the body of an anonymous module; raises
+    :class:`SpliceError` on bad syntax (this is the Design2SVA syntax
+    gate for support code).  Memoised: the module is shared and
+    read-only.
+
+    *params* resolve constant delay and repetition bounds such as
+    ``##DEPTH``, and macro uses such as ```WIDTH`` (each parameter is an
+    object-like macro of its value).  Parameters are read nowhere else,
+    so a snippet that parses without them parses to the same items with
+    them: an entry already memoised without them (the Design2SVA task
+    parses every response so before the service binds it) is the
+    answer.
+    """
+    if not params:
+        return _SNIPPETS.get(code, lambda: _parse_snippet(code, None))
+    shared = _SNIPPETS.lookup(code, _MISSING)
+    if shared is not _MISSING:
+        return shared
+    return _SNIPPETS.get((code, tuple(sorted(params.items()))),
+                         lambda: _parse_snippet(code, params))
+
+
+def _parse_snippet(code: str, params: dict[str, int] | None) -> ModuleDecl:
+    wrapped = f"module __snippet__ (); {code} endmodule"
+    try:
+        text, _ = preprocess(wrapped, {
+            name: str(value) for name, value in (params or {}).items()})
+        modules = RtlParser(text, params).parse_source()
+    except ParseError as exc:
+        raise SpliceError(str(exc)) from exc
+    return modules["__snippet__"]

@@ -598,12 +598,11 @@ class VerificationService:
         """The process strategy: ship *units* to the worker processes.
 
         Each unit crosses the process boundary as pickled wire requests
-        (``use_cache=False`` so the worker neither reads nor writes
-        verdict caches, with the resolved per-request deadline baked in)
-        and comes back as streamed responses.  :class:`~repro.service.
-        procpool.ProcessExecutor` resolves every dispatched position
-        exactly once -- as a response, a ``timeout``, a crash error after
-        one retry, or an ``unpicklable`` report -- which carries
+        (:func:`_worker_request`) and comes back as streamed responses.
+        :class:`~repro.service.procpool.ProcessExecutor` resolves every
+        dispatched position exactly once -- as a response, a
+        ``timeout``, a crash error after one retry, or an
+        ``unpicklable`` report -- which carries
         :meth:`_process`'s one-response-per-index invariant across
         worker death.  Units that could not be pickled run on the inline
         strategy once the pool is released, on engines pinned by
@@ -615,9 +614,8 @@ class VerificationService:
         for unit in units:
             wires.append({
                 "id": len(wires),
-                "entries": [(i, dataclasses.replace(
-                    plan[i].request, use_cache=False,
-                    deadline_s=plan[i].deadline_s)) for i in unit.indices],
+                "entries": [(i, _worker_request(plan[i]))
+                            for i in unit.indices],
                 "deadline_s": [plan[i].deadline_s for i in unit.indices],
                 "batching": batching, "share_equiv": share_equiv,
                 "batch_id": unit.batch_id, "affinity": unit.affinity})
@@ -669,7 +667,16 @@ class VerificationService:
               share_equiv: bool = True):
         """Serial planning pass: ids, keys, cache, dedup, and work groups
         (prove requests by design cone; equivalence requests by routing
-        signature when sharing is on)."""
+        signature when sharing is on).
+
+        A cached-kind request first asks the raw-key alias
+        (:func:`_raw_key`) for its semantic key.  On a hit nothing is
+        parsed, bound or canonicalised: the stored key goes straight to
+        in-flight dedup and the cache, and the request is prepared only
+        if the cache misses.  Otherwise the request is prepared and
+        keyed as it always was, and a key computed without error is
+        remembered for its raw key.
+        """
         plan: list[PlanEntry] = []
         primaries: dict[tuple, int] = {}  # (ns, key) -> plan index
         groups: dict[tuple, list[int]] = {}  # prover pool key -> indices
@@ -693,28 +700,39 @@ class VerificationService:
                 entry.deadline_s = self.admission.effective_deadline(
                     entry.deadline_s)
             plan.append(entry)
+            cached = (request.kind in _CACHED_KINDS and request.use_cache
+                      and caching)
+            raw = alias = None
             try:
                 try:
                     request.validate()
                 except RequestError as exc:
                     entry.response = self._error(request, str(exc))
                     continue
-                prepared = self._prepare(request, entry, reference_keys)
+                if cached:
+                    raw = _raw_key(request)
+                if raw is not None:
+                    alias = _ALIAS.lookup(raw)
+                if alias is None:
+                    entry.response = self._prepare(request, entry,
+                                                   reference_keys)
             except Exception as exc:  # a planning crash costs one request
-                event = _faults().classify(exc, stage="plan")
-                entry.response = self._error(
-                    request, event.detail, faults=[event.as_dict()])
+                entry.response = self._plan_crash(request, exc)
+            if entry.response is not None:
                 continue
-            if prepared is not None:
-                entry.response = prepared
-                continue
-            if (request.kind in _CACHED_KINDS and request.use_cache
-                    and caching):
+            if cached:
                 cache = self._cache(request.namespace)
-                try:
-                    key = cache.key(*entry.key_parts)
-                except CanonicalizationError:
-                    key = None  # unparseable sample: just compute
+                if alias is not None:
+                    key = alias[0]
+                else:
+                    try:
+                        key = cache.key(*entry.key_parts)
+                    except CanonicalizationError:
+                        key = None  # unparseable sample: just compute
+                    if key is not None and raw is not None:
+                        # the entry pins a reference AST its key names
+                        # by identity (None for every other request)
+                        _ALIAS.store(raw, (key, request.reference_ast))
                 if key is not None:
                     # in-flight dedup first: a duplicate never touches the
                     # cache, so hit/miss/put counters describe distinct work
@@ -736,6 +754,15 @@ class VerificationService:
                                                  *response.degraded]
                         entry.response = response
                         continue
+                    if alias is not None:
+                        # the alias skipped preparing; a miss computes
+                        try:
+                            entry.response = self._prepare(
+                                request, entry, reference_keys)
+                        except Exception as exc:
+                            entry.response = self._plan_crash(request, exc)
+                        if entry.response is not None:
+                            continue
                     primaries[(request.namespace, key)] = index
             if request.kind == "prove" or (request.kind == "equivalence"
                                            and share_equiv):
@@ -889,6 +916,12 @@ class VerificationService:
             response.degraded = list(faults)
         return response
 
+    def _plan_crash(self, request: VerifyRequest,
+                    exc: Exception) -> VerifyResponse:
+        """The error response of a request whose planning raised."""
+        event = _faults().classify(exc, stage="plan")
+        return self._error(request, event.detail, faults=[event.as_dict()])
+
     def _measured(self, request: VerifyRequest, verdict: str,
                   detail: str) -> VerifyResponse:
         """A successfully *measured* negative verdict (e.g. a sample
@@ -939,9 +972,16 @@ class VerificationService:
 
     def _prepare_prove(self, request: VerifyRequest,
                        entry: PlanEntry) -> VerifyResponse | None:
+        """Resolve a prove request's design, assertion and assumes.
+
+        A text ``assertion`` or ``assumes`` entry is bound in the
+        design's scope (:func:`~repro.rtl.elaborate.bind_text`), so it
+        reads exactly as the same text written in the source would; the
+        last assertion the text binds is the one proved.  Parsed ones
+        are taken as given: they are already bound.
+        """
         from ..formal.prover import Prover
-        from ..rtl.elaborate import ElaborationError, elaborate
-        from ..sva.parser import ParseError, parse_assertion
+        from ..rtl.elaborate import ElaborationError, bind_text, elaborate
         unknown = set(request.engine) - _prover_engine_opts()
         if unknown:
             return self._error(
@@ -958,27 +998,33 @@ class VerificationService:
             except (ElaborationError, ValueError) as exc:
                 return self._measured(request, "syntax_error",
                                       str(exc)[:160])
-        assertion = request.assertion
-        if assertion is None:
-            if not design.assertions:
-                return self._measured(
-                    request, "syntax_error",
-                    "response contains no concurrent assertion")
-            assertion = design.assertions[-1]
-        elif isinstance(assertion, str):
+        base, assertion = design, request.assertion
+        if isinstance(assertion, str):
             try:
-                assertion = parse_assertion(assertion, params=design.params)
-            except ParseError as exc:
+                design = bind_text(base, assertion)
+            except ValueError as exc:  # SpliceError, ElaborationError
                 return self._measured(request, "syntax_error",
                                       str(exc)[:160])
-        try:
-            assumes = tuple(
-                a if not isinstance(a, str)
-                else parse_assertion(a, params=design.params)
-                for a in request.assumes)
-        except ParseError as exc:
-            return self._measured(request, "syntax_error",
-                                  f"assume: {exc}"[:160])
+            bound = design.assertions[len(base.assertions):]
+            assertion = bound[-1] if bound else None
+        elif assertion is None and design.assertions:
+            assertion = design.assertions[-1]
+        if assertion is None:
+            return self._measured(
+                request, "syntax_error",
+                "response contains no concurrent assertion")
+        assumes = []
+        for assume in request.assumes:
+            if not isinstance(assume, str):
+                assumes.append(assume)
+                continue
+            try:
+                assumes += bind_text(base, assume).assertions[
+                    len(base.assertions):]
+            except ValueError as exc:
+                return self._measured(request, "syntax_error",
+                                      f"assume: {exc}"[:160])
+        assumes = tuple(assumes)
         entry.design = design
         entry.assertion = assertion
         entry.assumes = assumes
@@ -1254,6 +1300,85 @@ def _reference_key(request: VerifyRequest, keys: dict) -> str:
     if key is None:
         key = keys[slot] = canonical_key(reference, request.params)
     return key
+
+
+#: raw key -> (semantic cache key, pinned reference AST or None), over
+#: every service of the process: a repeated (problem, response, engine)
+#: is one lookup (docs/cache.md, "Raw-key alias").  4096 covers one
+#: model's 1895 NL2SVA and 960 Design2SVA responses with margin.
+_ALIAS = memo.LruMemo("service.alias", 4096)
+
+
+def _raw_key(request: VerifyRequest) -> tuple | None:
+    """The alias key of a cached-kind request, or None to never alias it.
+
+    It holds the namespace, the kind and every input the semantic key is
+    a function of, as given: assertion texts verbatim, mappings
+    type-exact (:func:`_exact`), a reference AST by identity (the alias
+    entry pins it) and a design by the digest of what its base was
+    elaborated from (``design.derived["digest"]``,
+    :func:`repro.rtl.elaborate.with_digest`).  Equal raw keys therefore
+    mean equal semantic keys.
+    A prove request without a design (a ``source``), a design without a
+    digest, a parsed prove assertion or assume, or an unhashable value
+    has no raw key.
+    """
+    engine = _exact(request.engine)
+    if request.kind == "equivalence":
+        if not (isinstance(request.candidate, str)
+                and isinstance(request.reference, str)):
+            return None
+        reference = request.reference_ast
+        raw = (request.namespace, "equivalence", request.candidate,
+               request.reference,
+               None if reference is None else id(reference),
+               _exact(request.widths), _exact(request.params), engine)
+    else:
+        assertion, design = request.assertion, request.design
+        # the digest names the base, not what was bound onto it, so the
+        # assertion must come as text
+        digest = None if design is None else design.derived.get("digest")
+        if digest is None or not isinstance(assertion, str) or not all(
+                isinstance(assume, str) for assume in request.assumes):
+            return None
+        raw = (request.namespace, "prove", digest, assertion,
+               tuple(request.assumes), engine)
+    try:
+        hash(raw)
+    except TypeError:
+        return None
+    return raw
+
+
+def _exact(value):
+    """A hashable image of a JSON-like *value*, shared only by values
+    that are equal *and* of equal types all the way down: 1, 1.0 and
+    True differ here as they do in a semantic key's JSON.  Dict order is
+    kept, so two orders of one mapping cost a miss, never a wrong hit."""
+    if isinstance(value, dict):
+        return (dict, tuple(map(_exact, value)),
+                tuple(map(_exact, value.values())))
+    if isinstance(value, (list, tuple)):
+        return (value.__class__, *map(_exact, value))
+    return (value.__class__, value)
+
+
+def _worker_request(entry: PlanEntry) -> VerifyRequest:
+    """*entry*'s request as a process worker computes it: ``use_cache``
+    off (the worker neither reads nor writes verdict caches) and the
+    resolved deadline baked in.  A prove request that names a design
+    travels as what planning resolved -- the bound design and the parsed
+    assertion and assumes -- because a base's scope does not survive
+    pickling, so a worker could not bind a text onto it.  One with a
+    ``source`` travels as given; the worker elaborates it."""
+    request = entry.request
+    if request.kind == "prove" and request.design is not None:
+        return dataclasses.replace(
+            request, use_cache=False, deadline_s=entry.deadline_s,
+            design=entry.design, source="", assertion=entry.assertion,
+            assumes=entry.assumes)
+    return dataclasses.replace(request, use_cache=False,
+                               deadline_s=entry.deadline_s)
 
 
 def _daemonic() -> bool:

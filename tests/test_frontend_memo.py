@@ -31,17 +31,19 @@ from repro.core.tasks import Design2SvaTask, Nl2SvaHumanTask, Nl2SvaMachineTask
 from repro.datasets.design2sva import arbiter_gen, testbench_gen
 from repro.datasets.design2sva.sweep import build_benchmark
 from repro.datasets.design2sva.testbench_gen import (
-    SpliceError, merge_for_eval, parse_snippet_items,
+    SpliceError, merge_for_eval, parse_snippet_items, problem_base,
 )
 from repro.datasets.nl2sva_machine.generator import SIGNAL_WIDTHS
 from repro.eval.metrics import sentence_bleu, sva_tokens
 from repro.models import design_assist
 from repro.models.base import GenerationRequest, SimulatedModel
 from repro.rtl import (
-    ElaborationError, bind, elaborate, elaborate_base, parse_rtl,
+    ElaborationError, bind, bind_text, elaborate, elaborate_base, parse_rtl,
 )
-from repro.rtl.ast_nodes import ModuleDecl, PortDecl, SourceFile
-from repro.rtl.parser import RtlParser, preprocess
+from repro.rtl.ast_nodes import (
+    AssertionItem, ModuleDecl, PortDecl, SourceFile,
+)
+from repro.rtl.parser import RtlParser, _parse_snippet, preprocess
 from repro.service import (
     BackgroundServer, VerificationService, VerifyRequest, design_signature,
 )
@@ -105,7 +107,7 @@ def fresh_merge(design, code):
     items = [i for mod in (tb, dut) for i in mod.items
              if not isinstance(i, PortDecl)]
     if code.strip():
-        items += testbench_gen._parse_snippet(code).items
+        items += _parse_snippet(code, None).items
     for item in items:
         testbench_gen._classify(merged, item)
     modules = {k: v for k, v in dut_sf.modules.items() if k != design.top}
@@ -126,9 +128,13 @@ def test_base_plus_bind_equals_full_elaboration(category):
     for design in problems(category):
         for name, code in response_classes(category, design).items():
             def memoised():
+                # the route the task takes: bind onto the shared base,
+                # or splice support code and elaborate the merge
+                if all(isinstance(item, AssertionItem)
+                       for item in parse_snippet_items(code).items):
+                    return bind_text(
+                        problem_base(design, design.tb_source), code)
                 merged = merge_for_eval(design, design.tb_source, code)
-                if merged.design is not None:
-                    return merged.design
                 return elaborate(merged.source_file, top=merged.top)
 
             def reference():
@@ -153,14 +159,21 @@ def test_base_plus_bind_equals_full_elaboration(category):
 def test_route_follows_from_what_the_snippet_contains(category):
     design = problems(category, 1)[0]
     classes = response_classes(category, design)
-    bound = {name: merge_for_eval(design, design.tb_source, code).design
-             for name, code in classes.items()
-             if name not in ("splice_error", "unresolved_signal")}
-    assert {name for name, d in bound.items() if d is None} == {
+    task = Design2SvaTask(category, count=1, prover_kwargs=dict(PROVER))
+    requests = {name: task.prove_request(design, code)
+                for name, code in classes.items()
+                if name != "splice_error"}
+    assert {name for name, r in requests.items() if r.design is None} == {
         "support_code", "support_error", "support_without_assertion"}
     base = testbench_gen._problem_base(design.source, design.tb_source,
                                        design.top).design
-    late = bound["assertion_only"]
+    # an assertion-only request names the shared base and carries its
+    # text; the service binds it
+    for name, request in requests.items():
+        if request.design is not None:
+            assert request.design is base
+            assert request.assertion == classes[name]
+    late = bind_text(base, classes["assertion_only"])
     # a bound design shares the base's tables and replaces only its
     # assertions; the signature is computed once for all of them
     assert late.comb_exprs is base.comb_exprs
@@ -171,9 +184,10 @@ def test_route_follows_from_what_the_snippet_contains(category):
 
 
 def test_records_equal_whichever_side_raises():
-    """An unresolved signal raises in the task adapter for an
-    assertion-only response and in the service for one with support
-    code: same verdict, same detail."""
+    """An unresolved signal raises in the service for both an
+    assertion-only response (binding its text onto the base) and one
+    with support code (elaborating the merge): same verdict, same
+    detail."""
     design = problems("fsm", 1)[0]
     bad = CLOCKED + "no_such_signal |-> tb_reset);"
     task = Design2SvaTask("fsm", count=1, prover_kwargs=dict(PROVER),
@@ -183,8 +197,8 @@ def test_records_equal_whichever_side_raises():
     assert late.verdict == full.verdict == "syntax_error"
     assert late.detail == full.detail \
         == f"unresolved signal 'no_such_signal' in {design.top}_tb"
-    # only the second one reached the service
-    assert task.service.stats()["requests"] == 1
+    # both reached the service
+    assert task.service.stats()["requests"] == 2
 
 
 def test_elaborate_is_base_plus_bind():
@@ -376,12 +390,14 @@ def test_memo_under_contention():
 
 def test_design_with_cached_signature_pickles():
     design = problems("fsm", 1)[0]
-    bound = merge_for_eval(design, design.tb_source, strip_code_fences(
-        design_assist.correct_response(design, random.Random(0)))).design
+    base = problem_base(design, design.tb_source)
+    bound = bind_text(base, strip_code_fences(
+        design_assist.correct_response(design, random.Random(0))))
     signature = design_signature(bound)
     copy = pickle.loads(pickle.dumps(bound))
     assert copy == bound
-    assert copy.derived == {"signature": signature}
+    assert copy.derived == {"signature": signature,
+                            "digest": base.derived["digest"]}
     assert design_signature(copy) == signature
     # the scope stays behind: a worker proves, it does not bind
     assert copy.scope is None
@@ -459,9 +475,10 @@ def test_prove_request_carries_a_design_or_a_source():
     classes = response_classes("fsm", design)
     late = task.prove_request(design, classes["assertion_only"])
     assert late.design is not None and late.source == ""
+    assert late.assertion == classes["assertion_only"]
     full = task.prove_request(design, classes["support_code"])
     assert full.design is None and isinstance(full.source, SourceFile)
-    assert isinstance(late, VerifyRequest) and late.top == full.top
+    assert isinstance(late, VerifyRequest) and late.design.name == full.top
 
 
 # -- (f) text-keyed memos of per-response results ------------------------------
@@ -661,7 +678,8 @@ def test_callers_cannot_corrupt_a_hit():
     again = merge_for_eval(design, design.tb_source, code)
     module = again.source_file.modules[again.top]
     assert len(module.items) == count
-    assert len(again.design.assertions) == 1
+    assert len(bind_text(problem_base(design, design.tb_source),
+                         code).assertions) == 1
     assert digest(snippet) == before
 
 

@@ -254,6 +254,128 @@ class TestProveKind:
         assert service.profile.get("sim_batch_passes", 0) == 0
 
 
+#: a design whose state is an unpacked array: a text assertion reads
+#: ``mem[1]`` only if it is bound in the module's scope (``mem__1``)
+MEM_DESIGN = """
+module m(clk, a, b);
+input clk;
+input [3:0] a, b;
+reg [3:0] mem [0:1];
+always_ff @(posedge clk) begin
+    mem[0] <= a;
+    mem[1] <= b;
+end
+{items}
+endmodule
+"""
+
+MEM_ASSUME = "assume property (@(posedge clk) mem[0] == 4'd0);"
+
+
+class TestTextAssertionBinds:
+    """A text ``assertion`` / ``assumes`` on a prove request reads as
+    the same text written in the design: array elements, slices and
+    unresolved names resolve in its scope."""
+
+    @pytest.mark.parametrize("text,verdict,detail", [
+        ("##1 mem[1] == $past(b)", "proven", ""),
+        ("mem[1] == mem[1]", "proven", ""),
+        ("mem[1][3:2] == mem[1][3:2]", "proven", ""),
+        ("nope", "syntax_error", "unresolved signal 'nope' in m"),
+    ], ids=["past_of_element", "element", "element_slice", "unresolved"])
+    def test_text_reads_as_the_source(self, text, verdict, detail):
+        item = f"assert property (@(posedge clk) {text});"
+        service = VerificationService()
+        as_text, in_source = service.run([
+            VerifyRequest(kind="prove", source=MEM_DESIGN.format(items=""),
+                          assertion=item, use_cache=False),
+            VerifyRequest(kind="prove", source=MEM_DESIGN.format(items=item),
+                          use_cache=False)])
+        assert (in_source.verdict, in_source.detail) == (verdict, detail)
+        assert (as_text.ok, as_text.verdict, as_text.detail) \
+            == (True, verdict, detail)
+
+    def test_text_assumes_read_as_the_source(self):
+        from repro.rtl import elaborate
+        item = "assert property (@(posedge clk) mem[0] == 4'd0);"
+        bound = elaborate(MEM_DESIGN.format(items=MEM_ASSUME + "\n" + item))
+        service = VerificationService()
+        unassumed, as_text, parsed = service.run([
+            VerifyRequest(kind="prove", source=MEM_DESIGN.format(items=""),
+                          assertion=item, use_cache=False),
+            VerifyRequest(kind="prove", source=MEM_DESIGN.format(items=""),
+                          assertion=item, assumes=(MEM_ASSUME,),
+                          use_cache=False),
+            # parsed assertions and assumes are taken as already bound
+            VerifyRequest(kind="prove", design=bound,
+                          assertion=bound.assertions[-1],
+                          assumes=(bound.assertions[0],), use_cache=False)])
+        assert unassumed.verdict == "cex"
+        assert (as_text.ok, as_text.verdict) == (True, "proven")
+        assert parsed.verdict == "proven"
+        [bad] = service.run([VerifyRequest(
+            kind="prove", source=MEM_DESIGN.format(items=""),
+            assertion=item, assumes=(MEM_ASSUME.replace("mem[0]", "nope"),),
+            use_cache=False)])
+        assert (bad.verdict, bad.detail) \
+            == ("syntax_error", "assume: unresolved signal 'nope' in m")
+
+    def test_text_bounds_may_name_parameters(self):
+        source = TOY_DESIGN.replace("output reg b;",
+                                    "output reg b;\nparameter N = 1;")
+        service = VerificationService()
+        follows, wrong = service.run([
+            VerifyRequest(kind="prove", source=source, use_cache=False,
+                          assertion=f"assert property (@(posedge clk) "
+                                    f"a |-> ##N {b});")
+            for b in ("b", "!b")])
+        assert (follows.verdict, wrong.verdict) == ("proven", "cex")
+
+    def test_text_macro_uses_name_parameters(self):
+        # the generated designs write `parameter WIDTH = `WIDTH;`: a
+        # macro use in a text reads the parameter, as in the source
+        source = "`define N 1\n" + TOY_DESIGN.replace(
+            "output reg b;", "output reg b;\nparameter N = `N;")
+        service = VerificationService()
+        for b, verdict in (("b", "proven"), ("!b", "cex")):
+            item = f"assert property (@(posedge clk) a |-> ##`N {b});"
+            as_text, in_source = service.run([
+                VerifyRequest(kind="prove", source=source, assertion=item,
+                              use_cache=False),
+                VerifyRequest(kind="prove", source=source.replace(
+                    "endmodule", item + "\nendmodule"), use_cache=False)])
+            assert (in_source.verdict, in_source.detail) == (verdict, "")
+            assert (as_text.ok, as_text.verdict, as_text.detail) \
+                == (True, verdict, "")
+        [undefined] = service.run([VerifyRequest(
+            kind="prove", source=source, use_cache=False,
+            assertion="assert property (@(posedge clk) a |-> ##`M b);")])
+        assert (undefined.verdict, undefined.detail) \
+            == ("syntax_error", "undefined macro `M")
+
+    def test_text_without_an_assertion(self):
+        service = VerificationService()
+        empty, other = service.run([
+            VerifyRequest(kind="prove", source=TOY_DESIGN, assertion="",
+                          use_cache=False),
+            VerifyRequest(kind="prove", source=TOY_DESIGN,
+                          assertion="wire spare;", use_cache=False)])
+        assert (empty.verdict, empty.detail) == (
+            "syntax_error", "response contains no concurrent assertion")
+        assert other.verdict == "syntax_error"
+        assert other.detail == "expected only assertions, got a NetDecl"
+
+    def test_cli_verify_assume(self, tmp_path, capsys):
+        from repro.__main__ import main
+        design = tmp_path / "mem.sv"
+        design.write_text(MEM_DESIGN.format(
+            items="p0: assert property (@(posedge clk) mem[0] == 4'd0);"))
+        assert main(["verify", str(design)]) == 1
+        assert "cex" in capsys.readouterr().out
+        assert main(["verify", str(design), "--assume", MEM_ASSUME]) == 0
+        assert "proven" in capsys.readouterr().out
+
+
 class TestTraceKind:
     def test_pass_and_violation(self):
         trace = {"clk": [0, 1] * 4, "a": [0, 1, 1, 1, 1, 1, 1, 1],
