@@ -282,6 +282,37 @@ def _iter_parallel(model: SimulatedModel, task, config: RunConfig,
         stats.update(merged)
 
 
+def _iter_records(model: SimulatedModel, task, config: RunConfig,
+                  stats: dict | None, buffered: bool):
+    """The one run loop: yield every record, problem by problem.
+
+    With ``FVEVAL_JOBS`` above one, problems evaluate on a process pool.
+    A pool that is unavailable before any record left degrades to the
+    serial loop below.  *buffered* holds the pool's output back until
+    the pool is done, so a pool that breaks mid-run degrades too;
+    otherwise records stream out as they arrive, and a break after the
+    first one re-raises its cause (restarting would duplicate them).
+    """
+    problems = _problem_list(task, config)
+    total = len(problems)
+    jobs = Options.from_env().jobs
+    baseline = _collect_stats(task)
+    if jobs > 1 and total > 1:
+        pooled = _iter_parallel(model, task, config, total, jobs, stats)
+        try:
+            for records in (list(pooled) if buffered else pooled):
+                yield from records
+            return
+        except _PoolUnavailable as exc:
+            if exc.partial and not buffered:
+                raise exc.cause
+    for index, problem in enumerate(problems):
+        yield from _evaluate_problem(model, task, config, problem, index,
+                                     total)
+    if stats is not None:
+        stats.update(_stats_since(task, baseline))
+
+
 def iter_run_model_on_task(model: SimulatedModel | str, task,
                            config: RunConfig | None = None,
                            stats: dict | None = None):
@@ -295,27 +326,8 @@ def iter_run_model_on_task(model: SimulatedModel | str, task,
     """
     if isinstance(model, str):
         model = SimulatedModel(model)
-    config = config or RunConfig()
-    problems = _problem_list(task, config)
-    total = len(problems)
-    jobs = Options.from_env().jobs
-    baseline = _collect_stats(task)
-    if jobs > 1 and total > 1:
-        try:
-            for records in _iter_parallel(model, task, config, total, jobs,
-                                          stats):
-                yield from records
-            return
-        except _PoolUnavailable as exc:
-            if exc.partial:
-                # records already streamed; restarting would duplicate them
-                raise exc.cause
-            # nothing left the pool: degrade to the serial path below
-    for index, problem in enumerate(problems):
-        yield from _evaluate_problem(model, task, config, problem, index,
-                                     total)
-    if stats is not None:
-        stats.update(_stats_since(task, baseline))
+    yield from _iter_records(model, task, config or RunConfig(), stats,
+                             buffered=False)
 
 
 def run_model_on_task(model: SimulatedModel | str, task,
@@ -330,29 +342,9 @@ def run_model_on_task(model: SimulatedModel | str, task,
     """
     if isinstance(model, str):
         model = SimulatedModel(model)
-    config = config or RunConfig()
     result = RunResult(model=model.name, task=task.name)
-    problems = _problem_list(task, config)
-    total = len(problems)
-    jobs = Options.from_env().jobs
-    baseline = _collect_stats(task)
-    if jobs > 1 and total > 1:
-        stats: dict = {}
-        try:
-            buffered = [records for records in
-                        _iter_parallel(model, task, config, total, jobs,
-                                       stats)]
-        except _PoolUnavailable:
-            pass  # nothing escaped the buffer; degrade to serial below
-        else:
-            result.records.extend(r for records in buffered
-                                  for r in records)
-            result.stats = stats
-            return result
-    for index, problem in enumerate(problems):
-        result.records.extend(
-            _evaluate_problem(model, task, config, problem, index, total))
-    result.stats = _stats_since(task, baseline)
+    result.records = list(_iter_records(model, task, config or RunConfig(),
+                                        result.stats, buffered=True))
     return result
 
 

@@ -15,17 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ...memo import LruMemo
-from ...rtl.ast_nodes import (
-    AlwaysBlock,
-    AssertionItem,
-    ContinuousAssign,
-    GenerateFor,
-    Instance,
-    ModuleDecl,
-    NetDecl,
-    PortDecl,
-    SourceFile,
-)
+from ...rtl.ast_nodes import ModuleDecl, PortDecl, SourceFile
 from ...rtl.elaborate import Design, elaborate, with_digest
 from ...rtl.parser import (  # noqa: F401  (SpliceError: re-exported)
     SpliceError, parse_rtl, parse_snippet_items,
@@ -119,9 +109,8 @@ def _build_base(dut_source: str, tb_source: str, dut_top: str
         seen_params.add(p.name)
         merged.params.append(p)
     for source_mod in (tb, dut):
-        for item in source_mod.items:
-            if not isinstance(item, PortDecl):
-                _classify(merged, item)
+        merged.items += [item for item in source_mod.items
+                         if not isinstance(item, PortDecl)]
 
     modules = dict(dut_sf.modules)
     del modules[dut_top]
@@ -148,34 +137,11 @@ def merge_for_eval(design: GeneratedDesign, tb_source: str,
     base = _problem_base(design.source, tb_source, design.top)
     items = (parse_snippet_items(response_code).items
              if response_code.strip() else [])
-    # fresh item lists around the shared item nodes: the base's are
+    # a fresh item list around the shared item nodes: the base's is
     # never appended to
     shared = base.modules[base.top]
-    merged = replace(
-        shared, items=list(shared.items), nets=list(shared.nets),
-        assigns=list(shared.assigns),
-        always_blocks=list(shared.always_blocks),
-        generates=list(shared.generates), instances=list(shared.instances),
-        assertions=list(shared.assertions))
-    for item in items:
-        _classify(merged, item)
+    merged = replace(shared, items=[*shared.items, *items])
     return MergedBench(
         source_file=SourceFile(modules={**base.modules, base.top: merged},
                                defines={}),
         top=base.top)
-
-
-def _classify(mod: ModuleDecl, item) -> None:
-    mod.items.append(item)
-    if isinstance(item, NetDecl):
-        mod.nets.append(item)
-    elif isinstance(item, ContinuousAssign):
-        mod.assigns.append(item)
-    elif isinstance(item, AlwaysBlock):
-        mod.always_blocks.append(item)
-    elif isinstance(item, GenerateFor):
-        mod.generates.append(item)
-    elif isinstance(item, Instance):
-        mod.instances.append(item)
-    elif isinstance(item, AssertionItem):
-        mod.assertions.append(item)

@@ -574,9 +574,17 @@ class Prover:
         #: deterministic, so serving them is verdict-identical to running
         #: the per-sample falsification pass below
         self._batch_sim: dict[tuple, tuple] = {}
+        #: why the design's reset state cannot be simulated (an
+        #: :class:`EvalError`, e.g. an unsupported system function in
+        #: its logic), or None: every prove() then answers ``error``
+        #: with it, as for an assertion the engines cannot evaluate
+        self._init_error: str | None = None
         if not design.init and design.state:
             from ..rtl.simulator import derive_init
-            derive_init(design)
+            try:
+                derive_init(design)
+            except EvalError as exc:
+                self._init_error = str(exc)
 
     # -- public API -------------------------------------------------------------
 
@@ -619,6 +627,8 @@ class Prover:
                                             "dispatch")
             else:
                 try:
+                    if self._init_error is not None:
+                        raise EvalError(self._init_error)
                     result = self._dispatch(design, cone_key, assertion)
                 except (EncodingError, EvalError) as exc:
                     result = ProofResult("error", detail=str(exc))
@@ -722,11 +732,6 @@ class Prover:
             if self.use_incremental:
                 return self._k_induction(design, cone_key, assertion)
             return self._k_induction_oneshot(design, assertion)
-
-    def prove_all(self, assertions, assumes: tuple[Assertion, ...] = ()
-                  ) -> list[ProofResult]:
-        """Prove several assertions on this design, sharing cone sessions."""
-        return [self.prove(a, assumes=assumes) for a in assertions]
 
     # -- shared infrastructure ---------------------------------------------------
 

@@ -143,19 +143,33 @@ class AssertionItem:
     source_text: str = ""
 
 
+def _items_of(kind: type) -> property:
+    """A read-only view of the module items of one *kind*."""
+    return property(lambda self: tuple(item for item in self.items
+                                       if isinstance(item, kind)))
+
+
 @dataclass
 class ModuleDecl:
+    """One module: its header and its body ``items`` in source order.
+
+    ``items`` is the one representation of the body; the per-kind
+    attributes below are tuples derived from it on every read, so they
+    can never drift from it (and cannot be appended to).
+    """
+
     name: str
     port_order: list[str] = field(default_factory=list)
     params: list[ParamDecl] = field(default_factory=list)
     ports: list[PortDecl] = field(default_factory=list)
-    nets: list[NetDecl] = field(default_factory=list)
-    assigns: list[ContinuousAssign] = field(default_factory=list)
-    always_blocks: list[AlwaysBlock] = field(default_factory=list)
-    generates: list[GenerateFor] = field(default_factory=list)
-    instances: list[Instance] = field(default_factory=list)
-    assertions: list[AssertionItem] = field(default_factory=list)
     items: list = field(default_factory=list)  # all items, in source order
+
+    nets = _items_of(NetDecl)
+    assigns = _items_of(ContinuousAssign)
+    always_blocks = _items_of(AlwaysBlock)
+    generates = _items_of(GenerateFor)
+    instances = _items_of(Instance)
+    assertions = _items_of(AssertionItem)
 
 
 @dataclass

@@ -183,31 +183,23 @@ class RtlParser(Parser):
         elif text == "assign":
             self._parse_continuous_assign(mod)
         elif text in ("always", "always_ff", "always_comb", "always_latch"):
-            blk = self._parse_always()
-            mod.always_blocks.append(blk)
-            mod.items.append(blk)
+            mod.items.append(self._parse_always())
         elif text == "generate":
             self.next()
             while not self.at("endgenerate"):
                 self._parse_module_item(mod)
             self.expect("endgenerate")
         elif text == "for":
-            gen = self._parse_generate_for()
-            mod.generates.append(gen)
-            mod.items.append(gen)
+            mod.items.append(self._parse_generate_for())
         elif text in ("assert", "assume", "cover") or (
                 t.kind is TokKind.IDENT and self.peek(1).text == ":" and
                 self.peek(2).text in ("assert", "assume", "cover")):
-            item = self._parse_assertion_item()
-            mod.assertions.append(item)
-            mod.items.append(item)
+            mod.items.append(self._parse_assertion_item())
         elif text == "initial":
             raise ParseError(
                 "'initial' blocks are not allowed in a formal testbench", t)
         elif t.kind is TokKind.IDENT:
-            inst = self._parse_instance()
-            mod.instances.append(inst)
-            mod.items.append(inst)
+            mod.items.append(self._parse_instance())
         else:
             raise ParseError("unexpected module item", t)
 
@@ -256,16 +248,13 @@ class RtlParser(Parser):
             if self.accept("="):
                 # net declaration assignment: wire x = expr;
                 rhs = self.parse_expression()
-                ca = ContinuousAssign(lhs=Identifier(name), rhs=rhs)
-                mod.assigns.append(ca)
-                mod.items.append(ca)
+                mod.items.append(
+                    ContinuousAssign(lhs=Identifier(name), rhs=rhs))
             if not self.accept(","):
                 break
         self.expect(";")
-        decl = NetDecl(kind=kind, names=names, packed=packed,
-                       unpacked=unpacked, signed=signed)
-        mod.nets.append(decl)
-        mod.items.append(decl)
+        mod.items.append(NetDecl(kind=kind, names=names, packed=packed,
+                                 unpacked=unpacked, signed=signed))
 
     def _parse_continuous_assign(self, mod: ModuleDecl) -> None:
         self.expect("assign")
@@ -273,9 +262,7 @@ class RtlParser(Parser):
             lhs = self._parse_lvalue()
             self.expect("=")
             rhs = self.parse_expression()
-            ca = ContinuousAssign(lhs=lhs, rhs=rhs)
-            mod.assigns.append(ca)
-            mod.items.append(ca)
+            mod.items.append(ContinuousAssign(lhs=lhs, rhs=rhs))
             if not self.accept(","):
                 break
         self.expect(";")

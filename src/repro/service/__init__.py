@@ -43,15 +43,11 @@ from .http import BackgroundServer, HttpVerificationServer, serve_http
 from .ring import HashRing, stable_hash
 from .router import BackgroundRouter, RouterServer, serve_route
 from .signature import routing_signature
-from .service import (
-    Handle,
-    VerificationService,
-    design_signature,
-)
+from .service import VerificationService, design_signature
 
 __all__ = [
     "KINDS", "AdmissionController", "BackgroundCacheServer",
-    "BackgroundRouter", "BackgroundServer", "CacheServer", "Handle",
+    "BackgroundRouter", "BackgroundServer", "CacheServer",
     "HashRing", "HttpVerificationServer", "RequestError",
     "RouterServer", "VerificationService", "VerifyRequest",
     "VerifyResponse", "design_signature", "request_from_json",

@@ -8,11 +8,8 @@ VerifyRequest` batches through one pipeline::
              -> one packed falsification pass per cone (batch scheduler)
              -> compute -> cache put
 
-Three call shapes, all over the same scheduler:
+Two call shapes, both over the same scheduler:
 
-* ``submit(request)`` returns a future-like :class:`Handle`; submitted
-  requests accumulate and are flushed as one batch when any handle's
-  ``result()`` is demanded (or ``flush()`` is called);
 * ``run(requests)`` schedules one explicit batch and returns responses
   aligned with the inputs;
 * ``stream(requests)`` yields responses one by one as they complete.
@@ -36,14 +33,18 @@ produces the primaries' responses:
   with more than one worker, completions stream out of order, each
   carrying its request ``index``.
 
-``run()``/``flush()`` re-align responses with the inputs.
-``submit``/``flush`` are safe to call from multiple threads (the HTTP
-frontend flushes from its executor threads): batch *planning* is
-serialized per service (and a handle whose batch another thread is
-flushing blocks in ``result()`` until that flush resolves it), while
-executions may overlap -- a batch whose design cone another in-flight
-batch still owns computes on a private prover, so overlapping batches
-never share mutable engine state.
+``run()`` re-aligns responses with the inputs.  ``run()`` and
+``stream()`` are safe to call from several threads (the HTTP frontend
+calls ``run()`` from its executor threads): batch *planning* is
+serialized per service, while executions may overlap -- a batch whose
+design cone another in-flight batch still owns computes on a private
+engine, so overlapping batches never share mutable engine state.
+
+Each work group pins one engine slot from one LRU pool (provers and
+equivalence checkers alike, :class:`_Slot`); the engine is built on
+first use, inside the group's own computation, so an engine that cannot
+be built costs that group's requests an ``ok=False`` error and nothing
+else.
 
 Scheduling only ever changes *how much work* runs, never what a verdict
 means: deduplicated, cached and batch-scheduled responses carry exactly
@@ -140,21 +141,44 @@ def _prover_engine_opts() -> frozenset[str]:
                      - {"self", "design", "profile"})
 
 
-class _EquivSlot:
-    """One pooled shared-equivalence slot: the lazily-built
-    :class:`~repro.formal.equivalence.EquivChecker` of one
-    (reference, widths, params, engine) routing signature.
+class _Slot:
+    """One pinned engine of a work group, built on first use.
 
-    Lazy because the reference may not even parse -- that failure must
-    surface as this request's error response at compute time (inside
-    ``_compute_guarded``'s classification), never abort pinning for the
-    whole batch.
+    The engine is a :class:`~repro.formal.prover.Prover` for a prove
+    group and an :class:`~repro.formal.equivalence.EquivChecker` for a
+    shared-equivalence group, built from the group's first entry.
+    Pinning (:meth:`VerificationService._pin`) only picks the slot; the
+    group's first compute (or its packed pre-pass) builds the engine,
+    outside every lock.  A design the simulator cannot initialise or a
+    reference that does not parse then fails inside
+    ``_compute_guarded``'s classification and costs that group's
+    requests only, never the batch; the next use tries again.
     """
 
-    __slots__ = ("checker",)
+    __slots__ = ("kind", "first", "engine")
 
-    def __init__(self):
-        self.checker = None
+    def __init__(self, first: "PlanEntry"):
+        self.kind = first.request.kind
+        self.first = first
+        self.engine = None
+
+    def get(self, profile: dict):
+        """The engine; *profile* is the service's shared profile dict."""
+        if self.engine is None:
+            entry = self.first
+            request = entry.request
+            if self.kind == "prove":
+                from ..formal.prover import Prover
+                self.engine = Prover(entry.design, profile=profile,
+                                     **dict(entry.pool_key[1]))
+            else:
+                from ..formal.equivalence import EquivChecker
+                self.engine = EquivChecker(
+                    request.reference_ast or request.reference,
+                    dict(request.widths), request.params,
+                    request.engine.get("default_width", 1))
+            self.first = None
+        return self.engine
 
 
 @dataclass(slots=True)
@@ -164,7 +188,8 @@ class PlanEntry:
     Planning fills ``response`` for requests it answers itself (errors,
     cache hits, measured syntax failures), ``dup_of`` for an in-flight
     duplicate, and ``group`` / ``pool_key`` for work that shares a
-    prover or equivalence checker; ``prover`` is that pinned engine.
+    prover or equivalence checker; ``slot`` is that pinned engine's
+    :class:`_Slot`.
     ``design`` / ``assertion`` / ``assumes`` are a prove request's
     resolved inputs and ``key_parts`` its lazily built semantic key.
     """
@@ -177,7 +202,7 @@ class PlanEntry:
     cache: "VerdictCache | None" = None
     dup_of: int | None = None
     group: tuple | None = None
-    prover: object = None
+    slot: "_Slot | None" = None
     faults: list = field(default_factory=list)
     design: object = None
     assertion: object = None
@@ -193,7 +218,7 @@ class Unit:
 
     A work group (``group`` set: one design cone's prove requests, or
     the candidates of one shared equivalence reference, all on one
-    ``prover``) or one ungrouped computed request.  Units hold primaries
+    ``slot``) or one ungrouped computed request.  Units hold primaries
     only: in-flight duplicates are folded by the execution loop.
     ``affinity`` is the stable hash the process executor places a group
     by (:func:`repro.service.batch.group_affinity`).
@@ -202,41 +227,8 @@ class Unit:
     indices: list[int]
     group: tuple | None = None
     batch_id: str | None = None
-    prover: object = None
+    slot: "_Slot | None" = None
     affinity: int | None = None
-
-
-class Handle:
-    """Future-like handle for one submitted request.
-
-    Thread-safe: ``result()`` flushes the owning service's pending batch
-    on demand, and -- when a *different* thread's flush already claimed
-    this handle's batch -- blocks until that flush resolves it.
-    """
-
-    def __init__(self, service: "VerificationService",
-                 request: VerifyRequest):
-        self._service = service
-        self.request = request
-        self._response: VerifyResponse | None = None
-        self._event = threading.Event()
-
-    def _resolve(self, response: VerifyResponse) -> None:
-        self._response = response
-        self._event.set()
-
-    def done(self) -> bool:
-        return self._response is not None
-
-    def result(self) -> VerifyResponse:
-        """The response; flushes the service's pending batch on demand."""
-        if self._response is None:
-            self._service.flush()
-        if self._response is None:
-            # another thread's flush owns this handle's batch
-            self._event.wait()
-        assert self._response is not None
-        return self._response
 
 
 class VerificationService:
@@ -275,7 +267,7 @@ class VerificationService:
             cache_tiers=cache_tiers, max_cache_entries=max_cache_entries,
             max_cache_bytes=max_cache_bytes)
         #: an ``FVEVAL_EXECUTOR`` typo not yet reported: the first
-        #: response of the next flush carries it as a ``config`` event
+        #: response of the next batch carries it as a ``config`` event
         self._executor_error = self.options.executor_error
         self.profile: dict = {} if profile is None else profile
         self.max_provers = max_provers
@@ -288,16 +280,15 @@ class VerificationService:
         self.admission = admission
         from collections import OrderedDict
         self._caches: dict[str, VerdictCache] = {}
-        #: (design signature, engine fingerprint) -> Prover, LRU-ordered
-        self._provers: OrderedDict[tuple, object] = OrderedDict()
-        #: equivalence pool-key -> _EquivSlot, LRU-ordered: the shared
-        #: EquivChecker of every reference the service has seen recently
-        self._equiv: OrderedDict[tuple, _EquivSlot] = OrderedDict()
+        #: pool key -> _Slot, LRU-ordered: the prover of every (design
+        #: signature, engine fingerprint) and the shared EquivChecker of
+        #: every equivalence routing signature seen recently, at most
+        #: ``max_provers`` and ``max_equiv`` of each
+        self._slots: OrderedDict[tuple, _Slot] = OrderedDict()
         self.max_equiv = 16
-        #: pool keys of the batch currently executing -- pinned against
-        #: eviction so presimulated batch state survives its own flush
+        #: pool keys of the batches currently executing -- pinned against
+        #: eviction so presimulated batch state survives its own batch
         self._active: set[tuple] = set()
-        self._pending: list[Handle] = []
         self._seq = 0
         self._batch_seq = 0
         #: scheduling counters, updated with :func:`repro.counters.bump`
@@ -320,20 +311,17 @@ class VerificationService:
         #: own stream() generators without deadlocking)
         self._sched_lock = threading.RLock()
         #: guards the short mutations shared by concurrently executing
-        #: flushes (pending swap, pins, pools)
+        #: batches (pins, the pool, the batch sequence)
         self._state_lock = threading.Lock()
         self._procpool = None
 
     def __getstate__(self):
-        # picklable across FVEVAL_JOBS workers: proof sessions, the
-        # process pool and in-flight handles are process-local, verdict
-        # memory travels
+        # picklable across FVEVAL_JOBS workers: engines, pins and the
+        # process pool are process-local, verdict memory travels
         from collections import OrderedDict
         state = dict(self.__dict__)
-        state["_provers"] = OrderedDict()
-        state["_equiv"] = OrderedDict()
+        state["_slots"] = OrderedDict()
         state["_active"] = set()
-        state["_pending"] = []
         # the admission controller (locks, per-connection state) belongs
         # to the serving process; a forked worker schedules unguarded
         state["admission"] = None
@@ -349,43 +337,10 @@ class VerificationService:
 
     def close(self) -> None:
         """Tear down the process pool (idempotent; the service stays
-        usable -- the pool respawns on the next flush that needs it)."""
+        usable -- the pool respawns on the next batch that needs it)."""
         procpool, self._procpool = self._procpool, None
         if procpool is not None:
             procpool.shutdown()
-
-    def submit(self, request: VerifyRequest) -> Handle:
-        """Queue one request; it computes at the next :meth:`flush`."""
-        handle = Handle(self, request)
-        with self._state_lock:
-            self._pending.append(handle)
-        return handle
-
-    def flush(self) -> None:
-        """Schedule every pending submitted request as one batch.
-
-        Per-request failures (bad input, an engine crash on that
-        request) resolve the request's handle with an ``ok=False`` error
-        response and never abort the batch.  Only an infrastructure
-        failure of the scheduling pass itself propagates -- and even
-        then every unanswered handle is first resolved with an error
-        response, so a later ``result()`` reports what happened instead
-        of failing on an unresolved handle.
-        """
-        with self._state_lock:
-            pending, self._pending = self._pending, []
-        if not pending:
-            return
-        try:
-            for index, response in self._process(
-                    [h.request for h in pending]):
-                pending[index]._resolve(response)
-        except BaseException as exc:
-            detail = f"{type(exc).__name__}: {exc}"[:200]
-            for handle in pending:
-                if handle._response is None:
-                    handle._resolve(self._error(handle.request, detail))
-            raise
 
     def run(self, requests) -> list[VerifyResponse]:
         """Schedule *requests* as one batch; responses align with inputs.
@@ -396,9 +351,7 @@ class VerificationService:
         complete out of order.
         """
         requests = list(requests)
-        responses: dict[int, VerifyResponse] = {}
-        for index, response in self._process(requests):
-            responses[index] = response
+        responses = dict(self._process(requests))
         return [responses[index] for index in range(len(requests))]
 
     def stream(self, requests):
@@ -474,22 +427,22 @@ class VerificationService:
         requests = list(requests)
         # planning is serialized, but the lock is RELEASED before any
         # response is yielded: a partially consumed stream() must never
-        # block another thread's flush.  Safe overlap rests on prover
-        # pinning (_pin_provers): a pool key an in-flight batch owns is
-        # answered by a private prover instead of the shared one.
+        # block another thread's batch.  Safe overlap rests on engine
+        # pinning (_pin): a pool key an in-flight batch owns is
+        # answered by a private engine instead of the shared one.
         owned: set[tuple] = set()
         with self._sched_lock:
             plan, groups = self._plan(requests, options.share_equiv)
             units = self._units(plan, groups)
             if options.executor == "process" and not _daemonic():
-                # the parent keeps planning/cache/dedup; provers live in
+                # the parent keeps planning/cache/dedup; engines live in
                 # the workers, so nothing is pinned here
                 strategy = self._run_process(
                     plan, units, options.batching, options.share_equiv,
                     owned, self._process_pool(options.workers))
                 ordered = options.workers == 1
             else:
-                self._pin_provers(plan, units, owned)
+                self._pin(plan, units, owned)
                 strategy = self._run_inline(plan, units, options.batching)
                 ordered = True
             config_event, self._executor_error = self._executor_error, None
@@ -504,21 +457,18 @@ class VerificationService:
                     detail=config_event).as_dict())
             yield from stream
         finally:
-            # the batch memo is per-flush state: entries persist while
-            # the flush's textual duplicates read them, then go, so a
+            # the batch memo is per-batch state: entries persist while
+            # the batch's textual duplicates read them, then go, so a
             # long-running serve session cannot accumulate them.  Clear
-            # BEFORE unpinning: once a key leaves _active another flush
+            # BEFORE unpinning: once a key leaves _active another batch
             # may pin the shared prover and seed its own masks, which
             # this cleanup must not wipe.
-            seen: set[int] = set()
             for unit in units:
-                prover = unit.prover
-                if prover is not None and id(prover) not in seen:
-                    seen.add(id(prover))
-                    # equivalence slots carry no batch memo
-                    memo = getattr(prover, "_batch_sim", None)
-                    if memo is not None:
-                        memo.clear()
+                # unbuilt slots and equivalence checkers carry no memo
+                memo = getattr(unit.slot and unit.slot.engine,
+                               "_batch_sim", None)
+                if memo is not None:
+                    memo.clear()
             with self._state_lock:
                 self._active.difference_update(owned)
 
@@ -606,7 +556,7 @@ class VerificationService:
         :meth:`_process`'s one-response-per-index invariant across
         worker death.  Units that could not be pickled run on the inline
         strategy once the pool is released, on engines pinned by
-        :meth:`_pin_provers` (their keys join *owned*).
+        :meth:`_pin` (their keys join *owned*).
         """
         if not units:
             return
@@ -658,7 +608,7 @@ class VerificationService:
                             faults=wire["events"])
                     yield entry, response
         if local:
-            self._pin_provers(plan, [unit for unit, _ in local], owned)
+            self._pin(plan, [unit for unit, _ in local], owned)
             yield from self._run_inline(
                 plan, [dataclasses.replace(unit, indices=indices)
                        for unit, indices in local], batching)
@@ -791,44 +741,53 @@ class VerificationService:
                 for n, (pool_key, members)
                 in enumerate(groups.items())] + units
 
-    def _pin_provers(self, plan: list[PlanEntry], units: list[Unit],
-                     owned: set) -> None:
-        """Resolve one engine per group unit and pin it for the batch.
+    def _pin(self, plan: list[PlanEntry], units: list[Unit],
+             owned: set) -> None:
+        """Pin one engine slot per group unit for the batch.
 
-        The engine is a prover for a prove group, a shared-checker slot
-        for an equivalence group.  A pool key no in-flight batch owns
-        comes from (and is pinned in) the LRU pool; a key another batch
-        is still executing gets a fresh *private* engine instead --
+        A pool key no in-flight batch owns takes its slot from (and pins
+        it in) the LRU pool, evicting the least recently used unpinned
+        slot of its kind past that kind's cap; a key another batch is
+        still executing gets a fresh *private* slot instead --
         overlapping batches then share no mutable engine state, at the
-        cost of one session rebuild.  Pinned keys join *owned*, for the
-        caller's ``finally`` to unpin.
+        cost of one engine build.  Pinned keys join *owned*, for the
+        caller's ``finally`` to unpin.  Nothing is built here
+        (:class:`_Slot`).
         """
-        from ..formal.prover import Prover
         with self._state_lock:
             for unit in units:
-                pool_key = unit.group
-                if pool_key is None:
+                key = unit.group
+                if key is None:
                     continue
-                private = pool_key in self._active
-                if not private:
-                    self._active.add(pool_key)
-                    owned.add(pool_key)
                 first = plan[unit.indices[0]]
-                if first.request.kind == "equivalence":
-                    if private:
-                        bump(self.counters, "equiv_builds", 1)
-                        engine = _EquivSlot()
-                    else:
-                        engine = self._equiv_slot_for(pool_key)
-                elif private:
-                    bump(self.counters, "prover_builds", 1)
-                    engine = Prover(first.design, profile=self.profile,
-                                    **dict(pool_key[1]))
+                kind = first.request.kind
+                counter = "prover" if kind == "prove" else "equiv"
+                private = key in self._active
+                slot = None if private else self._slots.get(key)
+                if slot is not None:
+                    self._slots.move_to_end(key)
+                    bump(self.counters, f"{counter}_hits", 1)
                 else:
-                    engine = self._prover_for(first.design, pool_key)
-                unit.prover = engine
+                    bump(self.counters, f"{counter}_builds", 1)
+                    slot = _Slot(first)
+                    if not private:
+                        # never evict a slot an executing batch pinned:
+                        # its presimulated masks must survive its batch
+                        cap = (self.max_provers if kind == "prove"
+                               else self.max_equiv)
+                        mine = [k for k, other in self._slots.items()
+                                if other.kind == kind]
+                        evictable = [k for k in mine
+                                     if k not in self._active]
+                        for k in evictable[:max(0, len(mine) - cap + 1)]:
+                            del self._slots[k]
+                        self._slots[key] = slot
+                if not private:
+                    self._active.add(key)
+                    owned.add(key)
+                unit.slot = slot
                 for index in unit.indices:
-                    plan[index].prover = engine
+                    plan[index].slot = slot
 
     def _presimulate_group(self, plan: list[PlanEntry], unit: Unit) -> None:
         """Run the packed cross-sample pre-pass for one prove group.
@@ -846,8 +805,12 @@ class VerificationService:
         if len(members) < 2:
             return
         try:
+            prover = unit.slot.get(self.profile)
+        except Exception:
+            return  # every member's compute reports the failed build
+        try:
             covered = presimulate(
-                unit.prover, [plan[i].assertion for i in members])
+                prover, [plan[i].assertion for i in members])
         except Exception as exc:
             # per-sample path computes the same verdicts; record the
             # degradation on every member the pre-pass would have served
@@ -1038,45 +1001,6 @@ class VerificationService:
         entry.pool_key = (signature, _freeze(request.engine))
         return None
 
-    def _prover_for(self, design, pool_key: tuple):
-        """The pooled prover of one pool key (LRU; caller holds
-        _state_lock)."""
-        from ..formal.prover import Prover
-        prover = self._provers.get(pool_key)
-        if prover is not None:
-            self._provers.move_to_end(pool_key)
-            bump(self.counters, "prover_hits", 1)
-            return prover
-        bump(self.counters, "prover_builds", 1)
-        # evict least-recently-used provers to bound proof-session
-        # memory, but never one the executing batch still needs -- its
-        # presimulated packed masks must survive its own flush
-        evictable = [key for key in self._provers
-                     if key not in self._active]
-        while len(self._provers) >= self.max_provers and evictable:
-            del self._provers[evictable.pop(0)]
-        engine = dict(pool_key[1])
-        prover = Prover(design, profile=self.profile, **engine)
-        self._provers[pool_key] = prover
-        return prover
-
-    def _equiv_slot_for(self, pool_key: tuple) -> _EquivSlot:
-        """The pooled shared-equivalence slot of one routing signature
-        (LRU, mirroring :meth:`_prover_for`; caller holds _state_lock)."""
-        slot = self._equiv.get(pool_key)
-        if slot is not None:
-            self._equiv.move_to_end(pool_key)
-            bump(self.counters, "equiv_hits", 1)
-            return slot
-        bump(self.counters, "equiv_builds", 1)
-        evictable = [key for key in self._equiv
-                     if key not in self._active]
-        while len(self._equiv) >= self.max_equiv and evictable:
-            del self._equiv[evictable.pop(0)]
-        slot = _EquivSlot()
-        self._equiv[pool_key] = slot
-        return slot
-
     # -- execution ----------------------------------------------------------
 
     def _duplicate(self, request: VerifyRequest,
@@ -1191,21 +1115,13 @@ class VerificationService:
 
     def _compute_equivalence(self, request: VerifyRequest,
                              entry: PlanEntry) -> VerifyResponse:
-        from ..formal.equivalence import EquivChecker, check_equivalence
+        from ..formal.equivalence import check_equivalence
         options = {k: v for k, v in request.engine.items()
                    if k != "strategy"}
         # shared-reference path: the pinned slot's checker serves every
-        # candidate of this routing signature (entry.prover is None when
+        # candidate of this routing signature (entry.slot is None when
         # sharing is off -- the isolated oracle)
-        slot = entry.prover
-        checker = None
-        if slot is not None:
-            checker = slot.checker
-            if checker is None:
-                checker = slot.checker = EquivChecker(
-                    request.reference_ast or request.reference,
-                    dict(request.widths), request.params,
-                    options.get("default_width", 1))
+        checker = None if entry.slot is None else entry.slot.get(self.profile)
         result = check_equivalence(
             request.reference_ast or request.reference, request.candidate,
             signal_widths=dict(request.widths), params=request.params,
@@ -1229,9 +1145,10 @@ class VerificationService:
 
     def _compute_prove(self, request: VerifyRequest,
                        entry: PlanEntry) -> VerifyResponse:
-        # every prove entry computes on the prover _pin_provers pinned
-        result = entry.prover.prove(entry.assertion, assumes=entry.assumes,
-                                    deadline_s=entry.deadline_s)
+        # every prove entry computes on the prover its slot pins
+        prover = entry.slot.get(self.profile)
+        result = prover.prove(entry.assertion, assumes=entry.assumes,
+                              deadline_s=entry.deadline_s)
         response = self._response(request)
         response.verdict = result.status
         response.func = result.is_proven

@@ -62,3 +62,36 @@ class TestRunStatsCountThisRun:
         monkeypatch.setenv("FVEVAL_JOBS", jobs)
         assert self.lookups() == first
         assert first["design2sva.testbench"] == 6 * 3
+
+
+class TestPoolUnavailable:
+    """A process pool that cannot start degrades both entry points to
+    the serial loop before any record has left: records identical to a
+    serial run."""
+
+    def test_both_entry_points_degrade_to_serial(self, monkeypatch):
+        import concurrent.futures
+        from repro.core.runner import iter_run_model_on_task
+        config = RunConfig(n_samples=2, temperature=0.8)
+        monkeypatch.delenv("FVEVAL_JOBS", raising=False)
+        serial = run_model_on_task("gpt-4o", Nl2SvaMachineTask(count=4),
+                                   config).records
+        attempts = []
+
+        def unavailable(*args, **kwargs):
+            attempts.append(kwargs.get("max_workers"))
+            raise OSError("no process pool on this host")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            unavailable)
+        monkeypatch.setenv("FVEVAL_JOBS", "2")
+        result = run_model_on_task("gpt-4o", Nl2SvaMachineTask(count=4),
+                                   config)
+        stats: dict = {}
+        streamed = list(iter_run_model_on_task(
+            "gpt-4o", Nl2SvaMachineTask(count=4), config, stats))
+        assert attempts == [2, 2]  # both tried the pool first
+        assert result.records == serial
+        assert streamed == serial
+        assert result.stats["service"]["requests"] == \
+            stats["service"]["requests"] > 0

@@ -109,6 +109,34 @@ class TestDesignTask:
         rec = task.evaluate(p, "wire x; assign x = 1'b0;")
         assert not rec.syntax_ok
 
+    #: helper logic the simulator cannot evaluate, beside an assertion
+    UNEVALUABLE = ("logic [3:0] shadow; "
+                   "always @(posedge clk) shadow <= $foo(shadow); "
+                   "assert property (@(posedge clk) 1'b1);")
+
+    @pytest.mark.parametrize("options", [
+        {}, {"executor": "process", "workers": 2}],
+        ids=["inline", "process"])
+    def test_unevaluable_design_logic_costs_one_record(self, options):
+        """Design logic the simulator cannot evaluate is a measured
+        ``error`` verdict, exactly as the same function inside the
+        assertion is, and costs its own record only."""
+        good = "assert property (@(posedge clk) 1'b1);"
+        task = Design2SvaTask("fsm", count=2, use_cache=False, **options)
+        alone = Design2SvaTask("fsm", count=2, use_cache=False)
+        try:
+            p = task.problems()[0]
+            records = task.evaluate_batch(p, [good, self.UNEVALUABLE])
+            [want] = alone.evaluate_batch(p, [good])
+        finally:
+            task.service.close()
+        assert len(records) == 2
+        assert records[0] == want
+        bad = records[1]
+        assert bad.verdict == "error" and bad.syntax_ok and not bad.func
+        assert "unsupported system function $foo" in bad.detail
+        assert "worker_crash" not in repr(bad)
+
     def test_misconfigured_prover_kwargs_fail_fast(self):
         """A typo'd engine option aborts the run loudly (as the old
         Prover(**kwargs) TypeError did), never a verdict='error'

@@ -108,8 +108,7 @@ def fresh_merge(design, code):
              if not isinstance(i, PortDecl)]
     if code.strip():
         items += _parse_snippet(code, None).items
-    for item in items:
-        testbench_gen._classify(merged, item)
+    merged.items += items
     modules = {k: v for k, v in dut_sf.modules.items() if k != design.top}
     modules[tb.name] = merged
     return SourceFile(modules, {}), tb.name
@@ -674,7 +673,7 @@ def test_callers_cannot_corrupt_a_hit():
     module = merged.source_file.modules[merged.top]
     count = len(module.items)
     module.items.clear()
-    module.assertions.append(module.assertions[-1])
+    module.items.append(snippet.items[-1])
     again = merge_for_eval(design, design.tb_source, code)
     module = again.source_file.modules[again.top]
     assert len(module.items) == count

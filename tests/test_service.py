@@ -1,8 +1,11 @@
 """Verification-service API: request validation, dedup/cache provenance,
-batch scheduling, handles, and the JSON-lines serve frontend."""
+batch scheduling, the two call shapes, and the JSON-lines serve
+frontend."""
 
+import functools
 import io
 import json
+import threading
 
 import pytest
 
@@ -396,28 +399,38 @@ class TestTraceKind:
         assert broken.meta["violation_at"] >= 0
 
 
-class TestHandles:
-    def test_submit_flush_on_demand(self):
-        service = VerificationService()
-        first = service.submit(equiv_request(SAME))
-        second = service.submit(equiv_request(SAME))
-        assert not first.done() and not second.done()
-        assert first.result().verdict == "equivalent"  # flushes the batch
-        assert second.done()
-        assert second.result().dedup_of == first.result().request_id
+def run_in_thread(service, requests):
+    """``service.run(requests)`` called from another thread, as the HTTP
+    frontend calls it from its executor threads."""
+    responses = []
+    thread = threading.Thread(
+        target=lambda: responses.extend(service.run(requests)), daemon=True)
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive(), "run() did not return"
+    return responses
 
-    def test_engine_crash_resolves_handle_with_error(self):
-        """A request whose engine call crashes resolves its handle with
-        an ok=False error response; the batch itself never dies on a
-        per-request failure (the run()-None satellite fix)."""
+
+class TestCallShapes:
+    def test_run_dedups_within_a_batch(self):
         service = VerificationService()
-        broken = service.submit(VerifyRequest(
-            kind="prove", source=TOY_DESIGN, engine={"max_bmc": "8"}))
-        healthy = service.submit(equiv_request(SAME))
-        resolved = broken.result()
-        assert not resolved.ok and resolved.verdict == "error"
-        assert "TypeError" in resolved.detail
-        assert healthy.result().verdict == "equivalent"
+        first, second = run_in_thread(
+            service, [equiv_request(SAME), equiv_request(SAME)])
+        assert first.verdict == second.verdict == "equivalent"
+        assert second.dedup_of == first.request_id
+
+    def test_engine_crash_costs_its_request_only(self):
+        """A request whose engine call crashes comes back as an ok=False
+        error response; the batch itself never dies on a per-request
+        failure."""
+        service = VerificationService()
+        broken, healthy = run_in_thread(service, [
+            VerifyRequest(kind="prove", source=TOY_DESIGN,
+                          engine={"max_bmc": "8"}),
+            equiv_request(SAME)])
+        assert not broken.ok and broken.verdict == "error"
+        assert "TypeError" in broken.detail
+        assert healthy.verdict == "equivalent"
 
     def test_stream_yields_in_order(self):
         # in-request-order delivery is the inline strategy's contract;
@@ -436,6 +449,62 @@ class TestHandles:
             [equiv_request(SAME), equiv_request(SAME),
              equiv_request(WEAKER)])]
         assert indexes == [0, 1, 2]
+
+
+#: the toy design under another name, whose prover cannot be built
+BROKEN_DESIGN = TOY_DESIGN.replace("module toy", "module broken")
+
+
+def verdict_fields(response):
+    """Everything a response says but its ids, position and timing."""
+    return (response.ok, response.verdict, response.func, response.partial,
+            response.detail, response.meta, response.degraded,
+            response.cache_hit, response.batch_id)
+
+
+class TestEngineBuildFailure:
+    """An engine is built on first use, inside its group's computation:
+    one that cannot be built costs that group's requests and nothing
+    else -- the batch answers every index and the pin is released."""
+
+    @pytest.mark.parametrize("options", [
+        {"executor": "thread"}, {"executor": "process", "workers": 2}],
+        ids=["inline", "process"])
+    def test_failed_build_costs_its_group_only(self, monkeypatch, options):
+        from repro.formal.prover import Prover
+        real_init = Prover.__init__
+
+        @functools.wraps(real_init)
+        def init(self, design, *args, **kwargs):
+            if design.name == "broken":
+                raise RuntimeError("cannot build a prover for 'broken'")
+            real_init(self, design, *args, **kwargs)
+
+        monkeypatch.setattr(Prover, "__init__", init)
+
+        def requests():
+            return [equiv_request(SAME, use_cache=False),
+                    VerifyRequest(kind="prove", source=TOY_DESIGN,
+                                  use_cache=False)]
+
+        service = VerificationService(**options)
+        reference = VerificationService(**options)
+        try:
+            bad, *rest = service.run(
+                [VerifyRequest(kind="prove", source=BROKEN_DESIGN,
+                               use_cache=False), *requests()])
+            want = reference.run(requests())
+        finally:
+            service.close()
+            reference.close()
+        assert not bad.ok and bad.verdict == "error"
+        assert "RuntimeError" in bad.detail
+        assert not any(event["code"] == "worker_crash"
+                       for event in bad.degraded)
+        assert [verdict_fields(r) for r in rest] == \
+            [verdict_fields(r) for r in want]
+        assert [r.verdict for r in rest] == ["equivalent", "proven"]
+        assert service._active == set()
 
 
 class TestServeFrontend:

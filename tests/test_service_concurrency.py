@@ -4,12 +4,12 @@ Five layers of guarantees:
 
 * :func:`repro.service.resolve_workers` implements the process-pool
   sizing rules (its environment side is ``tests/test_options.py``);
-* concurrent ``submit``/``flush`` from multiple threads resolve every
-  handle exactly once with correct verdicts, and the dedup +
-  verdict-cache counters stay consistent under contention;
+* concurrent ``run`` calls from multiple threads answer every request
+  exactly once with correct verdicts, and the dedup + verdict-cache
+  counters stay consistent under contention;
 * the process pool's out-of-order completions re-align by ``index``
   (``run``, ``serve`` lines, and composed with ``FVEVAL_JOBS``);
-* overlapping flushes never share a pooled engine -- including the
+* overlapping batches never share a pooled engine -- including the
   process executor's in-parent fallback for units that cannot be
   pickled;
 * ``FVEVAL_CACHE`` disk entries stay atomic (never torn) with racing
@@ -111,14 +111,14 @@ class TestResolveWorkers:
 
 
 # ---------------------------------------------------------------------------
-# concurrent submit / flush
+# concurrent run() callers
 # ---------------------------------------------------------------------------
 
 
-class TestConcurrentSubmitFlush:
+class TestConcurrentRuns:
     def test_counters_and_verdicts_under_contention(self):
-        """Several threads submit and flush against one service: every
-        handle resolves exactly once with the right verdict, and the
+        """Several threads call run() on one service: every request is
+        answered exactly once with the right verdict, and the
         request/dedup/cache counters add up afterwards."""
         service = VerificationService(workers=2)
         threads = 4
@@ -128,10 +128,10 @@ class TestConcurrentSubmitFlush:
         def worker(tid: int) -> None:
             try:
                 barrier.wait()
-                handles = [(expected, service.submit(equiv_request(text)))
-                           for text, expected in VARIANTS]
-                for expected, handle in handles:
-                    response = handle.result()
+                responses = service.run(
+                    [equiv_request(text) for text, _ in VARIANTS])
+                assert len(responses) == len(VARIANTS)
+                for (_, expected), response in zip(VARIANTS, responses):
                     if response.verdict != expected:
                         failures.append(f"worker {tid}: "
                                         f"{response.verdict} != {expected}")
@@ -144,7 +144,7 @@ class TestConcurrentSubmitFlush:
             t.start()
         for t in pool:
             t.join(timeout=60.0)
-        assert not any(t.is_alive() for t in pool), "deadlocked flush"
+        assert not any(t.is_alive() for t in pool), "deadlocked run()"
         assert failures == []
         stats = service.stats()
         cache = service.cache_stats()
@@ -159,7 +159,7 @@ class TestConcurrentSubmitFlush:
 
     def test_partial_stream_does_not_block_other_threads(self):
         """A half-consumed stream() generator releases the scheduling
-        lock: another thread's run()/flush() proceeds instead of
+        lock: another thread's run() proceeds instead of
         blocking on the suspended generator."""
         service = VerificationService()
         stream = service.stream([equiv_request(SAME),
@@ -195,38 +195,6 @@ class TestConcurrentSubmitFlush:
         assert mid.verdict == "proven"
         assert [first.verdict] + [r.verdict for r in stream] == \
             ["proven", "cex"]
-
-    def test_handle_claimed_by_other_threads_flush(self):
-        """result() on a handle another thread's flush claimed blocks
-        until that flush resolves it instead of asserting."""
-        service = VerificationService()
-        claimed = service.submit(equiv_request(SAME))
-        started = threading.Event()
-        release = threading.Event()
-        original_process = service._process
-
-        def slow_process(requests):
-            started.set()
-            release.wait(timeout=30.0)
-            yield from original_process(requests)
-
-        service._process = slow_process
-        flusher = threading.Thread(target=service.flush, daemon=True)
-        flusher.start()
-        assert started.wait(timeout=10.0)
-        waiter_result = {}
-
-        def waiter():
-            waiter_result["verdict"] = claimed.result().verdict
-
-        waiting = threading.Thread(target=waiter, daemon=True)
-        waiting.start()
-        waiting.join(timeout=0.2)
-        assert waiting.is_alive()  # blocked on the in-flight flush
-        release.set()
-        flusher.join(timeout=30.0)
-        waiting.join(timeout=30.0)
-        assert waiter_result["verdict"] == "equivalent"
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +276,7 @@ class TestUnpicklableFallback:
     def test_overlapping_fallbacks_never_share_a_prover(self, monkeypatch):
         """Units the process executor cannot pickle compute in the
         parent on the inline strategy, under the same pinning rule:
-        two threads flushing the same cone at once get distinct provers
+        two threads running the same cone at once get distinct provers
         -- the pooled one and a private one -- never one shared engine.
         A barrier holds each thread inside ``Prover.prove`` until the
         other arrives, so the two proofs are in flight together."""
