@@ -200,8 +200,9 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
-#: proof-engine scheduling policies (mirrors Prover.STRATEGIES; kept as a
-#: literal so building the parser needs no engine imports)
+#: proof-engine scheduling policies: equal to Prover.STRATEGIES (asserted
+#: by tests/test_formal_portfolio.py), kept as a literal so building the
+#: parser needs no engine imports
 _STRATEGIES = ["auto", "bmc", "kind", "portfolio"]
 
 

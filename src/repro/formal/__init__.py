@@ -5,9 +5,9 @@ This package replaces JasperGold in the FVEval evaluation flow:
 * :mod:`~repro.formal.equivalence` -- assertion-to-assertion equivalence and
   implication (the paper's custom Jasper app),
 * :mod:`~repro.formal.prover` -- BMC + k-induction proofs of assertions on
-  elaborated designs (Design2SVA's "is it proven?" verdict),
-* :mod:`~repro.formal.portfolio` -- races the bounded strategies under a
-  conflict-budget ladder (``Prover(strategy="portfolio")``),
+  elaborated designs (Design2SVA's "is it proven?" verdict); one
+  obligation loop serves every ``strategy``, the conflict-budget ladder
+  of ``Prover(strategy="portfolio")`` included,
 * supporting layers: AIG (:mod:`~repro.formal.aig`), CDCL SAT
   (:mod:`~repro.formal.sat`), bit-blasting (:mod:`~repro.formal.bitvec`),
   bounded SVA trace semantics (:mod:`~repro.formal.semantics`), and
@@ -33,8 +33,8 @@ from .equivalence import (
     check_equivalence,
     is_tautology,
 )
-from .portfolio import DEFAULT_LADDER, PortfolioScheduler
 from .prover import (
+    DEFAULT_LADDER,
     ProofResult,
     ProofSession,
     Prover,
@@ -52,7 +52,7 @@ __all__ = [
     "EquivChecker", "EquivSession",
     "EquivalenceResult", "EvalError", "ExprEvaluator", "FALSE",
     "FixedTraceSource", "FreeSignalSource", "IntBackend", "ProofResult",
-    "ProofSession", "PortfolioScheduler", "PropertyEncoder", "Prover",
+    "ProofSession", "PropertyEncoder", "Prover",
     "SatResult", "SignalSource", "Solver", "TRUE", "TraceChecker",
     "UnrolledSource", "Verdict", "assertion_roots", "check_equivalence",
     "check_trace", "coi_stats", "cone_of_influence",

@@ -34,12 +34,15 @@ solver *assumptions*, so learned clauses about the transition relation are
 retained between queries instead of being recomputed.  The pre-refactor
 one-shot path is kept (``use_incremental=False``) as a differential oracle.
 
-How the bounded engines are *scheduled* is the ``strategy``
-configuration: ``auto`` (sequential, the reference), ``bmc`` / ``kind``
-(single engine), or ``portfolio`` -- race BMC depth probes against
-k-induction steps under a conflict-budget ladder
-(:mod:`repro.formal.portfolio`), record-identical to ``auto`` but
-cheaper whenever one engine decides early.
+One loop, :meth:`Prover._schedule`, issues the two bounded obligations
+-- BMC depth probes and k-induction steps -- and the ``strategy``
+configuration is only the order it issues them in: ``auto`` (every
+depth, then the steps; the reference), ``bmc`` (depths only), ``kind``
+(steps first, then the base cases the proof needs) or ``portfolio``
+(one depth and one step per turn under a conflict-budget ladder,
+record-identical to ``auto`` but cheaper whenever one side decides
+early).  Steps stop at ``min(max_k, max_bmc + 1)``: a step proof at
+``k`` stands only once BMC depths ``0..k-1`` are unsat.
 
 Verdicts mirror a commercial tool: ``proven`` / ``cex`` / ``undetermined``
 (with the bound and engine recorded).  Properties containing *unbounded
@@ -71,6 +74,11 @@ from .bitvec import AigBackend, EvalError, ExprEvaluator, SignalSource
 from .coi import assertion_roots, cone_of_influence
 from .sat import Solver, solve_cnf
 from .semantics import EncodingError, PropertyEncoder, horizon_of
+
+#: the portfolio's default conflict-budget rungs; ``Prover.max_conflicts``
+#: is always the last rung, so the ladder's ceiling equals the other
+#: strategies' per-query budget
+DEFAULT_LADDER = (1_000, 8_000, 64_000)
 
 
 def _faults():
@@ -116,6 +124,17 @@ class ProofResult:
     @property
     def is_proven(self) -> bool:
         return self.status == "proven"
+
+
+def _constant_false() -> ProofResult:
+    return ProofResult("cex", engine="bmc", depth=0,
+                       detail="assertion constant-false")
+
+
+def _budget_exhausted(engine: str, conflicts: int) -> ProofResult:
+    return ProofResult("undetermined", engine=engine,
+                       detail="conflict budget exhausted",
+                       stats={"conflicts": conflicts})
 
 
 class UnrolledSource(SignalSource):
@@ -373,8 +392,7 @@ class ProofSession:
         out.append(target if swept == TRUE else swept)
         return out
 
-    def solve(self, lits: list[int], max_conflicts: int | None = None,
-              conflict_budget: int | None = None):
+    def solve(self, lits: list[int], max_conflicts: int | None = None):
         """Solve the conjunction of AIG literals *lits* via assumptions.
 
         Encodes the not-yet-clausified part of each literal's cone, then
@@ -383,11 +401,9 @@ class ProofSession:
         Returns a :class:`~.sat.SatResult`; constant-FALSE literals
         short-circuit to unsat.
 
-        ``conflict_budget`` bounds this call's conflicts like
-        ``max_conflicts`` does (the tighter of the two applies); the
-        portfolio scheduler re-issues the same query with a growing budget
-        (restart-and-deepen), which is cheap here because the solver keeps
-        its learned clauses between calls.
+        The portfolio re-issues a query that exhausted ``max_conflicts``
+        with the next, larger budget (restart-and-deepen), which is cheap
+        here because the solver keeps its learned clauses between calls.
         """
         from .sat import SatResult
         delay = _faults().inject("slow_solve")
@@ -412,8 +428,7 @@ class ProofSession:
         self.writer.encode(live)
         t1 = time.perf_counter() if profile is not None else 0.0
         result = self.solver.solve([self.writer.lit(lit) for lit in live],
-                                   max_conflicts,
-                                   conflict_budget=conflict_budget)
+                                   max_conflicts)
         if profile is not None:
             t2 = time.perf_counter()
             bump(profile, "encode_s", t1 - t0)
@@ -537,14 +552,14 @@ class Prover:
         self.use_incremental = use_incremental
         self.use_packed_sim = use_packed_sim
         self.simplify = simplify
-        #: engine scheduling policy: 'auto' (sequential sim -> BMC ->
-        #: k-induction, the reference behaviour), 'bmc' / 'kind' (single
-        #: bounded strategy), or 'portfolio' (race BMC depth probes against
-        #: k-induction steps under a conflict-budget ladder,
-        #: :mod:`repro.formal.portfolio`)
+        #: the order :meth:`_schedule` issues BMC depth probes and
+        #: k-induction steps in: 'auto' (every depth, then the steps --
+        #: the reference), 'bmc' (depths only), 'kind' (steps first) or
+        #: 'portfolio' (one of each per turn under a conflict-budget
+        #: ladder)
         self.strategy = strategy
-        #: conflict-budget rungs for the portfolio scheduler (None: the
-        #: module default, 1k -> 8k -> 64k -> ``max_conflicts``)
+        #: conflict-budget rungs of the portfolio (None: the module
+        #: default, 1k -> 8k -> 64k -> ``max_conflicts``)
         self.portfolio_ladder = portfolio_ladder
         #: step-AIG node budget for packed simulation; above it the cone is
         #: datapath-dominated and the scalar compiled simulator is faster
@@ -680,12 +695,7 @@ class Prover:
         self._trace_cache.clear()
         self._packed_cache.clear()
         try:
-            with self._stage("bmc_s"):
-                bmc = self._bmc_oneshot(design, assertion)
-            if bmc is not None:
-                return bmc
-            with self._stage("kind_s"):
-                return self._k_induction_oneshot(design, assertion)
+            return self._oneshot(design, assertion)
         except (MemoryError, RecursionError) as exc2:
             event = faults.classify(exc2, stage="prover", attempt=1)
             event.retryable = False  # the ladder has no lower rung
@@ -711,27 +721,9 @@ class Prover:
             if cex is not None:
                 return ProofResult("cex", engine="simulation",
                                    counterexample=cex)
-        if self.strategy == "portfolio":
-            from .portfolio import PortfolioScheduler
-            return PortfolioScheduler(self, design, cone_key,
-                                      assertion).run()
-        if self.strategy == "kind":
-            return self._kind_first(design, cone_key, assertion)
-        with self._stage("bmc_s"):
-            if self.use_incremental:
-                bmc = self._bmc(design, cone_key, assertion)
-            else:
-                bmc = self._bmc_oneshot(design, assertion)
-        if bmc is not None:
-            return bmc
-        if self.strategy == "bmc":
-            return ProofResult(
-                "undetermined", engine="bmc", depth=self.max_bmc,
-                detail=f"no counterexample within bound {self.max_bmc}")
-        with self._stage("kind_s"):
-            if self.use_incremental:
-                return self._k_induction(design, cone_key, assertion)
-            return self._k_induction_oneshot(design, assertion)
+        if not self.use_incremental:
+            return self._oneshot(design, assertion)
+        return self._schedule(design, cone_key, assertion)
 
     # -- shared infrastructure ---------------------------------------------------
 
@@ -945,19 +937,47 @@ class Prover:
                 lits.append(encoder.encode_assertion(a, t))
         return encoder.aig.and_many(lits)
 
-    # -- BMC -------------------------------------------------------------
+    # -- the obligation loop -------------------------------------------------
+
+    def _last_step(self) -> int:
+        """The deepest k-induction step worth attempting.
+
+        A step proof at ``k`` stands only with its base cases, BMC depths
+        ``0..k-1``, and the BMC window holds depths ``0..max_bmc``; a
+        step beyond ``max_bmc + 1`` would be a proof without base."""
+        return min(self.max_k, self.max_bmc + 1)
+
+    def _rungs(self) -> list[int]:
+        """The portfolio's conflict budgets: the ladder's rungs below
+        ``max_conflicts`` in ascending order, then ``max_conflicts``."""
+        ladder = (DEFAULT_LADDER if self.portfolio_ladder is None
+                  else self.portfolio_ladder)
+        cap = self.max_conflicts
+        return sorted({r for r in ladder if 0 < r < cap}) + [cap]
+
+    def _exhausted(self, stats: dict) -> ProofResult:
+        """The verdict when every obligation ran and none decided."""
+        if self.strategy == "bmc":
+            return ProofResult(
+                "undetermined", engine="bmc", depth=self.max_bmc,
+                detail=f"no counterexample within bound {self.max_bmc}",
+                stats=stats)
+        last = self._last_step()
+        return ProofResult("undetermined", engine="k-induction", depth=last,
+                           detail=f"not inductive up to k={last}",
+                           stats=stats)
 
     def _bmc_obligations(self, design: Design, cone_key: frozenset,
                          assertion: Assertion):
-        """The shared BMC encoding of *assertion* on its cone session.
+        """The BMC side of *assertion* on its cone session.
 
-        Returns ``(session, env, violations, any_violation)``: the
-        reachable-init :class:`ProofSession`, the environment literal over
-        the full ``max_bmc`` window, one violation literal per depth
-        ``0..max_bmc``, and their structural disjunction.  Every strategy
-        (sequential BMC, kind-first base discharge, the portfolio
-        scheduler) builds its probes from this one encoding, so their
-        verdicts can only agree.
+        Returns ``(session, env, violations, depths)``: the reachable-init
+        :class:`ProofSession`, the environment literal over the full
+        ``max_bmc`` window, one violation literal per depth
+        ``0..max_bmc``, and the depths worth a solve -- those whose
+        ``env & violation`` does not fold to FALSE.  ``depths`` is None
+        when ``env & (any violation)`` folds to TRUE: the assertion is
+        constant-false.
         """
         window = max(1, horizon_of(assertion) + 1)
         session = self._session(design, cone_key, free_init=False)
@@ -966,55 +986,175 @@ class Prover:
         env = self._environment(encoder, self.max_bmc)
         violations = [neg(encoder.encode_assertion(assertion, t))
                       for t in range(self.max_bmc + 1)]
-        return session, env, violations, aig.and_(env,
-                                                  aig.or_many(violations))
-
-    def _bmc(self, design: Design, cone_key: frozenset,
-             assertion: Assertion,
-             max_depth: int | None = None) -> ProofResult | None:
-        """Incremental BMC: one shared unrolling, one persistent solver,
-        one assumption-activated violation target per depth.
-
-        ``max_depth`` restricts the violation probes to depths ``0..d``
-        (the kind-first strategy discharges only the base cases its
-        inductive step actually needs); the unrolling and environment stay
-        at the full ``max_bmc`` horizon so the session is shared with
-        every other strategy on the same cone.
-        """
-        session, env, violations, any_violation = self._bmc_obligations(
-            design, cone_key, assertion)
-        if any_violation == FALSE:
-            return None  # structurally true at this bound; go prove
+        any_violation = aig.and_(env, aig.or_many(violations))
         if any_violation == TRUE:
-            return ProofResult("cex", engine="bmc", depth=0,
-                               detail="assertion constant-false")
+            return session, env, violations, None
+        depths = ([] if any_violation == FALSE else
+                  [t for t, v in enumerate(violations)
+                   if aig.and_(env, v) != FALSE])
+        return session, env, violations, depths
+
+    def _kind_step_obligation(self, design: Design, cone_key: frozenset,
+                              assertion: Assertion, k: int):
+        """The induction-step encoding at depth *k*.
+
+        Returns ``(session, lits, query)``: the free-init
+        :class:`ProofSession`, the assumption literals (environment, base
+        obligations ``holds(0..k-1)``, negated target at ``k``) and their
+        structural conjunction (``FALSE`` means the step case holds
+        structurally).
+        """
+        window = max(1, horizon_of(assertion) + 1)
+        session = self._session(design, cone_key, free_init=True)
+        encoder = session.encoder(k + window + 1)
         aig = session.aig
-        depth = (self.max_bmc if max_depth is None
-                 else min(max_depth, self.max_bmc))
-        conflicts = 0
-        for t, viol in enumerate(violations[:depth + 1]):
-            if aig.and_(env, viol) == FALSE:
-                continue
-            result = session.solve([env, viol],
-                                   max_conflicts=self.max_conflicts)
-            conflicts += result.conflicts
-            if result.is_sat:
-                window = max(1, horizon_of(assertion) + 1)
-                cex = session.extract_cex(result.model,
-                                          max_t=self.max_bmc + window - 1)
-                return ProofResult("cex", engine="bmc", depth=self.max_bmc,
-                                   counterexample=cex,
-                                   stats={"conflicts": conflicts,
-                                          "cex_depth": t})
-            if result.status == "unknown":
-                return ProofResult("undetermined", engine="bmc",
-                                   detail="conflict budget exhausted",
-                                   stats={"conflicts": conflicts})
-        return None
+        holds = [encoder.encode_assertion(assertion, t) for t in range(k)]
+        target = encoder.encode_assertion(assertion, k)
+        env = self._environment(encoder, k)
+        query = aig.and_(env, aig.and_(aig.and_many(holds), neg(target)))
+        return session, [env, *holds, neg(target)], query
+
+    def _schedule(self, design: Design, cone_key: frozenset,
+                  assertion: Assertion) -> ProofResult:
+        """The one obligation loop behind every incremental strategy.
+
+        Two obligations exist: a BMC *depth probe* ``t`` (a violation
+        reachable ``t`` cycles after reset) and a k-induction *step*
+        ``k`` (``k`` satisfied attempts from a free state force the
+        next).  Both live in one persistent session per cone and init
+        mode, and a strategy is only the order they are issued in:
+
+        * ``auto`` -- every depth, then steps ``1, 2, ...``;
+        * ``bmc`` -- the depths only;
+        * ``kind`` -- steps first; a step proof at ``k`` then encodes the
+          BMC side and probes depths ``0..k-1``;
+        * ``portfolio`` -- one depth and one step per turn, over the
+          rungs of :meth:`_rungs`: a query that exhausts its rung is
+          requeued for the next, and a step proof at ``k`` cancels the
+          depths ``>= k``.
+
+        A step proof at ``k`` counts once depths ``0..k-1`` are unsat,
+        and steps stop at :meth:`_last_step`, so a ``proven`` always has
+        its base cases.  ``auto``, ``bmc`` and ``kind`` stop at the first
+        query that exhausts ``max_conflicts``; the portfolio ends
+        ``undetermined`` on the budget only when nothing else decides
+        (docs/engine.md, "Strategies").
+        """
+        strategy = self.strategy
+        portfolio = strategy == "portfolio"
+        last_k = 0 if strategy == "bmc" else self._last_step()
+        window = max(1, horizon_of(assertion) + 1)
+        bmc = None  # (session, env, violations) once the side is encoded
+        depths: list[int] = []
+        if strategy != "kind":
+            with self._stage("bmc_s"):
+                *bmc, depths = self._bmc_obligations(design, cone_key,
+                                                     assertion)
+            if depths is None:
+                return _constant_false()
+        k, proven, structural = 1, None, False
+        conflicts = solves = requeues = cancelled = 0
+        try:
+            for rung in self._rungs() if portfolio else [self.max_conflicts]:
+                requeued: list[int] = []
+                stalled = False  # the step at k exhausted this rung
+                while True:
+                    step = (proven is None and k <= last_k and not stalled
+                            and (strategy != "auto" or not depths))
+                    if not depths and not step:
+                        break
+                    if depths:
+                        t = depths.pop(0)
+                        session, env, violations = bmc
+                        with self._stage("bmc_s"):
+                            result = session.solve([env, violations[t]],
+                                                   max_conflicts=rung)
+                        solves += 1
+                        conflicts += result.conflicts
+                        if result.is_sat:
+                            cex = session.extract_cex(
+                                result.model, max_t=self.max_bmc + window - 1)
+                            return ProofResult(
+                                "cex", engine="bmc", depth=self.max_bmc,
+                                counterexample=cex,
+                                stats={"conflicts": conflicts,
+                                       "cex_depth": t})
+                        if result.status == "unknown":
+                            if not portfolio:
+                                return _budget_exhausted("bmc", conflicts)
+                            requeued.append(t)
+                            requeues += 1
+                    if not step:
+                        continue
+                    with self._stage("kind_s"):
+                        session, lits, query = self._kind_step_obligation(
+                            design, cone_key, assertion, k)
+                        result = (None if query == FALSE else
+                                  session.solve(lits, max_conflicts=rung))
+                    if result is not None:
+                        solves += 1
+                        conflicts += result.conflicts
+                        if result.is_sat:
+                            k += 1
+                            continue
+                        if result.status == "unknown":
+                            if not portfolio:
+                                return _budget_exhausted("k-induction",
+                                                         conflicts)
+                            stalled = True
+                            requeues += 1
+                            continue
+                    proven, structural = k, result is None
+                    if bmc is None:
+                        with self._stage("bmc_s"):
+                            *bmc, depths = self._bmc_obligations(
+                                design, cone_key, assertion)
+                        if depths is None:
+                            return _constant_false()
+                    # the proof needs base depths 0..k-1 only
+                    before = len(depths) + len(requeued)
+                    depths = [t for t in depths if t < k]
+                    requeued = [t for t in requeued if t < k]
+                    cancelled += before - len(depths) - len(requeued)
+                depths = requeued
+                if depths:
+                    continue
+                if proven is not None:
+                    with self._stage("kind_s"):
+                        vacuous = not structural and self._is_vacuous(
+                            design, cone_key, assertion)
+                    return ProofResult("proven", engine="k-induction",
+                                       depth=proven, vacuous=vacuous,
+                                       stats={"conflicts": conflicts})
+                if k > last_k:
+                    return self._exhausted({"conflicts": conflicts})
+            # every rung spent, the last one at the full max_conflicts
+            return _budget_exhausted("bmc" if depths else "k-induction",
+                                     conflicts)
+        finally:
+            if portfolio:
+                bump(self.profile, "portfolio_solves", solves)
+                bump(self.profile, "portfolio_requeues", requeues)
+                bump(self.profile, "portfolio_cancelled", cancelled)
+
+    # -- the one-shot oracle -------------------------------------------------
+
+    def _oneshot(self, design: Design, assertion: Assertion) -> ProofResult:
+        """The pre-incremental reference path, in the strategy's order:
+        BMC over the whole window, then -- unless the strategy is
+        ``bmc`` -- k-induction steps."""
+        with self._stage("bmc_s"):
+            bmc = self._bmc_oneshot(design, assertion)
+        if bmc is not None:
+            return bmc
+        if self.strategy == "bmc":
+            return self._exhausted({})
+        with self._stage("kind_s"):
+            return self._k_induction_oneshot(design, assertion)
 
     def _bmc_oneshot(self, design: Design,
                      assertion: Assertion) -> ProofResult | None:
-        """Pre-incremental reference path: fresh AIG + monolithic solve."""
+        """One-shot BMC: fresh AIG + monolithic solve."""
         window = max(1, horizon_of(assertion) + 1)
         K = self.max_bmc + window
         aig = AIG()
@@ -1028,8 +1168,7 @@ class Prover:
         if any_violation == FALSE:
             return None  # structurally true at this bound; go prove
         if any_violation == TRUE:
-            return ProofResult("cex", engine="bmc", depth=0,
-                               detail="assertion constant-false")
+            return _constant_false()
         clauses, node2var, nv = aig.to_cnf([any_violation])
         clauses.append([aig.cnf_literal(any_violation, node2var)])
         result = solve_cnf(nv, clauses, max_conflicts=self.max_conflicts,
@@ -1040,118 +1179,16 @@ class Prover:
                                counterexample=cex,
                                stats={"conflicts": result.conflicts})
         if result.status == "unknown":
-            return ProofResult("undetermined", engine="bmc",
-                               detail="conflict budget exhausted",
-                               stats={"conflicts": result.conflicts})
+            return _budget_exhausted("bmc", result.conflicts)
         return None
-
-    # -- k-induction -------------------------------------------------------------
-
-    def _kind_step_obligation(self, design: Design, cone_key: frozenset,
-                              assertion: Assertion, k: int):
-        """The shared induction-step encoding at depth *k*.
-
-        Returns ``(session, lits, query)``: the free-init
-        :class:`ProofSession`, the assumption literals (environment, base
-        obligations ``holds(0..k-1)``, negated target at ``k``) and their
-        structural conjunction (``FALSE`` means the step case holds
-        structurally).  As with :meth:`_bmc_obligations`, every strategy
-        attempts induction steps through this one encoding.
-        """
-        window = max(1, horizon_of(assertion) + 1)
-        session = self._session(design, cone_key, free_init=True)
-        encoder = session.encoder(k + window + 1)
-        aig = session.aig
-        holds = [encoder.encode_assertion(assertion, t) for t in range(k)]
-        target = encoder.encode_assertion(assertion, k)
-        env = self._environment(encoder, k)
-        query = aig.and_(env, aig.and_(aig.and_many(holds), neg(target)))
-        return session, [env, *holds, neg(target)], query
-
-    def _k_induction(self, design: Design, cone_key: frozenset,
-                     assertion: Assertion) -> ProofResult:
-        """Incremental k-induction: the free-init unrolling grows step by
-        step in one shared session; base obligations and the negated target
-        are passed as assumptions, never asserted, so every learned clause
-        carries over to the next k (and the next assertion)."""
-        total_conflicts = 0
-        for k in range(1, self.max_k + 1):
-            session, lits, query = self._kind_step_obligation(
-                design, cone_key, assertion, k)
-            if query == FALSE:
-                return ProofResult("proven", engine="k-induction", depth=k,
-                                   stats={"conflicts": total_conflicts})
-            result = session.solve(lits, max_conflicts=self.max_conflicts)
-            total_conflicts += result.conflicts
-            if result.is_unsat:
-                return ProofResult("proven", engine="k-induction", depth=k,
-                                   vacuous=self._is_vacuous(design, cone_key,
-                                                            assertion),
-                                   stats={"conflicts": total_conflicts})
-            if result.status == "unknown":
-                return ProofResult("undetermined", engine="k-induction",
-                                   detail="conflict budget exhausted",
-                                   stats={"conflicts": total_conflicts})
-        return ProofResult("undetermined", engine="k-induction",
-                           depth=self.max_k,
-                           detail=f"not inductive up to k={self.max_k}",
-                           stats={"conflicts": total_conflicts})
-
-    def _kind_first(self, design: Design, cone_key: frozenset,
-                    assertion: Assertion) -> ProofResult:
-        """k-induction-first strategy: find an inductive step depth before
-        touching BMC, then discharge only the base cases that proof needs.
-
-        Sound because a ``proven`` verdict still requires both halves: the
-        step case (``_k_induction``'s free-init obligation, unsat at k) and
-        the base cases (no violation reachable at depths ``0..k-1``,
-        checked via :meth:`_bmc` with ``max_depth=k-1``).  Cheaper than
-        ``auto`` whenever the property is inductive at a small k, because
-        the remaining ``k..max_bmc`` BMC depths are never solved.
-        """
-        total_conflicts = 0
-        proven_k = None
-        structural = False
-        for k in range(1, self.max_k + 1):
-            session, lits, query = self._kind_step_obligation(
-                design, cone_key, assertion, k)
-            if query == FALSE:
-                proven_k, structural = k, True
-                break
-            with self._stage("kind_s"):
-                result = session.solve(lits,
-                                       max_conflicts=self.max_conflicts)
-            total_conflicts += result.conflicts
-            if result.is_unsat:
-                proven_k = k
-                break
-            if result.status == "unknown":
-                return ProofResult("undetermined", engine="k-induction",
-                                   detail="conflict budget exhausted",
-                                   stats={"conflicts": total_conflicts})
-        if proven_k is None:
-            return ProofResult("undetermined", engine="k-induction",
-                               depth=self.max_k,
-                               detail=f"not inductive up to k={self.max_k}",
-                               stats={"conflicts": total_conflicts})
-        with self._stage("bmc_s"):
-            base = self._bmc(design, cone_key, assertion,
-                             max_depth=proven_k - 1)
-        if base is not None:
-            return base  # base case refuted (cex) or budget-exhausted
-        with self._stage("kind_s"):
-            vacuous = (False if structural
-                       else self._is_vacuous(design, cone_key, assertion))
-        return ProofResult("proven", engine="k-induction", depth=proven_k,
-                           vacuous=vacuous,
-                           stats={"conflicts": total_conflicts})
 
     def _k_induction_oneshot(self, design: Design,
                              assertion: Assertion) -> ProofResult:
-        """Pre-incremental reference path: fresh AIG + solver per step."""
+        """One-shot k-induction: fresh AIG + solver per step, up to
+        :meth:`_last_step` (BMC over the window already ran)."""
         window = max(1, horizon_of(assertion) + 1)
         total_conflicts = 0
-        for k in range(1, self.max_k + 1):
+        for k in range(1, self._last_step() + 1):
             K = k + window + 1
             aig = AIG()
             source = UnrolledSource(aig, design, free_init=True)
@@ -1174,13 +1211,8 @@ class Prover:
                                                                     assertion),
                                    stats={"conflicts": total_conflicts})
             if result.status == "unknown":
-                return ProofResult("undetermined", engine="k-induction",
-                                   detail="conflict budget exhausted",
-                                   stats={"conflicts": total_conflicts})
-        return ProofResult("undetermined", engine="k-induction",
-                           depth=self.max_k,
-                           detail=f"not inductive up to k={self.max_k}",
-                           stats={"conflicts": total_conflicts})
+                return _budget_exhausted("k-induction", total_conflicts)
+        return self._exhausted({"conflicts": total_conflicts})
 
     # -- diagnostics -------------------------------------------------------------
 

@@ -578,20 +578,17 @@ class Solver:
 
     def solve(self, assumptions: list[int] | None = None,
               max_conflicts: int | None = None, *,
-              conflict_budget: int | None = None,
               scope: list[int] | None = None,
               first: list[int] = ()) -> SatResult:
         """Solve under optional assumptions (external literal convention).
 
         ``max_conflicts`` bounds this call's search; exceeding it yields
         'unknown' (the prover maps that to an *undetermined* verdict, as a
-        commercial tool does on timeout).  ``conflict_budget`` is the same
-        bound under the name the budgeted-restart callers use (the
-        portfolio ladder re-solves the same obligation with a growing
-        budget); when both are given the tighter one applies.  The solver
-        always returns at decision level 0, so further ``add_clause`` /
-        ``solve`` calls may follow; learned clauses, activities and phases
-        are retained -- which is exactly why restart-and-deepen is cheap.
+        commercial tool does on timeout).  The solver always returns at
+        decision level 0, so further ``add_clause`` / ``solve`` calls may
+        follow; learned clauses, activities and phases are retained --
+        which is exactly why restart-and-deepen (the portfolio re-solving
+        an obligation with a larger ``max_conflicts``) is cheap.
 
         **Scoped mode** (``scope`` given: distinct existing variables).
         Only scope variables are ever decided -- VSIDS runs on a heap of
@@ -656,9 +653,6 @@ class Solver:
         (only its heuristic order goes stale, never its contents); a
         session is expected to use one mode throughout.
         """
-        if conflict_budget is not None:
-            max_conflicts = (conflict_budget if max_conflicts is None
-                             else min(max_conflicts, conflict_budget))
         if not self.ok:
             return SatResult("unsat")
         self._backtrack(0)

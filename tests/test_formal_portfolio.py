@@ -2,8 +2,8 @@
 
 Three layers of guarantees:
 
-* ``sat.Solver`` honours ``conflict_budget`` (the primitive the
-  scheduler is built on);
+* ``sat.Solver`` honours a per-call ``max_conflicts`` (the primitive
+  the ladder is built on);
 * the ``strategy`` configurations are sound -- in particular a k-induction
   step-case proof is never accepted before its base cases are discharged;
 * ``strategy="portfolio"`` verdicts are record-identical (status, engine,
@@ -23,7 +23,7 @@ from repro.datasets.design2sva.arbiter_gen import (
 )
 from repro.datasets.design2sva.sweep import build_benchmark
 from repro.datasets.design2sva.testbench_gen import merge_for_eval
-from repro.formal.portfolio import DEFAULT_LADDER, PortfolioScheduler
+from repro.formal import DEFAULT_LADDER
 from repro.formal.prover import Prover
 from repro.formal.sat import Solver
 from repro.models import design_assist
@@ -102,7 +102,7 @@ def _php_clauses(holes: int):
 class TestSolverBudget:
     def test_conflict_budget_limits_search(self):
         nv, clauses = _php_clauses(5)
-        result = Solver(nv, clauses).solve(conflict_budget=3)
+        result = Solver(nv, clauses).solve(max_conflicts=3)
         assert result.status == "unknown"
         assert result.limit == "conflicts"
         assert result.conflicts <= 3 + 1
@@ -110,25 +110,16 @@ class TestSolverBudget:
     def test_budget_is_per_call_and_retry_completes(self):
         nv, clauses = _php_clauses(4)
         solver = Solver(nv, clauses)
-        first = solver.solve(conflict_budget=2)
+        first = solver.solve(max_conflicts=2)
         assert first.status == "unknown"
         # restart-and-deepen: same solver, bigger budget, learned clauses
         # from the failed attempt retained
-        second = solver.solve(conflict_budget=100_000)
+        second = solver.solve(max_conflicts=100_000)
         assert second.status == "unsat"
         assert second.limit == ""
 
-    def test_tighter_of_both_bounds_applies(self):
-        nv, clauses = _php_clauses(5)
-        result = Solver(nv, clauses).solve(max_conflicts=100_000,
-                                           conflict_budget=3)
-        assert result.status == "unknown" and result.limit == "conflicts"
-        result = Solver(nv, clauses).solve(max_conflicts=3,
-                                           conflict_budget=100_000)
-        assert result.status == "unknown" and result.limit == "conflicts"
-
     def test_budget_does_not_affect_sat(self):
-        result = Solver(2, [[1, 2], [-1, 2]]).solve(conflict_budget=1)
+        result = Solver(2, [[1, 2], [-1, 2]]).solve(max_conflicts=1)
         assert result.is_sat
 
 
@@ -176,6 +167,11 @@ class TestStrategyConfig:
                        use_simulation=False).prove(assertion)
             assert r.status == "cex", (strategy, r)
 
+    def test_cli_strategy_list_matches_prover(self):
+        # the parser keeps a literal copy so it needs no engine import
+        from repro.__main__ import _STRATEGIES
+        assert tuple(_STRATEGIES) == Prover.STRATEGIES
+
     def test_win_accounting(self):
         design = elaborate(COUNTER)
         prover = Prover(design, strategy="auto")
@@ -209,11 +205,11 @@ class TestPortfolioScheduler:
 
     def test_ladder_is_clipped_to_max_conflicts(self, design):
         prover = Prover(design, strategy="portfolio", max_conflicts=5_000)
-        sched = PortfolioScheduler(prover, design,
-                                   frozenset(design.widths),
-                                   parse_assertion(COUNTER_ASSERTS[0]))
-        assert sched.rungs == [1_000, 5_000]
-        assert sched.rungs[-1] == prover.max_conflicts
+        assert prover._rungs() == [1_000, 5_000]
+        assert prover._rungs()[-1] == prover.max_conflicts
+        prover = Prover(design, strategy="portfolio", max_conflicts=60,
+                        portfolio_ladder=(50, 0, 2, 50, 99))
+        assert prover._rungs() == [2, 50, 60]
 
     def test_custom_ladder(self, design):
         prover = Prover(design, strategy="portfolio",

@@ -268,6 +268,28 @@ class TestDegradationLadder:
         [event] = [e for e in resp.degraded if e["code"] == "memory"]
         assert event["retryable"] and event["attempt"] == 0
 
+    def test_bmc_strategy_never_proves_after_a_fault(self, monkeypatch):
+        """The one-shot retry follows the strategy: ``bmc`` runs no
+        k-induction, degraded or not."""
+        from repro.formal.prover import Prover
+        request = dict(engine={"strategy": "bmc"})
+        [baseline] = VerificationService().run([prove_request(**request)])
+        assert baseline.verdict == "undetermined"
+        real_dispatch = Prover._dispatch
+        calls = {"n": 0}
+
+        def flaky_dispatch(self, *args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise MemoryError("solver arena exhausted")
+            return real_dispatch(self, *args, **kwargs)
+
+        monkeypatch.setattr(Prover, "_dispatch", flaky_dispatch)
+        [resp] = VerificationService().run([prove_request(**request)])
+        assert "memory" in codes(resp)
+        assert (resp.verdict, resp.func, resp.detail, resp.meta) == (
+            baseline.verdict, False, baseline.detail, baseline.meta)
+
     def test_memory_error_persisting_is_an_error_verdict(self, monkeypatch):
         from repro.formal.prover import Prover
 
