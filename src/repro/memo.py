@@ -4,12 +4,12 @@ The benchmark scores many responses against the same DUT, testbench or
 reference, and re-scoring a run (a second model, a re-rendered table, a
 client resubmitting) repeats every response text.  So the pure
 functions of text each keep one :class:`LruMemo`: the front end
-(``parse_assertion``, ``parse_rtl``, ``elaborate_base``, the Design2SVA
-problem base and response snippets), the per-response results built
-on it (the syntax gate's outcome, ``canonical_key`` of a text, BLEU and
-a reference's n-gram tables) and the service's raw-key alias from a
-request's inputs to its semantic cache key.  The rule is the same for
-all of them:
+(``parse_assertion``, ``parse_rtl``, ``elaborate_base``, the frames a
+wire source binds onto, the Design2SVA problem base and response
+snippets), the per-response results built on it (the syntax gate's
+outcome, ``canonical_key`` of a text, BLEU and a reference's n-gram
+tables) and the service's raw-key alias from a request's inputs to its
+semantic cache key.  The rule is the same for all of them:
 
 * the function is pure, so a hit returns what a recomputation would;
 * results are *shared* between callers and therefore read-only (the
@@ -83,6 +83,20 @@ class LruMemo:
                 return self._entries[key]
             self.misses += 1
         return default
+
+    def find(self, match):
+        """The most recently used ``(key, value)`` whose key satisfies
+        ``match(key)``, or None: a scan for a table whose lookups are
+        not by equality, counted like :meth:`lookup`."""
+        with self._lock:
+            found = next((key for key in reversed(self._entries)
+                          if match(key)), _MISSING)
+            if found is _MISSING:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(found)
+            self.hits += 1
+            return found, self._entries[found]
 
     def store(self, key, value) -> None:
         """Memoise *value* under *key* (uncounted; see :meth:`lookup`)."""

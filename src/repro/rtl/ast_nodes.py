@@ -11,6 +11,7 @@ concurrent assertion items.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..sva.ast_nodes import Assertion, Expr
 
@@ -172,7 +173,23 @@ class ModuleDecl:
     assertions = _items_of(AssertionItem)
 
 
+class Frame(NamedTuple):
+    """Where a module's body ends in a run of top-level assertion items,
+    in the preprocessed text of a parse: the text before the run's first
+    token (*prefix*, ending in whitespace), the text after its last
+    token (*suffix*, starting with whitespace) and the run's *length*:
+    the run is the last *length* entries of the module's ``items``."""
+
+    prefix: str
+    suffix: str
+    length: int
+
+
 @dataclass
 class SourceFile:
     modules: dict[str, ModuleDecl]
     defines: dict[str, str]
+    #: the :class:`Frame` of each module that has one, by module name
+    #: (only :func:`~repro.rtl.parser.parse_rtl` records them)
+    frames: dict[str, Frame] = field(default_factory=dict, compare=False,
+                                     repr=False)

@@ -21,6 +21,7 @@ The result, :class:`Design`, is consumed by the simulator
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field, replace
 
 from ..memo import LruMemo
@@ -1126,10 +1127,24 @@ def _rewrite_assertion_exprs(assertion: Assertion, fn):
 _RESET_NAMES = ("reset_", "rst", "rst_n", "reset")
 
 #: elaborated bases of *text* sources by (text, top, overrides, reset
-#: names): the Human testbenches and exact-duplicate wire sources.  An
-#: elaborated pipeline design is about 100 KB, and every distinct wire
-#: source passes through, so the memo is kept small.
+#: names): the Human testbenches, and one per wire ``prove`` problem in
+#: flight -- its frame's base, keyed on the frame's prefix + suffix
+#: (:func:`elaborate`).  An elaborated pipeline design is about 100 KB,
+#: so the memo is kept small.
 _BASES = LruMemo("rtl.elaborate", 16)
+
+
+#: learned frames by (top as given, prefix, suffix), each with its stem:
+#: the learning parse with the frame's run cut off its module, which the
+#: frame's base (memoised above under prefix + suffix) is built from.  A
+#: pass@k POST carries one problem's n samples, and the first that misses
+#: learns the frame the others bind onto, so the table needs the problems
+#: in flight -- as many as ``rtl.elaborate`` keeps bases for.  A scan of
+#: 16 prefix/suffix compares costs microseconds; a stem holds one parse
+#: (about 25 KB of AST).
+_FRAMES = LruMemo("rtl.frame", 16)
+
+_ENDMODULE = re.compile(r"\bendmodule\b")
 
 
 def elaborate_base(source: SourceFile | str, top: str | None = None,
@@ -1144,12 +1159,25 @@ def elaborate_base(source: SourceFile | str, top: str | None = None,
     """
     if isinstance(source, str):
         from .parser import parse_rtl
-        key = (source, top, tuple(sorted((overrides or {}).items())),
-               tuple(reset_names))
-        return _BASES.get(key, lambda: with_digest(_elaborate_base(
-            parse_rtl(source), top, overrides, reset_names),
-            "rtl.elaborate", *key))
+        settings = _settings(top, overrides, reset_names)
+        return _text_base(source, settings, lambda: parse_rtl(source))
     return _elaborate_base(source, top, overrides, reset_names)
+
+
+def _settings(top, overrides, reset_names) -> tuple:
+    """The arguments besides the text, as a text base's memo key has
+    them."""
+    return (top, tuple(sorted((overrides or {}).items())),
+            tuple(reset_names))
+
+
+def _text_base(text: str, settings: tuple, parse) -> Design:
+    """The memoised base of the text *text* under *settings*, built on a
+    miss from ``parse()``."""
+    top, overrides, reset_names = settings
+    return _BASES.get((text, *settings), lambda: with_digest(
+        _elaborate_base(parse(), top, dict(overrides), reset_names),
+        "rtl.elaborate", text, *settings))
 
 
 def with_digest(base: Design, *inputs) -> Design:
@@ -1251,9 +1279,84 @@ def elaborate(source: SourceFile | str, top: str | None = None,
               reset_names: tuple[str, ...] = _RESET_NAMES) -> Design:
     """Elaborate *top* (default: last module) into a :class:`Design`:
     :func:`elaborate_base`, then :func:`bind` of the top module's own
-    assertion items."""
+    assertion items.
+
+    A text *source* is split where it can be.  Every parse records the
+    :class:`~repro.rtl.ast_nodes.Frame` of each module whose body ends
+    in a run of assertion items; a text that fits a learned frame of
+    *top* -- its preprocessed form is the frame's prefix, a tail, then
+    the frame's suffix -- binds the tail onto the frame's base, which is
+    built once from the learning parse and memoised under prefix +
+    suffix.  The pass@k samples of one wire ``prove`` problem are such
+    texts: one DUT and testbench, and a different run of assertions
+    before ``endmodule``.  So a problem costs one parse and one
+    elaboration, and each further sample a preprocess, a compare, a
+    parse of its tail and one bind.  The result equals the full path's:
+    the tail must parse, without parameters as the full parse does, into
+    assertion items only, which elaboration of the base never reads.
+    Anything else -- no frame, support code, a parameter declaration, a
+    directive or ``endmodule`` in the tail, a tail that fails to parse
+    or bind -- takes the full path, so every error comes from it, and
+    that path's parse learns the text's frame.
+    """
+    if isinstance(source, str):
+        return _elaborate_text(source, _settings(top, overrides,
+                                                 reset_names))
     base = elaborate_base(source, top, overrides, reset_names)
     return bind(base, base.scope.assertion_items)
+
+
+def _elaborate_text(source: str, settings: tuple) -> Design:
+    from .parser import parse_rtl
+    design = _bind_on_frame(source, settings)
+    if design is not None:
+        return design
+    parsed = parse_rtl(source)
+    top = settings[0]
+    name = top if top is not None else next(reversed(parsed.modules), None)
+    frame = parsed.frames.get(name)
+    if frame is None:
+        base = _text_base(source, settings, lambda: parsed)
+        return bind(base, base.scope.assertion_items)
+    module = parsed.modules[name]
+    stem = SourceFile({**parsed.modules, name: replace(
+        module, items=module.items[:-frame.length])}, parsed.defines)
+    base = _text_base(frame.prefix + frame.suffix, settings, lambda: stem)
+    _FRAMES.store((top, frame.prefix, frame.suffix), stem)
+    return bind(base, [*base.scope.assertion_items,
+                       *module.items[-frame.length:]])
+
+
+def _bind_on_frame(source: str, settings: tuple) -> Design | None:
+    """*source* bound onto the base of a learned frame it fits, or None
+    to take the full path (see :func:`elaborate`)."""
+    from .parser import parse_snippet_items, preprocess
+    try:
+        text = preprocess(source)[0]
+    except ValueError:
+        return None
+    top = settings[0]
+    found = _FRAMES.find(lambda key: (
+        key[0] == top and len(key[1]) + len(key[2]) <= len(text)
+        and text.startswith(key[1]) and text.endswith(key[2])))
+    if found is None:
+        return None
+    (_, prefix, suffix), stem = found
+    tail = text[len(prefix):len(text) - len(suffix)]
+    # the snippet wrapper would accept a tail that closes the module
+    if _ENDMODULE.search(tail):
+        return None
+    try:
+        # the items as the full parse reads them: without parameters.  A
+        # parameter declaration adds no item but changes the base
+        snippet = parse_snippet_items(tail)
+        if snippet.params or len(snippet.assertions) != len(snippet.items):
+            return None
+        base = _text_base(prefix + suffix, settings, lambda: stem)
+        return bind(base, [*base.scope.assertion_items,
+                           *snippet.assertions])
+    except ValueError:  # SpliceError, ElaborationError
+        return None
 
 
 #: Active-low reset names are held 1 when inactive; active-high held 0.

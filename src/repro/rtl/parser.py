@@ -26,6 +26,7 @@ from .ast_nodes import (
     CaseItem,
     CaseStmt,
     ContinuousAssign,
+    Frame,
     GenerateFor,
     IfStmt,
     Instance,
@@ -52,6 +53,8 @@ def preprocess(source: str, predefined: dict[str, str] | None = None
     text's own.
     """
     defines: dict[str, str] = dict(predefined or {})
+    if "`" not in source:  # no directive, no macro use
+        return source, defines
     for m in _DEFINE_RE.finditer(source):
         defines[m.group(1)] = m.group(2)
     text = _DEFINE_RE.sub("", source)
@@ -77,6 +80,9 @@ class RtlParser(Parser):
     """Module-level parser extending the expression/SVA grammar."""
 
     def parse_source(self) -> dict[str, ModuleDecl]:
+        #: module name -> (first token, last token, item count) of the
+        #: run of top-level assertion items that ends the module's body
+        self.runs: dict[str, tuple[int, int, int]] = {}
         modules: dict[str, ModuleDecl] = {}
         while not self.at_end():
             if self.at("module"):
@@ -100,8 +106,22 @@ class RtlParser(Parser):
         if self.accept("("):
             self._parse_port_header(mod)
         self.expect(";")
+        run = None  # (first token, items before it) of the trailing run
         while not self.at("endmodule"):
+            start, count = self.pos, len(mod.items)
             self._parse_module_item(mod)
+            if (len(mod.items) == count + 1
+                    and isinstance(mod.items[-1], AssertionItem)
+                    and self.toks[start].text != "generate"):
+                if run is None:
+                    run = (start, count)
+            else:
+                run = None
+        if run is None:
+            self.runs.pop(mod.name, None)
+        else:
+            self.runs[mod.name] = (run[0], self.pos - 1,
+                                   len(mod.items) - run[1])
         self.expect("endmodule")
         return mod
 
@@ -472,8 +492,11 @@ class RtlParser(Parser):
                          label=label, kind=kind)
 
 
-#: parsed sources by text; a generated DUT is about 25 KB of AST, and
-#: every distinct wire source passes through, so the memo is kept small
+#: parsed sources by text; a generated DUT is about 25 KB of AST.  The
+#: texts that pass through are the DUTs and testbenches in flight and the
+#: one wire ``prove`` source per problem that learns its frame (the
+#: problem's other samples bind onto its base, :func:`elaborate`), so
+#: the memo is kept small
 _SOURCES = LruMemo("rtl.parser", 16)
 
 
@@ -482,7 +505,9 @@ def parse_rtl(source: str) -> SourceFile:
 
     Memoised on the text: the returned :class:`SourceFile` is shared
     between callers and must be treated as read-only (elaboration and
-    the Design2SVA merge only ever read it).
+    the Design2SVA merge only ever read it).  It records the
+    :class:`~repro.rtl.ast_nodes.Frame` of every module whose body ends
+    in a run of assertion items (:func:`_frames`).
     """
     return _SOURCES.get(source, lambda: _parse_rtl(source))
 
@@ -491,7 +516,41 @@ def _parse_rtl(source: str) -> SourceFile:
     text, defines = preprocess(source)
     parser = RtlParser(text)
     modules = parser.parse_source()
-    return SourceFile(modules=modules, defines=defines)
+    return SourceFile(modules=modules, defines=defines,
+                      frames=_frames(text, parser))
+
+
+_NEWLINE = re.compile("\n")
+
+
+def _frames(text: str, parser: RtlParser) -> dict[str, Frame]:
+    """The frames of a parse of the preprocessed *text*: each module's
+    trailing run of assertion items, cut out of the text at token
+    boundaries.
+
+    A frame is kept only where the cut is safe to re-use on another
+    text: the prefix ends and the suffix starts with whitespace, so no
+    token can straddle either cut, and no directive is left in the text
+    (a text with a frame then means exactly its preprocessed form).
+    Token positions are line/column pairs, exact as long as no token
+    spans a line; the newline count checks that.
+    """
+    toks = parser.toks
+    if (not parser.runs or "`" in text
+            or text.count("\n") != toks[-1].line - 1):
+        return {}
+    starts = [0, *(m.end() for m in _NEWLINE.finditer(text))]
+
+    def offset(tok) -> int:
+        return starts[tok.line - 1] + tok.col - 1
+
+    frames = {}
+    for name, (first, last, length) in parser.runs.items():
+        prefix = text[:offset(toks[first])]
+        suffix = text[offset(toks[last]) + len(toks[last].text):]
+        if prefix[-1:].isspace() and suffix[:1].isspace():
+            frames[name] = Frame(prefix, suffix, length)
+    return frames
 
 
 class SpliceError(ValueError):

@@ -10,14 +10,17 @@ can compute the *same* key without importing the whole service.
 :class:`~repro.service.api.VerifyRequest` as the router sees it, return
 a deterministic signature such that two requests the service would
 schedule onto one pooled prover land on the same replica.  For ``prove``
-requests that means **elaborating the source** (the n samples of one
-pass@k problem share their source text modulo the spliced assertion,
-but hashing raw text would scatter them, because the spliced assertion
-differs per sample while the elaborated design signature does not;
-exact-duplicate texts hit :mod:`repro.rtl.elaborate`'s memo).  Other
-kinds have no prover pool; they route by their dominant shared context
-so one problem's samples still colocate with their siblings' cache
-entries.
+requests that means **signing the elaborated base**: hashing raw text
+would scatter the n samples of one pass@k problem, whose merged texts
+differ only in the run of assertions before ``endmodule``.  The router
+elaborates through :func:`repro.rtl.elaborate.elaborate` as the replica
+does, so the first sample of a problem is parsed and learns its frame
+and the others bind onto that frame's base, whose signature is computed
+once; support code and failing samples take the full path, on both
+sides.  Either path yields the replica's ``design_signature``, so
+placement and prover pooling agree.  Other kinds have no prover pool;
+they route by their dominant shared context so one problem's samples
+still colocate with their siblings' cache entries.
 """
 
 from __future__ import annotations

@@ -406,7 +406,8 @@ def test_design_with_cached_signature_pickles():
 
 # -- (e) the counters are readable without a profiler --------------------------
 
-MEMOS = {"sva.parser", "rtl.parser", "rtl.elaborate", "design2sva.testbench",
+MEMOS = {"sva.parser", "rtl.parser", "rtl.elaborate", "rtl.frame",
+         "design2sva.testbench",
          "sva.syntax", "sva.canonical", "eval.bleu", "eval.bleu.reference",
          "design2sva.snippet"}
 COUNTERS = {"hits", "misses", "evictions", "entries"}
