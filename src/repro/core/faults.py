@@ -2,7 +2,7 @@
 
 Every recoverable failure the verification stack observes -- a worker
 process killed mid-unit, a wall-clock deadline expiring inside a solve,
-a ``MemoryError`` that demoted a prove to the one-shot oracle, a corrupt
+a ``MemoryError`` that sent a prove to a retry on fresh sessions, a corrupt
 disk-cache entry -- is recorded as a :class:`FaultEvent` and surfaced as
 ``VerifyResponse.degraded`` provenance.  The taxonomy is deliberately
 small and closed (:data:`FAULT_CODES`): consumers switch on ``code``,
@@ -80,8 +80,8 @@ def classify(exc: BaseException, stage: str = "", retryable: bool = False,
     """Map an exception to its taxonomy event.
 
     ``MemoryError``/``RecursionError`` are resource faults and always
-    retryable (the degradation ladder retries them on the one-shot
-    oracle); anything else is ``engine_error`` with whatever the caller
+    retryable (the degradation ladder retries them once on fresh proof
+    sessions); anything else is ``engine_error`` with whatever the caller
     says about retryability.
     """
     detail = f"{type(exc).__name__}: {exc}"[:200]

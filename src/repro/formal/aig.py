@@ -247,54 +247,6 @@ class AIG:
 
         return [node_value(lit >> 1) ^ bool(lit & 1) for lit in lits]
 
-    # -- CNF export (Tseitin) --------------------------------------------------
-
-    def to_cnf(self, roots: list[int]) -> tuple[list[list[int]], dict[int, int], int]:
-        """Tseitin-encode the cone of *roots*.
-
-        Returns ``(clauses, node2var, num_vars)`` where ``node2var`` maps AIG
-        node index to a positive DIMACS-style variable (1-based).  Constant
-        TRUE gets a dedicated variable pinned by a unit clause.
-        """
-        order = self.cone(roots)
-        node2var: dict[int, int] = {}
-        clauses: list[list[int]] = []
-
-        def var_of(node: int) -> int:
-            v = node2var.get(node)
-            if v is None:
-                v = len(node2var) + 1
-                node2var[node] = v
-            return v
-
-        def cnf_lit(lit: int) -> int:
-            v = var_of(lit >> 1)
-            return -v if lit & 1 else v
-
-        for node in order:
-            fi = self._fanins[node]
-            if fi is None:
-                if node == 0:
-                    clauses.append([var_of(0)])  # TRUE must be true
-                else:
-                    var_of(node)
-                continue
-            a, b = fi
-            o = var_of(node)
-            la, lb = cnf_lit(a), cnf_lit(b)
-            clauses.append([-o, la])
-            clauses.append([-o, lb])
-            clauses.append([o, -la, -lb])
-        return clauses, node2var, len(node2var)
-
-    def cnf_literal(self, lit: int, node2var: dict[int, int]) -> int:
-        """Translate an AIG literal to a CNF literal given ``node2var``."""
-        node = lit >> 1
-        if node not in node2var:
-            raise KeyError(f"node {node} not in CNF cone")
-        v = node2var[node]
-        return -v if lit & 1 else v
-
 
 def implied_constants(aig: AIG, lits) -> dict[int, bool]:
     """Node constants implied by asserting every literal in *lits* true.

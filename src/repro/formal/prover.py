@@ -1,8 +1,8 @@
 """Model checking: prove or refute an assertion on an elaborated design.
 
 Replaces JasperGold's proof engines in the Design2SVA evaluation flow.
-The public entry point is :class:`Prover` (or the one-shot
-:func:`prove_assertion` wrapper)::
+The public entry point is :class:`Prover` (or the
+:func:`prove_assertion` convenience wrapper)::
 
     from repro.formal import Prover
     from repro.rtl import elaborate
@@ -31,8 +31,11 @@ unrolling + SAT solver per (design cone, init mode) is shared across every
 depth of a proof and across the assertions proved on one design.  Per-depth
 violation targets and per-step induction obligations are activated through
 solver *assumptions*, so learned clauses about the transition relation are
-retained between queries instead of being recomputed.  The pre-refactor
-one-shot path is kept (``use_incremental=False``) as a differential oracle.
+retained between queries instead of being recomputed.  There is no
+second implementation to compare against: the reference for every verdict
+is the exhaustive soundness oracle under ``tests/oracle/`` (explicit-state
+reachability over small designs and a concrete SVA evaluator, sharing no
+code with this package; docs/engine.md, "The soundness oracle").
 
 One loop, :meth:`Prover._schedule`, issues the two bounded obligations
 -- BMC depth probes and k-induction steps -- and the ``strategy``
@@ -72,7 +75,7 @@ from ..sva.ast_nodes import (
 from .aig import AIG, FALSE, TRUE, CnfWriter, neg
 from .bitvec import AigBackend, EvalError, ExprEvaluator, SignalSource
 from .coi import assertion_roots, cone_of_influence
-from .sat import Solver, solve_cnf
+from .sat import Solver
 from .semantics import EncodingError, PropertyEncoder, horizon_of
 
 #: the portfolio's default conflict-budget rungs; ``Prover.max_conflicts``
@@ -117,7 +120,7 @@ class ProofResult:
     stats: dict[str, int] = field(default_factory=dict)
     #: degradation provenance: one dict per recorded
     #: :class:`repro.core.faults.FaultEvent` (wall-clock timeout,
-    #: memory-pressure one-shot retry, packed-sim fallback...), in the
+    #: memory-pressure retry, packed-sim fallback...), in the
     #: order the ladder took them.  Empty on the clean path.
     degraded: list = field(default_factory=list)
 
@@ -129,6 +132,17 @@ class ProofResult:
 def _constant_false() -> ProofResult:
     return ProofResult("cex", engine="bmc", depth=0,
                        detail="assertion constant-false")
+
+
+def _liveness_gate(assertion: Assertion) -> ProofResult | None:
+    """A finite window can neither witness nor soundly refute an
+    unbounded strong obligation: such an assertion is reported
+    undetermined, the documented substitution for liveness engines
+    (docs/engine.md); None for every other assertion."""
+    if has_unbounded_strong(assertion.prop):
+        return ProofResult("undetermined", engine="none",
+                           detail="liveness obligation; bounded engines only")
+    return None
 
 
 def _budget_exhausted(engine: str, conflicts: int) -> ProofResult:
@@ -529,7 +543,7 @@ class Prover:
     def __init__(self, design: Design, max_bmc: int = 12, max_k: int = 6,
                  max_conflicts: int = 300_000, sim_traces: int = 24,
                  sim_cycles: int = 40, use_coi: bool = True,
-                 use_simulation: bool = True, use_incremental: bool = True,
+                 use_simulation: bool = True,
                  use_packed_sim: bool = True, simplify: bool = True,
                  packed_max_nodes: int | None = None,
                  strategy: str = "auto",
@@ -538,9 +552,6 @@ class Prover:
         if strategy not in self.STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; "
                              f"expected one of {self.STRATEGIES}")
-        if strategy in ("kind", "portfolio") and not use_incremental:
-            raise ValueError(f"strategy {strategy!r} requires the "
-                             "incremental engine (use_incremental=True)")
         self.design = design
         self.max_bmc = max_bmc
         self.max_k = max_k
@@ -549,7 +560,6 @@ class Prover:
         self.sim_cycles = sim_cycles
         self.use_coi = use_coi
         self.use_simulation = use_simulation
-        self.use_incremental = use_incremental
         self.use_packed_sim = use_packed_sim
         self.simplify = simplify
         #: the order :meth:`_schedule` issues BMC depth probes and
@@ -572,7 +582,7 @@ class Prover:
         self.profile: dict = profile if profile is not None else {}
         self._assumes: tuple[Assertion, ...] = ()
         #: absolute wall-clock deadline of the in-flight prove() (None
-        #: off-deadline); propagated to every session and one-shot solve
+        #: off-deadline); propagated to every session's solver
         self._deadline_at: float | None = None
         #: FaultEvent accumulator of the in-flight prove() -- the
         #: degradation ladder and the simulation fallbacks append here
@@ -615,9 +625,9 @@ class Prover:
         exhausts it without a sound verdict returns status ``timeout``
         -- a measured outcome carrying whatever partial stats the
         engines accumulated, never an exception.  Resource faults
-        (``MemoryError`` / ``RecursionError``) degrade to the one-shot
-        non-incremental oracle (retried once); every degradation step is
-        recorded in ``ProofResult.degraded`` (docs/robustness.md).
+        (``MemoryError`` / ``RecursionError``) are retried once on fresh
+        incremental sessions; every degradation step is recorded in
+        ``ProofResult.degraded`` (docs/robustness.md).
         """
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
         deadline_at = (time.monotonic() + max(0.0, float(deadline_s))
@@ -648,8 +658,8 @@ class Prover:
                 except (EncodingError, EvalError) as exc:
                     result = ProofResult("error", detail=str(exc))
                 except (MemoryError, RecursionError) as exc:
-                    result = self._retry_oneshot(design, assertion, exc,
-                                                 events)
+                    result = self._retry_fresh(design, cone_key,
+                                               assertion, exc, events)
         finally:
             self._deadline_at = None
             self._fault_events = None
@@ -682,12 +692,15 @@ class Prover:
             session.deadline_at = deadline_at
             session.solver.deadline_at = deadline_at
 
-    def _retry_oneshot(self, design: Design, assertion: Assertion,
-                       exc: BaseException, events: list) -> ProofResult:
+    def _retry_fresh(self, design: Design, cone_key: frozenset,
+                     assertion: Assertion, exc: BaseException,
+                     events: list) -> ProofResult:
         """Degradation rung for resource faults: the incremental sessions
-        (possibly corrupted mid-mutation) are dropped and the proof is
-        retried once on the one-shot non-incremental oracle.  A second
-        resource fault becomes an error result -- never a raised
+        (possibly corrupted mid-mutation) and the simulation caches are
+        dropped, releasing their memory, and the obligation loop runs
+        once more, without the simulation pass, on fresh sessions (which
+        inherit the in-flight deadline through :meth:`_session`).  A
+        second resource fault becomes an error result -- never a raised
         exception."""
         faults = _faults()
         events.append(faults.classify(exc, stage="prover", attempt=0))
@@ -695,34 +708,31 @@ class Prover:
         self._trace_cache.clear()
         self._packed_cache.clear()
         try:
-            return self._oneshot(design, assertion)
+            gated = _liveness_gate(assertion)
+            if gated is not None:
+                return gated
+            return self._schedule(design, cone_key, assertion)
         except (MemoryError, RecursionError) as exc2:
             event = faults.classify(exc2, stage="prover", attempt=1)
             event.retryable = False  # the ladder has no lower rung
             events.append(event)
             return ProofResult(
                 "error",
-                detail=f"{type(exc2).__name__} persisted after one-shot "
-                       f"retry")
+                detail=f"{type(exc2).__name__} persisted after a retry "
+                       f"on fresh sessions")
 
     def _dispatch(self, design: Design, cone_key: frozenset,
                   assertion: Assertion) -> ProofResult:
         """Run the configured strategy after the shared cheap gates."""
-        if has_unbounded_strong(assertion.prop):
-            # a finite window can neither witness nor soundly refute an
-            # unbounded strong obligation; report undetermined as the
-            # documented substitution for liveness engines (docs/engine.md)
-            return ProofResult(
-                "undetermined", engine="none",
-                detail="liveness obligation; bounded engines only")
+        gated = _liveness_gate(assertion)
+        if gated is not None:
+            return gated
         if self.use_simulation:
             with self._stage("sim_s"):
                 cex = self._simulate_falsify(design, cone_key, assertion)
             if cex is not None:
                 return ProofResult("cex", engine="simulation",
                                    counterexample=cex)
-        if not self.use_incremental:
-            return self._oneshot(design, assertion)
         return self._schedule(design, cone_key, assertion)
 
     # -- shared infrastructure ---------------------------------------------------
@@ -1137,83 +1147,6 @@ class Prover:
                 bump(self.profile, "portfolio_requeues", requeues)
                 bump(self.profile, "portfolio_cancelled", cancelled)
 
-    # -- the one-shot oracle -------------------------------------------------
-
-    def _oneshot(self, design: Design, assertion: Assertion) -> ProofResult:
-        """The pre-incremental reference path, in the strategy's order:
-        BMC over the whole window, then -- unless the strategy is
-        ``bmc`` -- k-induction steps."""
-        with self._stage("bmc_s"):
-            bmc = self._bmc_oneshot(design, assertion)
-        if bmc is not None:
-            return bmc
-        if self.strategy == "bmc":
-            return self._exhausted({})
-        with self._stage("kind_s"):
-            return self._k_induction_oneshot(design, assertion)
-
-    def _bmc_oneshot(self, design: Design,
-                     assertion: Assertion) -> ProofResult | None:
-        """One-shot BMC: fresh AIG + monolithic solve."""
-        window = max(1, horizon_of(assertion) + 1)
-        K = self.max_bmc + window
-        aig = AIG()
-        source = UnrolledSource(aig, design, free_init=False)
-        encoder = PropertyEncoder(aig, source, K, design.params)
-        violations = []
-        for t in range(self.max_bmc + 1):
-            violations.append(neg(encoder.encode_assertion(assertion, t)))
-        any_violation = aig.and_(self._environment(encoder, self.max_bmc),
-                                 aig.or_many(violations))
-        if any_violation == FALSE:
-            return None  # structurally true at this bound; go prove
-        if any_violation == TRUE:
-            return _constant_false()
-        clauses, node2var, nv = aig.to_cnf([any_violation])
-        clauses.append([aig.cnf_literal(any_violation, node2var)])
-        result = solve_cnf(nv, clauses, max_conflicts=self.max_conflicts,
-                           deadline_at=self._deadline_at)
-        if result.is_sat:
-            cex = self._extract_cex(source, result.model, node2var)
-            return ProofResult("cex", engine="bmc", depth=self.max_bmc,
-                               counterexample=cex,
-                               stats={"conflicts": result.conflicts})
-        if result.status == "unknown":
-            return _budget_exhausted("bmc", result.conflicts)
-        return None
-
-    def _k_induction_oneshot(self, design: Design,
-                             assertion: Assertion) -> ProofResult:
-        """One-shot k-induction: fresh AIG + solver per step, up to
-        :meth:`_last_step` (BMC over the window already ran)."""
-        window = max(1, horizon_of(assertion) + 1)
-        total_conflicts = 0
-        for k in range(1, self._last_step() + 1):
-            K = k + window + 1
-            aig = AIG()
-            source = UnrolledSource(aig, design, free_init=True)
-            encoder = PropertyEncoder(aig, source, K, design.params)
-            holds = [encoder.encode_assertion(assertion, t) for t in range(k)]
-            target = encoder.encode_assertion(assertion, k)
-            env = self._environment(encoder, k)
-            query = aig.and_(env, aig.and_(aig.and_many(holds), neg(target)))
-            if query == FALSE:
-                return ProofResult("proven", engine="k-induction", depth=k,
-                                   stats={"conflicts": total_conflicts})
-            clauses, node2var, nv = aig.to_cnf([query])
-            clauses.append([aig.cnf_literal(query, node2var)])
-            result = solve_cnf(nv, clauses, max_conflicts=self.max_conflicts,
-                               deadline_at=self._deadline_at)
-            total_conflicts += result.conflicts
-            if result.is_unsat:
-                return ProofResult("proven", engine="k-induction", depth=k,
-                                   vacuous=self._is_vacuous_oneshot(design,
-                                                                    assertion),
-                                   stats={"conflicts": total_conflicts})
-            if result.status == "unknown":
-                return _budget_exhausted("k-induction", total_conflicts)
-        return self._exhausted({"conflicts": total_conflicts})
-
     # -- diagnostics -------------------------------------------------------------
 
     def _is_vacuous(self, design: Design, cone_key: frozenset,
@@ -1239,42 +1172,6 @@ class Prover:
             return False
         return session.solve([any_fire],
                              max_conflicts=self.max_conflicts).is_unsat
-
-    def _is_vacuous_oneshot(self, design: Design,
-                            assertion: Assertion) -> bool:
-        from ..sva.ast_nodes import Implication
-        if not isinstance(assertion.prop, Implication):
-            return False
-        K = self.max_bmc + max(1, horizon_of(assertion) + 1)
-        aig = AIG()
-        source = UnrolledSource(aig, design, free_init=False)
-        encoder = PropertyEncoder(aig, source, K, design.params)
-        fire = []
-        for t in range(self.max_bmc + 1):
-            ends, _ = encoder.seq(assertion.prop.antecedent, t)
-            fire.append(aig.or_many(ends.values()))
-        any_fire = aig.or_many(fire)
-        if any_fire == FALSE:
-            return True
-        if any_fire == TRUE:
-            return False
-        clauses, node2var, nv = aig.to_cnf([any_fire])
-        clauses.append([aig.cnf_literal(any_fire, node2var)])
-        return solve_cnf(nv, clauses, max_conflicts=self.max_conflicts,
-                         deadline_at=self._deadline_at).is_unsat
-
-    def _extract_cex(self, source: UnrolledSource, model,
-                     node2var) -> dict[str, list[int]]:
-        frames: dict[str, dict[int, int]] = {}
-        for (name, t), bits in source.input_vars.items():
-            value = 0
-            for i, lit in enumerate(bits):
-                var = node2var.get(lit >> 1)
-                if var is not None and model.get(var, False):
-                    value |= 1 << i
-            frames.setdefault(name, {})[t] = value
-        return {name: [by_t.get(t, 0) for t in range(max(by_t) + 1)]
-                for name, by_t in frames.items()}
 
 
 def check_trace(assertion: Assertion, trace: dict[str, list[int]],

@@ -1201,6 +1201,8 @@ def _elaborate_base(source: SourceFile, top: str | None,
                     overrides: dict[str, int] | None,
                     reset_names: tuple[str, ...]) -> Design:
     if top is None:
+        if not source.modules:
+            raise ElaborationError("no module to elaborate")
         top = list(source.modules)[-1]
     mod = source.modules.get(top)
     if mod is None:

@@ -532,12 +532,11 @@ def _frames(text: str, parser: RtlParser) -> dict[str, Frame]:
     text: the prefix ends and the suffix starts with whitespace, so no
     token can straddle either cut, and no directive is left in the text
     (a text with a frame then means exactly its preprocessed form).
-    Token positions are line/column pairs, exact as long as no token
-    spans a line; the newline count checks that.
+    Token positions are line/column pairs, exact across tokens that
+    span lines too.
     """
     toks = parser.toks
-    if (not parser.runs or "`" in text
-            or text.count("\n") != toks[-1].line - 1):
+    if not parser.runs or "`" in text:
         return {}
     starts = [0, *(m.end() for m in _NEWLINE.finditer(text))]
 

@@ -83,7 +83,8 @@ _TOKEN_RE = re.compile(
 
 #: regex group -> token kind (an ``ident`` in :data:`KEYWORDS` becomes a
 #: keyword).  The groups not listed -- whitespace and comments -- produce
-#: no token, and only they advance the line count.
+#: no token.  They advance the line count, and so do the two token kinds
+#: whose text may span lines (a based number's ``\s*`` gaps, a string).
 _KIND_OF_GROUP = {
     "ident": TokKind.IDENT,
     "number": TokKind.NUMBER,
@@ -132,6 +133,7 @@ def tokenize(source: str) -> list[Token]:
     append = tokens.append
     kind_of = _KIND_OF_GROUP.get
     ident, keyword = TokKind.IDENT, TokKind.KEYWORD
+    number, string = TokKind.NUMBER, TokKind.STRING
     pos = 0
     line = 1
     line_start = 0
@@ -151,6 +153,9 @@ def tokenize(source: str) -> list[Token]:
         if kind is ident and text in KEYWORDS:
             kind = keyword
         append(Token(kind, text, line, start - line_start + 1))
+        if (kind is number or kind is string) and "\n" in text:
+            line += text.count("\n")
+            line_start = start + text.rfind("\n") + 1
     n = len(source)
     if pos < n:
         raise LexError(f"unexpected character {source[pos]!r}", line,

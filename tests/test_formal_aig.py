@@ -100,14 +100,17 @@ class TestDerivedGateEarlyOuts:
 
 class TestCnf:
     def _sat(self, g, lit):
-        from repro.formal.sat import solve_cnf
+        """Clausify *lit*'s cone the way proof sessions do and solve
+        under it as the one assumption."""
+        from repro.formal.aig import CnfWriter
+        from repro.formal.sat import Solver
         if lit == TRUE:
             return True
         if lit == FALSE:
             return False
-        clauses, node2var, nv = g.to_cnf([lit])
-        clauses.append([g.cnf_literal(lit, node2var)])
-        return solve_cnf(nv, clauses).is_sat
+        writer = CnfWriter(g, Solver())
+        writer.encode([lit])
+        return writer.solver.solve([writer.lit(lit)]).is_sat
 
     def test_and_sat(self):
         g = AIG()

@@ -1,21 +1,25 @@
-"""Differential test: incremental proof engine vs the one-shot path.
+"""The incremental prover against the soundness oracle, design by design.
 
-The incremental pipeline (shared unrolling, assumption-activated targets,
-persistent solver) must produce *identical verdicts* -- status, engine,
-proof depth, vacuity flag -- to the pre-refactor one-shot path, and every
-counterexample it emits must actually violate the assertion when replayed.
+Each verdict -- status, engine, depth, vacuity -- is held against the
+exhaustive ground truth of ``tests/oracle/`` (docs/engine.md, "The
+soundness oracle"): a ``proven`` must leave no reachable violation, a
+``vacuous`` no reachable antecedent match, and a ``cex`` must violate
+the assertion when replayed on the simulator.  The generated designs run
+at widths the oracle can enumerate.
 """
 
 import pytest
+
+from oracle import reach
+from oracle.sva_eval import Evaluator, Unsupported
 
 from repro.datasets.design2sva.fsm_gen import FsmConfig, generate_fsm
 from repro.datasets.design2sva.pipeline_gen import (
     PipelineConfig, generate_pipeline,
 )
 from repro.datasets.nl2sva_human.corpus import testbench_source as _tb_source
-from repro.formal.prover import Prover, check_trace
+from repro.formal.prover import Prover
 from repro.rtl.elaborate import elaborate
-from repro.rtl.simulator import Simulator
 from repro.sva.parser import parse_assertion
 
 COUNTER = """
@@ -36,6 +40,7 @@ COUNTER_ASSERTS = [
     _D + "q < 4'd2);",                            # cex (easy)
     _D + "en |-> strong(##[0:$] (q == 4'd0)));",  # liveness: undetermined
 ]
+COUNTER_STATUS = ["proven", "proven", "cex", "cex", "undetermined"]
 
 FIFO_ASSERTS = [
     "assert property (@(posedge clk) disable iff (tb_reset) "
@@ -45,39 +50,32 @@ FIFO_ASSERTS = [
     "assert property (@(posedge clk) disable iff (tb_reset) "
     "(fifo_empty && fifo_full) !== 1'b1);",                    # proven
 ]
+FIFO_STATUS = ["cex", "proven", "proven"]
 
 
-def _replay_cex(design, assertion, result) -> None:
-    """A bmc counterexample must violate the assertion when re-simulated."""
-    cex = result.counterexample
-    assert cex is not None
-    cycles = max((len(v) for v in cex.values()), default=0)
-    sim = Simulator(design)  # starts from design.init, resets held inactive
-    for t in range(cycles + 2):
-        sim.step({name: series[t] if t < len(series) else 0
-                  for name, series in cex.items()})
-    bad = check_trace(assertion, sim.trace(), design.widths, design.params,
-                      first_attempt=0, last_attempt=cycles)
-    assert bad is not None, "counterexample does not violate the assertion"
+def _judge(design, assertion, result, max_bmc, assumes=()):
+    """None when *result* agrees with the oracle, else why not."""
+    case = reach.Case("parity", "parity", design, assertion, assumes)
+    ev = Evaluator(assertion, design.widths, design.params)
+    constraints = reach._constraints(case)
+    try:
+        truth = reach.truth_of(case, ev, constraints)
+    except Unsupported as exc:
+        if result.status == "proven":
+            return f"proven, and outside the oracle's reach: {exc}"
+        truth = None  # only a cex can be judged
+    return reach.judge(case, ev, constraints, truth, result, max_bmc)
 
 
 def _compare(design, text, assumes=(), **kwargs):
     assertion = parse_assertion(text, params=design.params)
     assume_asts = tuple(parse_assertion(a, params=design.params)
                         for a in assumes)
-    inc = Prover(design, use_incremental=True, **kwargs).prove(
-        assertion, assumes=assume_asts)
-    one = Prover(design, use_incremental=False, **kwargs).prove(
-        assertion, assumes=assume_asts)
-    assert inc.status == one.status, (text, inc.status, one.status,
-                                      inc.detail, one.detail)
-    assert inc.engine == one.engine, (text, inc.engine, one.engine)
-    assert inc.depth == one.depth, (text, inc.depth, one.depth)
-    assert inc.vacuous == one.vacuous, text
-    if inc.status == "cex" and inc.engine == "bmc":
-        _replay_cex(design, assertion, inc)
-        _replay_cex(design, assertion, one)
-    return inc
+    prover = Prover(design, **kwargs)
+    result = prover.prove(assertion, assumes=assume_asts)
+    problem = _judge(design, assertion, result, prover.max_bmc, assume_asts)
+    assert problem is None, (text, result.status, result.detail, problem)
+    return result
 
 
 class TestCounterParity:
@@ -87,11 +85,12 @@ class TestCounterParity:
 
     @pytest.mark.parametrize("text", COUNTER_ASSERTS)
     def test_verdict_parity(self, design, text):
-        _compare(design, text)
+        status = _compare(design, text).status
+        assert status == COUNTER_STATUS[COUNTER_ASSERTS.index(text)]
 
     @pytest.mark.parametrize("text", [COUNTER_ASSERTS[2], COUNTER_ASSERTS[3]])
     def test_bmc_cex_parity(self, design, text):
-        """With simulation disabled both engines must refute via BMC."""
+        """With simulation disabled BMC must refute it."""
         r = _compare(design, text, use_simulation=False)
         assert r.status == "cex" and r.engine == "bmc"
 
@@ -99,7 +98,10 @@ class TestCounterParity:
 class TestFsmParity:
     @pytest.fixture(scope="class")
     def design(self, fsm_design_source):
-        return elaborate(fsm_design_source, top="fsm")
+        # 2-bit data inputs: a cone the oracle enumerates
+        return elaborate(fsm_design_source.replace("`define WIDTH 8",
+                                                   "`define WIDTH 2"),
+                         top="fsm")
 
     def test_transition_proven(self, design):
         r = _compare(design, _D + "(state == 2'b00) |-> ##1 "
@@ -125,7 +127,8 @@ class TestFifoParity:
 
     @pytest.mark.parametrize("text", FIFO_ASSERTS)
     def test_verdict_parity(self, design, text):
-        _compare(design, text)
+        status = _compare(design, text).status
+        assert status == FIFO_STATUS[FIFO_ASSERTS.index(text)]
 
     def test_assumption_parity(self, design):
         r = _compare(
@@ -136,22 +139,22 @@ class TestFifoParity:
 
     def test_shared_sessions_across_assertions(self, design):
         """One Prover proving the whole list (shared sessions) agrees with
-        fresh one-shot provers per assertion."""
-        prover = Prover(design, use_incremental=True)
+        a fresh prover per assertion, and with the oracle."""
+        prover = Prover(design)
         for text in FIFO_ASSERTS + FIFO_ASSERTS:  # repeat: warm sessions
             assertion = parse_assertion(text, params=design.params)
-            inc = prover.prove(assertion)
-            one = Prover(design, use_incremental=False).prove(assertion)
-            assert inc.status == one.status, text
-            assert inc.engine == one.engine, text
-            assert inc.depth == one.depth, text
+            shared = prover.prove(assertion)
+            fresh = Prover(design).prove(assertion)
+            assert (shared.status, shared.engine, shared.depth) == (
+                fresh.status, fresh.engine, fresh.depth), text
+            assert _judge(design, assertion, shared, prover.max_bmc) is None
         assert prover._sessions  # the incremental machinery actually engaged
 
 
 class TestGeneratedDesignParity:
     @pytest.mark.parametrize("seed", range(3))
     def test_fsm_category(self, seed):
-        gen = generate_fsm(FsmConfig(n_states=4 + seed, n_edges=6, width=8,
+        gen = generate_fsm(FsmConfig(n_states=4 + seed, n_edges=6, width=2,
                                      seed=seed))
         design = elaborate(gen.source, top="fsm")
         _compare(design, _D + "fsm_out <= 2'd3);", max_bmc=6, max_k=4)

@@ -134,12 +134,6 @@ class TestStrategyConfig:
         with pytest.raises(ValueError, match="unknown strategy"):
             Prover(design, strategy="magic")
 
-    @pytest.mark.parametrize("strategy", ["kind", "portfolio"])
-    def test_incremental_required(self, strategy):
-        design = elaborate(COUNTER)
-        with pytest.raises(ValueError, match="incremental"):
-            Prover(design, strategy=strategy, use_incremental=False)
-
     def test_bmc_strategy(self):
         design = elaborate(COUNTER)
         prover = Prover(design, strategy="bmc", use_simulation=False)

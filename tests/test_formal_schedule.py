@@ -21,6 +21,8 @@ import sys
 from functools import lru_cache
 
 import pytest
+from oracle import reach
+from oracle.sva_eval import Evaluator, Unsupported
 
 from repro.datasets.design2sva.arbiter_gen import (
     arbiter_correct_response,
@@ -71,20 +73,29 @@ HAND_CASES = {
 #: prover settings of the generated designs (the CI subset)
 GEN_KWARGS = dict(max_bmc=6, max_k=4, sim_traces=6, sim_cycles=20)
 
-#: configuration -> prover keywords; the last three switch simulation
-#: off so the SAT scheduler decides every case
+#: configuration -> prover keywords; all but the first switch
+#: simulation off so the SAT scheduler decides every case
 CONFIGS = {
     "default": {},
     "nosim": {"use_simulation": False},
     "budget1": {"use_simulation": False, "max_conflicts": 1},
     "deep": {"use_simulation": False, "max_bmc": 10},
     "ladder": {"use_simulation": False, "portfolio_ladder": (2, 50)},
-    "oneshot": {"use_simulation": False, "use_incremental": False},
 }
 
-#: the one-shot oracle serves only the sequential strategies
-STRATEGIES = {name: ("auto", "bmc") if name == "oneshot"
-              else Prover.STRATEGIES for name in CONFIGS}
+#: the resource-fault retry rung: simulation off and every dispatch out
+#: of memory, so the obligation loop answers on fresh sessions -- row
+#: for row as the fault-free ``nosim`` run does.  The configuration
+#: keeps the name of the one-shot path this rung replaced.
+RETRY = "oneshot"
+
+
+class _RetryRung(Prover):
+    """A prover whose dispatch always runs out of memory."""
+
+    def _dispatch(self, design, cone_key, assertion):
+        raise MemoryError("injected: dispatch out of memory")
+
 
 PROFILE_KEYS = ("conflicts", "decisions", "propagations",
                 "portfolio_solves", "portfolio_requeues",
@@ -130,15 +141,23 @@ def _case(name):
 CASES = [*HAND_CASES, "fsm_correct", "fsm_flawed", "pipeline_correct",
          "pipeline_flawed", "arbiter_correct", "arbiter_flawed"]
 
-TABLE = [(config, strategy, case) for config in CONFIGS
-         for strategy in STRATEGIES[config] for case in CASES]
+TABLE = [*((config, strategy, case) for config in CONFIGS
+           for strategy in Prover.STRATEGIES for case in CASES),
+         *((RETRY, strategy, case) for strategy in ("auto", "bmc")
+           for case in CASES)]
 
 
 def observe(config, strategy, case):
     design, assertion, assumes, kwargs = _case(case)
-    prover = Prover(design, strategy=strategy,
-                    **{**kwargs, **CONFIGS[config]})
+    if config == RETRY:
+        prover = _RetryRung(design, strategy=strategy,
+                            **{**kwargs, "use_simulation": False})
+    else:
+        prover = Prover(design, strategy=strategy,
+                        **{**kwargs, **CONFIGS[config]})
     r = prover.prove(assertion, assumes=assumes)
+    assert [e["code"] for e in r.degraded] == (
+        ["memory"] if config == RETRY else [])
     witness = (None if r.counterexample is None else hashlib.sha256(
         json.dumps(r.counterexample, sort_keys=True).encode()
     ).hexdigest()[:16])
@@ -931,96 +950,40 @@ PINNED = {
         ['proven', 'k-induction', 1, False, '', None, 2, 15, 39, 2, 0, 6],
     'ladder/portfolio/arbiter_flawed':
         ['cex', 'bmc', 6, False, '', 'de5af40990f564dd', 0, 0, 8, 1, 0, 0],
-    'oneshot/auto/counter_invariant':
-        ['proven', 'k-induction', 1, False, '', None, None, None, None, None,
-         None, None],
-    'oneshot/auto/counter_step':
-        ['proven', 'k-induction', 1, False, '', None, None, None, None, None,
-         None, None],
-    'oneshot/auto/counter_cex':
-        ['cex', 'bmc', 12, False, '', 'a7493f4efcc51f64', None, None, None,
-         None, None, None],
-    'oneshot/auto/counter_easy_cex':
-        ['cex', 'bmc', 12, False, '', 'b7d72662b5363980', None, None, None,
-         None, None, None],
-    'oneshot/auto/counter_liveness':
-        ['undetermined', 'none', 0, False,
-         'liveness obligation; bounded engines only', None, None, None, None,
-         None, None, None],
-    'oneshot/auto/sticky_base':
-        ['cex', 'bmc', 0, False, 'assertion constant-false', None, None, None,
-         None, None, None, None],
-    'oneshot/auto/sticky_assumed':
-        ['proven', 'k-induction', 1, False, '', None, None, None, None, None,
-         None, None],
-    'oneshot/auto/fsm_correct':
-        ['proven', 'k-induction', 1, False, '', None, None, None, None, None,
-         None, None],
-    'oneshot/auto/fsm_flawed':
-        ['cex', 'bmc', 0, False, 'assertion constant-false', None, None, None,
-         None, None, None, None],
-    'oneshot/auto/pipeline_correct':
-        ['proven', 'k-induction', 1, False, '', None, None, None, None, None,
-         None, None],
-    'oneshot/auto/pipeline_flawed':
-        ['cex', 'bmc', 6, False, '', '430590494ad2fbc5', None, None, None,
-         None, None, None],
-    'oneshot/auto/arbiter_correct':
-        ['proven', 'k-induction', 1, False, '', None, None, None, None, None,
-         None, None],
-    'oneshot/auto/arbiter_flawed':
-        ['cex', 'bmc', 6, False, '', 'f184b90c687e2a62', None, None, None,
-         None, None, None],
-    'oneshot/bmc/counter_invariant':
-        ['undetermined', 'bmc', 12, False,
-         'no counterexample within bound 12', None, None, None, None, None,
-         None, None],
-    'oneshot/bmc/counter_step':
-        ['undetermined', 'bmc', 12, False,
-         'no counterexample within bound 12', None, None, None, None, None,
-         None, None],
-    'oneshot/bmc/counter_cex':
-        ['cex', 'bmc', 12, False, '', 'a7493f4efcc51f64', None, None, None,
-         None, None, None],
-    'oneshot/bmc/counter_easy_cex':
-        ['cex', 'bmc', 12, False, '', 'b7d72662b5363980', None, None, None,
-         None, None, None],
-    'oneshot/bmc/counter_liveness':
-        ['undetermined', 'none', 0, False,
-         'liveness obligation; bounded engines only', None, None, None, None,
-         None, None, None],
-    'oneshot/bmc/sticky_base':
-        ['cex', 'bmc', 0, False, 'assertion constant-false', None, None, None,
-         None, None, None, None],
-    'oneshot/bmc/sticky_assumed':
-        ['undetermined', 'bmc', 12, False,
-         'no counterexample within bound 12', None, None, None, None, None,
-         None, None],
-    'oneshot/bmc/fsm_correct':
-        ['undetermined', 'bmc', 6, False, 'no counterexample within bound 6',
-         None, None, None, None, None, None, None],
-    'oneshot/bmc/fsm_flawed':
-        ['cex', 'bmc', 0, False, 'assertion constant-false', None, None, None,
-         None, None, None, None],
-    'oneshot/bmc/pipeline_correct':
-        ['undetermined', 'bmc', 6, False, 'no counterexample within bound 6',
-         None, None, None, None, None, None, None],
-    'oneshot/bmc/pipeline_flawed':
-        ['cex', 'bmc', 6, False, '', '430590494ad2fbc5', None, None, None,
-         None, None, None],
-    'oneshot/bmc/arbiter_correct':
-        ['undetermined', 'bmc', 6, False, 'no counterexample within bound 6',
-         None, None, None, None, None, None, None],
-    'oneshot/bmc/arbiter_flawed':
-        ['cex', 'bmc', 6, False, '', 'f184b90c687e2a62', None, None, None,
-         None, None, None],
 }
 
 
 @pytest.mark.parametrize("config,strategy,case", TABLE)
 def test_solve_sequence_is_pinned(config, strategy, case):
-    key = f"{config}/{strategy}/{case}"
+    key = f"{'nosim' if config == RETRY else config}/{strategy}/{case}"
     assert observe(config, strategy, case) == PINNED[key], key
+
+
+def _truth(design, assertion, assumes=()):
+    case = reach.Case("schedule", "schedule", design, assertion, assumes)
+    ev = Evaluator(assertion, design.widths, design.params)
+    return reach.truth_of(case, ev, reach._constraints(case))
+
+
+@pytest.mark.parametrize("case", list(HAND_CASES))
+def test_pinned_verdicts_agree_with_the_oracle(case):
+    """The reference for every row above is exhaustive ground truth
+    (``tests/oracle/``): a pinned ``proven`` leaves no reachable
+    violation and a pinned ``vacuous`` no reachable antecedent match; a
+    pinned ``cex`` has a reachable violation (whose witness
+    ``tests/test_formal_oracle.py`` replays)."""
+    design, assertion, assumes, _kwargs = _case(case)
+    rows = [row for key, row in PINNED.items()
+            if key.rsplit("/", 1)[1] == case]
+    try:
+        truth = _truth(design, assertion, assumes)
+    except Unsupported:  # a liveness window: no row may decide it
+        assert {row[0] for row in rows} == {"undetermined"}
+        return
+    for status, _engine, _depth, vacuous, *_ in rows:
+        assert status != "proven" or truth.violation is None
+        assert not vacuous or truth.first_fire is None
+        assert status != "cex" or truth.violation is not None
 
 
 
@@ -1043,10 +1006,12 @@ module sat3(input logic clk, input logic rst);
 endmodule
 """
 
-def _row(kwargs, *expected):
-    """(prover keywords, status, engine, depth, detail), with an id."""
-    name = kwargs.get("strategy", "oneshot")
-    return pytest.param(kwargs, *expected,
+def _row(kwargs, *expected, prover=Prover):
+    """(prover keywords, status, engine, depth, detail, prover class),
+    with an id; a row without a strategy runs the default one on the
+    resource-fault retry rung."""
+    name = kwargs.get("strategy", RETRY)
+    return pytest.param(kwargs, *expected, prover,
                         id=f"{name}-max_bmc{kwargs['max_bmc']}")
 
 
@@ -1054,8 +1019,8 @@ BASE_CASE_ROWS = [
     *(_row(dict(strategy=s, max_bmc=b), "undetermined", "k-induction",
            b + 1, f"not inductive up to k={b + 1}")
       for s in ("auto", "kind", "portfolio") for b in (1, 2)),
-    *(_row(dict(use_incremental=False, max_bmc=b), "undetermined",
-           "k-induction", b + 1, f"not inductive up to k={b + 1}")
+    *(_row(dict(max_bmc=b), "undetermined", "k-induction", b + 1,
+           f"not inductive up to k={b + 1}", prover=_RetryRung)
       for b in (1, 2)),
     *(_row(dict(strategy="bmc", max_bmc=b), "undetermined", "bmc", b,
            f"no counterexample within bound {b}") for b in (1, 2)),
@@ -1064,15 +1029,23 @@ BASE_CASE_ROWS = [
 ]
 
 class TestBaseCases:
-    @pytest.mark.parametrize("kwargs,status,engine,depth,detail",
+    @pytest.mark.parametrize("kwargs,status,engine,depth,detail,prover",
                              BASE_CASE_ROWS)
     def test_no_proof_beyond_the_bmc_window(self, kwargs, status, engine,
-                                            depth, detail):
+                                            depth, detail, prover):
         design = elaborate(SATURATING)
-        r = Prover(design, max_k=6, use_simulation=False,
+        r = prover(design, max_k=6, use_simulation=False,
                    **kwargs).prove(design.assertions[-1])
         assert (r.status, r.engine, r.depth, r.detail) == (
             status, engine, depth, detail)
+
+    def test_the_oracle_reaches_the_violation(self):
+        """No row above may prove: ``cnt == 3`` is reachable, in the
+        attempt that starts 3 cycles after reset."""
+        design = elaborate(SATURATING)
+        truth = _truth(design, design.assertions[-1])
+        assert len(truth.violation) == 4
+        assert "proven" not in {row.values[1] for row in BASE_CASE_ROWS}
 
     @pytest.mark.parametrize("engine", [
         {"max_bmc": 1, "max_k": 6, "use_simulation": False},
@@ -1089,5 +1062,6 @@ class TestBaseCases:
 
 
 if __name__ == "__main__":
-    json.dump({f"{c}/{s}/{k}": observe(c, s, k) for c, s, k in TABLE},
+    json.dump({f"{c}/{s}/{k}": observe(c, s, k) for c, s, k in TABLE
+               if c != RETRY},
               sys.stdout, indent=0)

@@ -164,6 +164,13 @@ class TestProveKind:
                                             source="module broken(")])
         assert resp.ok and resp.verdict == "syntax_error"
 
+    def test_source_without_a_module_is_syntax_error(self):
+        [resp] = VerificationService().run([VerifyRequest(
+            kind="prove", source="// nothing\n")])
+        assert (resp.ok, resp.verdict, resp.detail) == (
+            True, "syntax_error", "no module to elaborate")
+        assert resp.degraded == []
+
     @pytest.mark.parametrize("value", ["4 / 0", "4 % 0", "8 >> (0-1)",
                                        "8 << (0-1)", "Q"])
     def test_bad_constant_is_syntax_error(self, value):

@@ -46,6 +46,15 @@ endmodule
 
 DEEP_ENGINE = {"max_bmc": 64, "max_k": 40}
 
+COUNTER = """
+module m; input clk, reset_, en; output reg [3:0] q;
+always @(posedge clk) begin
+  if (!reset_) q <= 'd0;
+  else if (en) q <= q + 'd1;
+end
+endmodule
+"""
+
 
 def prove_request(source=TOY_DESIGN, **overrides):
     kwargs = dict(kind="prove", source=source, use_cache=False)
@@ -245,7 +254,7 @@ class TestDeadlines:
 
 
 class TestDegradationLadder:
-    def test_memory_error_falls_back_to_oneshot(self, monkeypatch):
+    def test_memory_error_retries_on_fresh_sessions(self, monkeypatch):
         from repro.formal.prover import Prover
         baseline_service = VerificationService()
         [baseline] = baseline_service.run([prove_request()])
@@ -261,16 +270,16 @@ class TestDegradationLadder:
         monkeypatch.setattr(Prover, "_dispatch", flaky_dispatch)
         service = VerificationService()
         [resp] = service.run([prove_request()])
-        # the one-shot oracle answered with the same verdict, and the
-        # resource fault is recorded as retryable provenance
+        # the retry on fresh sessions answered with the same verdict, and
+        # the resource fault is recorded as retryable provenance
         assert resp.ok and resp.verdict == baseline.verdict
         assert "memory" in codes(resp)
         [event] = [e for e in resp.degraded if e["code"] == "memory"]
         assert event["retryable"] and event["attempt"] == 0
 
     def test_bmc_strategy_never_proves_after_a_fault(self, monkeypatch):
-        """The one-shot retry follows the strategy: ``bmc`` runs no
-        k-induction, degraded or not."""
+        """The retry follows the strategy: ``bmc`` runs no k-induction,
+        degraded or not."""
         from repro.formal.prover import Prover
         request = dict(engine={"strategy": "bmc"})
         [baseline] = VerificationService().run([prove_request(**request)])
@@ -297,15 +306,51 @@ class TestDegradationLadder:
             raise MemoryError("still exhausted")
 
         monkeypatch.setattr(Prover, "_dispatch", always_oom)
-        monkeypatch.setattr(Prover, "_bmc_oneshot", always_oom)
+        monkeypatch.setattr(Prover, "_schedule", always_oom)
         service = VerificationService()
         [resp] = service.run([prove_request()])
         assert resp.verdict == "error"
         attempts = [e["attempt"] for e in resp.degraded
                     if e["code"] == "memory"]
-        assert attempts == [0, 1]  # first try + failed one-shot retry
+        assert attempts == [0, 1]  # first try + failed retry
         assert not [e for e in resp.degraded
                     if e["attempt"] == 1 and e["retryable"]]
+
+    @pytest.mark.parametrize("prop", [
+        "(!en) |-> ##1 (q == $past(q))",  # proven, after unsat depths
+        "q != 4'd3",                       # BMC cex at depth 3
+        "q <= 4'd15",                      # structurally inductive
+    ])
+    def test_retry_counts_every_conflict(self, monkeypatch, prop):
+        """The retried proof is the fault-free obligation loop's: same
+        record, and every solve's conflicts counted (an unsat BMC
+        depth's included)."""
+        from repro.formal.prover import Prover
+        from repro.rtl.elaborate import elaborate
+        from repro.sva.parser import parse_assertion
+        design = elaborate(COUNTER)
+        assertion = parse_assertion(
+            f"assert property (@(posedge clk) disable iff (!reset_) "
+            f"{prop});")
+        clean = Prover(design, use_simulation=False).prove(assertion)
+        real_dispatch = Prover._dispatch
+        calls = {"n": 0}
+
+        def flaky_dispatch(self, *args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise MemoryError("solver arena exhausted")
+            return real_dispatch(self, *args, **kwargs)
+
+        monkeypatch.setattr(Prover, "_dispatch", flaky_dispatch)
+        retried = Prover(design).prove(assertion)
+        assert calls["n"] == 1  # the retry runs the loop, not _dispatch
+        assert [e["code"] for e in retried.degraded] == ["memory"]
+        assert (retried.status, retried.engine, retried.depth,
+                retried.vacuous, retried.stats) == (
+            clean.status, clean.engine, clean.depth, clean.vacuous,
+            clean.stats)
+        assert "conflicts" in clean.stats
 
     def test_packed_sim_failure_degrades_to_scalar(self, monkeypatch):
         from repro.formal.bitsim import PackedSimulator

@@ -83,6 +83,15 @@ class TestCommentsAndLines:
         toks = tokenize("a\nb\nc")
         assert [t.line for t in toks[:-1]] == [1, 2, 3]
 
+    @pytest.mark.parametrize("text", ["4\n'd3", "4 '\nd3", '"a\nb"'])
+    def test_lines_after_a_token_that_spans_lines(self, text):
+        toks = tokenize(f"assign x = {text};\nwire y;")
+        tail = text.rsplit("\n", 1)[1]
+        assert (toks[4].text, toks[4].line, toks[4].col) == (
+            ";", 2, len(tail) + 1)
+        assert [(t.text, t.line, t.col) for t in toks[5:7]] == [
+            ("wire", 3, 1), ("y", 3, 6)]
+
     def test_column_tracking(self):
         toks = tokenize("  ab cd")
         assert toks[0].col == 3
@@ -157,14 +166,13 @@ def reference_tokenize(source):
                                  f"(line {line}, col {col})", line, col)
             text = max(fits, key=len)
             kind = TokKind.OP if text in lexer._OPERATORS else TokKind.PUNCT
-        if kind is None:  # whitespace and comments alone count lines
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = pos + text.rfind("\n") + 1
-        else:
+        if kind is not None:
             if kind is TokKind.IDENT and text in lexer.KEYWORDS:
                 kind = TokKind.KEYWORD
             tokens.append((kind, text, line, col))
+        if "\n" in text:  # any lexeme that spans lines counts them
+            line += text.count("\n")
+            line_start = pos + text.rfind("\n") + 1
         pos += len(text)
     return tokens + [(TokKind.EOF, "", line, len(source) - line_start + 1)]
 
