@@ -8,10 +8,11 @@ one **implies** the other (the paper's *partial equivalence* tier).
 Method: both assertions are encoded under the bounded trace semantics of
 :mod:`repro.formal.semantics` with every (signal, cycle) pair a free SAT
 variable; the miter ``P xor Q`` (resp. ``P and not Q``) is Tseitin-converted
-and dispatched to the CDCL solver.  Verdicts are computed at two horizons and
-must agree -- a horizon-sensitivity guard documented in
-docs/architecture.md decision 1 (ablation:
-``benchmarks/test_ablation_horizon.py``).
+and dispatched to the CDCL solver.  Verdicts are computed at one horizon,
+:func:`default_horizon` (docs/architecture.md decision 1); the equivalence
+oracle (``tests/oracle/equiv.py``) enumerates every trace of small pairs
+and referees them, and ``benchmarks/test_ablation_horizon.py`` holds a
+second, longer horizon to the same verdicts.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class EquivalenceResult:
     #: index of cycle 0 within the counterexample series ($past/$rose
     #: prehistory occupies indices [0, cex_offset))
     cex_offset: int = 0
-    stable: bool = True  # same verdict at both horizons
     detail: str = ""
     stats: dict[str, int] = field(default_factory=dict)
 
@@ -70,6 +70,14 @@ class EquivalenceResult:
     @property
     def is_partial(self) -> bool:
         return self.verdict.is_partial
+
+
+def default_horizon(*assertions: Assertion) -> int:
+    """The horizon a verdict is computed at: two cycles past the
+    longest look-ahead of *assertions*, at least 4, at most
+    :data:`MAX_HORIZON`."""
+    reach = max(horizon_of(a) for a in assertions)
+    return min(max(reach + 2, 4), MAX_HORIZON)
 
 
 def _coerce(assertion: Assertion | str,
@@ -324,26 +332,18 @@ class EquivChecker:
                                      detail="clocking events differ")
 
         if horizons is None:
-            base = max(horizon_of(self.ref), horizon_of(cand)) + 2
-            base = max(base, 4)
-            if base > MAX_HORIZON:
-                base = MAX_HORIZON
-            horizons = (base, min(base + 3, MAX_HORIZON + 3))
+            horizons = (default_horizon(self.ref, cand),)
 
         built0 = self.sessions_built
-        verdicts: list[Verdict] = []
-        cex = None
-        cex_offset = 0
+        cex, cex_offset = None, 0
         stats = {"conflicts": 0, "decisions": 0, "propagations": 0,
                  "sessions": 0}
         try:
             for K in horizons:
                 session = self._session(K)
-                v, c, delta = session.check(cand, max_conflicts)
-                stats["conflicts"] += delta["conflicts"]
-                stats["decisions"] += delta["decisions"]
-                stats["propagations"] += delta["propagations"]
-                verdicts.append(v)
+                verdict, c, delta = session.check(cand, max_conflicts)
+                for name, count in delta.items():
+                    stats[name] += count
                 if c is not None:
                     cex, cex_offset = c
         except EncodingError as exc:
@@ -351,11 +351,9 @@ class EquivChecker:
 
         stats["sessions"] = self.sessions_built - built0
         self.candidates += 1
-        final = verdicts[-1]
-        stable = all(v == final for v in verdicts)
-        return EquivalenceResult(final, horizons=tuple(horizons),
+        return EquivalenceResult(verdict, horizons=tuple(horizons),
                                  counterexample=cex, cex_offset=cex_offset,
-                                 stable=stable, stats=stats)
+                                 stats=stats)
 
 
 def check_equivalence(
@@ -397,7 +395,7 @@ def is_tautology(assertion: Assertion | str,
     """True iff the assertion holds on *every* trace (vacuously strong check
     used by diagnostics and the NL2SVA-Machine critic)."""
     a = _coerce(assertion, params)
-    K = horizon if horizon is not None else max(4, horizon_of(a) + 2)
+    K = horizon if horizon is not None else default_horizon(a)
     aig = AIG()
     source = FreeSignalSource(aig, dict(signal_widths or {}), default_width)
     encoder = PropertyEncoder(aig, source, K, params)

@@ -125,7 +125,7 @@ _CACHED_FIELDS = {
 
 #: equivalence engine options; ``strategy`` is accepted for interface
 #: symmetry with ``prove`` but is scheduling-neutral (the bounded
-#: two-horizon equivalence pipeline has a single strategy)
+#: one-horizon equivalence pipeline has a single strategy)
 _EQUIV_ENGINE_OPTS = {"default_width", "horizons", "max_conflicts",
                       "strategy"}
 

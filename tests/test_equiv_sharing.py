@@ -3,8 +3,8 @@
 One :class:`~repro.formal.equivalence.EquivChecker` per (reference,
 widths, params, engine) now serves every candidate of a batch on one
 incremental solver per horizon.  Sharing reschedules solver work -- it
-must never change a record: verdict, horizons, stable flag,
-counterexample trace + offset and detail stay byte-identical to the
+must never change a record: verdict, horizons, counterexample trace +
+offset and detail stay byte-identical to the
 isolated per-candidate oracle (``share_equiv=False`` /
 ``FVEVAL_NO_EQUIV_SHARE=1``), across the serial scheduler, the thread
 worker pool, the process executor, warm/cold tiered caches and the
@@ -63,7 +63,7 @@ def _hermetic_env(monkeypatch):
 
 
 def result_tuple(r):
-    return (r.verdict, r.horizons, r.stable, r.detail,
+    return (r.verdict, r.horizons, r.detail,
             json.dumps(r.counterexample, sort_keys=True), r.cex_offset)
 
 
@@ -86,7 +86,7 @@ class TestEngineParity:
         parsed = [parse_assertion(c) for c in CANDS[:6]]
         first = [result_tuple(checker.check(c)) for c in parsed]
         assert [result_tuple(checker.check(c)) for c in parsed] == first
-        assert '"d": [255, 0]' in first[5][4]
+        assert '"d": [255, 0]' in first[5][3]
         # the ``disable iff`` suffix chain is keyed by node identity too:
         # only the abort condition reads ``d`` here, so a chain that
         # outlived the first check would drop ``d`` from the second
@@ -95,7 +95,7 @@ class TestEngineParity:
                 "a |-> ##2 b);")
         disabled = parse_assertion(text)
         isolated = result_tuple(check_equivalence(REF, text, W))
-        assert '"d"' in isolated[4]
+        assert '"d"' in isolated[3]
         for _ in range(2):
             assert result_tuple(checker.check(disabled)) == isolated
 
@@ -121,7 +121,8 @@ class TestEngineParity:
         checker = EquivChecker(REF, W, max_candidates=2)
         for _ in range(3):
             checker.check(CANDS[1])
-        assert checker.sessions_built > 2
+        # one session serves the first two candidates; the third rebuilds
+        assert checker.sessions_built == 2
 
     def test_swept_sat_has_concrete_counterexample(self):
         """ISSUE-10 bugfix: a query the sweeper decides TRUE used to

@@ -167,7 +167,7 @@ class TestConflictBudget:
     FACTOR = ("assert property (@(posedge clk) "
               "{6'd0, b} * {6'd0, c} != 12'd3599);")
     WIDTHS = {"b": 6, "c": 6, "clk": 1}
-    QUERIES = 3 * 2  # miter + two implications, at two horizons
+    QUERIES = 3  # miter + two implications, at one horizon
 
     def solver_conflicts(self, checker):
         return sum(session.solver.total_conflicts

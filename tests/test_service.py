@@ -108,6 +108,36 @@ class TestEquivalenceKind:
         assert weaker.verdict == "ref_implies_candidate"
         assert weaker.partial and not weaker.func
 
+    @pytest.mark.parametrize("candidate, detail", [
+        ("assert property (@(posedge clk) a |-> (b && a);",
+         "expected ')'"),
+        ("assert property (@(posedge clk) a |-> (b == $random));",
+         "$random"),
+    ])
+    def test_a_text_the_gate_rejects_is_an_encoding_error_on_the_wire(
+            self, candidate, detail):
+        """The vocabulary split of docs/service.md: a wire
+        ``equivalence`` item has no syntax gate, so a candidate that does
+        not parse or encode answers ``encoding_error``; the task gates
+        first and records ``syntax_error``.  Both score no credit."""
+        from repro.core.tasks import Nl2SvaMachineTask
+        from repro.datasets.nl2sva_machine.generator import MachineProblem
+        from repro.sva.parser import parse_assertion
+        [wire] = VerificationService().run([request_from_json(
+            {"kind": "equivalence", "reference": REF,
+             "candidate": candidate, "widths": dict(EQ_WIDTHS),
+             "use_cache": False})])
+        assert (wire.verdict, wire.func, wire.partial) == (
+            "encoding_error", False, False)
+        assert detail in wire.detail
+        problem = MachineProblem(problem_id="split", tier=1, sva=REF,
+                                 assertion=parse_assertion(REF))
+        record = Nl2SvaMachineTask(count=1, use_cache=False).evaluate(
+            problem, candidate)
+        assert (record.verdict, record.syntax_ok, record.func,
+                record.partial) == ("syntax_error", False, False, False)
+        assert detail in record.detail
+
     def test_dedup_in_flight(self, monkeypatch):
         monkeypatch.delenv("FVEVAL_CACHE", raising=False)
         service = VerificationService()
