@@ -7,7 +7,7 @@ Commands:
     equiv REF CAND [--width N=W] [--strategy S]
                                     assertion-to-assertion equivalence
     generate {fsm,pipeline} [--seed N]   emit a synthetic design to stdout
-    serve [--no-batch] [--workers N] [--deadline SECONDS]
+    serve [--workers N] [--deadline SECONDS]
           [--executor {thread,process}] [--http HOST:PORT]
           [--max-queue N] [--max-inflight N] [--max-deadline SECONDS]
                                     JSON-lines verification service on
@@ -132,8 +132,7 @@ def _cmd_serve(args) -> int:
     admission = AdmissionController(max_queue=args.max_queue,
                                     max_inflight=args.max_inflight,
                                     max_deadline_s=args.max_deadline)
-    service = VerificationService(batching=False if args.no_batch else None,
-                                  max_cache_entries=max_entries,
+    service = VerificationService(max_cache_entries=max_entries,
                                   max_cache_bytes=max_bytes,
                                   workers=args.workers,
                                   deadline_s=args.deadline,
@@ -242,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve",
                        help="JSON-lines verification service on "
                             "stdin/stdout")
-    p.add_argument("--no-batch", action="store_true",
-                   help="disable cross-sample batch scheduling")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes of --executor process; with "
                         "more than one, responses stream out of order "

@@ -218,9 +218,7 @@ def run_summary(result: RunResult, task=None) -> str:
     service = stats.get("service")
     if service:
         lines.append(f"  service: {service.get('requests', 0)} requests, "
-                     f"{service.get('dedup_hits', 0)} dedup'd in flight, "
-                     f"{service.get('batch_members', 0)} batch-scheduled "
-                     f"in {service.get('batch_groups', 0)} packed groups")
+                     f"{service.get('dedup_hits', 0)} dedup'd in flight")
     prover = stats.get("prover")
     if prover:
         stages = [(label, prover.get(key)) for label, key in

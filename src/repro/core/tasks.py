@@ -18,16 +18,16 @@ Tasks are thin adapters over the verification service
 :class:`~repro.service.api.VerifyRequest`\\ s (syntax gates, equivalence
 checks, proofs -- mirroring the JasperGold-backed flow of the paper) and
 folds the responses' verdict fields into :class:`EvalRecord`\\ s.  All
-memoization, in-flight deduplication and cross-sample batch scheduling
-live in the service; disable memoization per task with
+memoization, in-flight deduplication and prover pooling live in the
+service; disable memoization per task with
 ``use_cache=False``.  ``Design2SvaTask`` forwards ``prover_kwargs`` /
 ``strategy`` as the request engine configuration, which is part of the
 verdict-cache key, so reconfiguring invalidates instead of serving stale
 verdicts (docs/engine.md).  ``evaluate_batch`` submits a whole problem's
-samples as one batch -- that is what lets the service pack the
-candidates of one design cone into a single bit-parallel falsification
-pass (docs/service.md); per-sample ``evaluate`` is the degenerate batch
-of one and produces field-identical records.
+samples as one batch -- that is what lets the service deduplicate them
+and prove them all on one pooled prover (docs/service.md); per-sample
+``evaluate`` is the degenerate batch of one and produces field-identical
+records.
 """
 
 from __future__ import annotations
@@ -102,12 +102,10 @@ class _EquivalenceTask:
 
     def __init__(self, namespace: str, use_cache: bool,
                  service: VerificationService | None = None,
-                 batching: bool | None = None,
                  workers: int | None = None):
         self.use_cache = use_cache
         self.service = (service if service is not None
-                        else VerificationService(batching=batching,
-                                                 workers=workers))
+                        else VerificationService(workers=workers))
         self._namespace = namespace
 
     def cache_stats(self) -> dict[str, int]:
@@ -171,10 +169,8 @@ class Nl2SvaHumanTask(_EquivalenceTask):
 
     def __init__(self, use_cache: bool = True,
                  service: VerificationService | None = None,
-                 batching: bool | None = None,
                  workers: int | None = None):
-        super().__init__("nl2sva_human", use_cache, service, batching,
-                         workers)
+        super().__init__("nl2sva_human", use_cache, service, workers)
 
     def problems(self) -> list[HumanProblem]:
         return corpus.problems()
@@ -223,10 +219,8 @@ class Nl2SvaMachineTask(_EquivalenceTask):
     def __init__(self, count: int = 300, seed: int = 0,
                  use_cache: bool = True,
                  service: VerificationService | None = None,
-                 batching: bool | None = None,
                  workers: int | None = None):
-        super().__init__("nl2sva_machine", use_cache, service, batching,
-                         workers)
+        super().__init__("nl2sva_machine", use_cache, service, workers)
         self.count = count
         self.seed = seed
         self._problems: list[MachineProblem] | None = None
@@ -271,7 +265,6 @@ class Design2SvaTask:
                  prover_kwargs: dict | None = None, use_cache: bool = True,
                  strategy: str | None = None,
                  service: VerificationService | None = None,
-                 batching: bool | None = None,
                  workers: int | None = None,
                  executor: str | None = None):
         self.category = category
@@ -300,8 +293,7 @@ class Design2SvaTask:
                         if k != "profile"}
         self._namespace = f"design2sva_{category}"
         self.service = (service if service is not None
-                        else VerificationService(batching=batching,
-                                                 profile=self.profile,
+                        else VerificationService(profile=self.profile,
                                                  workers=workers,
                                                  executor=executor))
         self._problems: list[GeneratedDesign] | None = None
@@ -358,7 +350,7 @@ class Design2SvaTask:
 
         The service groups the samples by their (shared) design
         signature, so the batch's candidate assertions are proved on one
-        prover and falsified by one packed simulation pass per cone.
+        prover.
         """
         records = []
         pending: list[EvalRecord] = []

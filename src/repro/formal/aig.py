@@ -191,9 +191,6 @@ class AIG:
     def __len__(self) -> int:
         return len(self._fanins)
 
-    def is_input(self, node: int) -> bool:
-        return node != 0 and self._fanins[node] is None
-
     def fanin(self, node: int) -> tuple[int, int] | None:
         return self._fanins[node]
 

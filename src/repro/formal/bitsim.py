@@ -346,34 +346,16 @@ def _packed_cone_values(checker, packed: PackedTraces) -> dict[int, int]:
     return values
 
 
-def _violation_mask(values: dict[int, int], attempt_lits, mask: int) -> int:
-    viol = 0
-    for lit in attempt_lits:
-        sat = values[lit >> 1]
-        if lit & 1:
-            sat ^= mask
-        viol |= sat ^ mask
-    return viol
-
-
 def packed_violation_lanes(checker, packed: PackedTraces) -> int:
     """Bitmask of lanes on which *checker*'s assertion has >= 1 violated
     attempt.  One interpretive pass over the property cone replaces the
     per-trace replay loop of ``TraceChecker.first_violation``."""
     values = _packed_cone_values(checker, packed)
-    return _violation_mask(values, checker.attempts.values(), packed.mask)
-
-
-def packed_violation_masks(checker, packed: PackedTraces) -> list[int]:
-    """Per-assertion violation bitmasks for a multi-assertion checker.
-
-    *checker* carries ``groups`` -- one list of attempt literals per
-    assertion, all encoded into one shared AIG -- so a *single*
-    interpretive pass over the merged cone scores every candidate
-    assertion of a batch at once (the service's cross-sample packed-lane
-    scheduling; :mod:`repro.service.batch`).  Structural hashing makes
-    the shared subterms of near-duplicate candidates free.
-    """
-    values = _packed_cone_values(checker, packed)
-    return [_violation_mask(values, lits, packed.mask)
-            for lits in checker.groups]
+    mask = packed.mask
+    viol = 0
+    for lit in checker.attempts.values():
+        sat = values[lit >> 1]
+        if lit & 1:
+            sat ^= mask
+        viol |= sat ^ mask
+    return viol

@@ -593,12 +593,6 @@ class Prover:
         #: cone -> PackedTraces, or None where the design is outside the
         #: packed subset (those cones fall back to the scalar replay)
         self._packed_cache: dict[frozenset, object] = {}
-        #: (cone key, unparsed assertion) -> (violation lane mask, packed
-        #: traces), seeded by the service's cross-sample batch pass
-        #: (:func:`repro.service.batch.presimulate`); entries are
-        #: deterministic, so serving them is verdict-identical to running
-        #: the per-sample falsification pass below
-        self._batch_sim: dict[tuple, tuple] = {}
         #: why the design's reset state cannot be simulated (an
         #: :class:`EvalError`, e.g. an unsupported system function in
         #: its logic), or None: every prove() then answers ``error``
@@ -783,8 +777,7 @@ class Prover:
     def _record_fault(self, code: str, stage: str, detail: str = "",
                       retryable: bool = False) -> None:
         """Append a FaultEvent to the in-flight prove()'s accumulator
-        (no-op outside a prove call: the fallbacks below also run from
-        the batch scheduler's presimulate pass)."""
+        (no-op outside a prove call)."""
         events = self._fault_events
         if events is not None:
             events.append(_faults().FaultEvent(
@@ -870,17 +863,6 @@ class Prover:
     def _simulate_falsify(self, design: Design, cone_key: frozenset,
                           assertion: Assertion) -> dict | None:
         bump(self.profile, "sim_candidates", 1)
-        if not self._assumes:
-            # batch-scheduled verdict: one packed pass per cone already
-            # scored this candidate across the whole request batch
-            from ..sva.unparse import unparse
-            hit = self._batch_sim.get((cone_key, unparse(assertion)))
-            if hit is not None:
-                viol, packed = hit
-                if not viol:
-                    return None
-                # lowest violating lane == the scalar loop's first trial
-                return packed.lane_trace((viol & -viol).bit_length() - 1)
         bump(self.profile, "sim_passes", 1)
         window = max(1, horizon_of(assertion) + 1)
         start = 2  # skip the reset phase

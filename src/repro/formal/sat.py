@@ -213,10 +213,6 @@ class Solver:
         v = _iabs(ext)
         return 2 * v + (1 if ext < 0 else 0)
 
-    @staticmethod
-    def _var(ilit: int) -> int:
-        return ilit >> 1
-
     def _value(self, ilit: int) -> int:
         """-1 unassigned, 1 true, 0 false."""
         a = self.assign[ilit >> 1]

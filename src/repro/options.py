@@ -42,8 +42,8 @@ class Options:
 
     ``jobs`` ``FVEVAL_JOBS`` (problem fan-out of the runner),
     ``executor`` ``FVEVAL_EXECUTOR``, ``workers`` ``FVEVAL_WORKERS``,
-    ``deadline_s`` ``FVEVAL_DEADLINE_S``, ``batching``
-    ``FVEVAL_NO_BATCH``, ``share_equiv`` ``FVEVAL_NO_EQUIV_SHARE``,
+    ``deadline_s`` ``FVEVAL_DEADLINE_S``, ``share_equiv``
+    ``FVEVAL_NO_EQUIV_SHARE``,
     ``caching`` ``FVEVAL_NO_CACHE``, ``cache_dir`` ``FVEVAL_CACHE``,
     ``cache_tiers`` ``FVEVAL_CACHE_TIERS`` (else ``FVEVAL_CACHE``),
     ``max_cache_entries`` / ``max_cache_bytes``
@@ -55,7 +55,6 @@ class Options:
     executor: str = "thread"
     workers: int = 1
     deadline_s: float | None = None
-    batching: bool = True
     share_equiv: bool = True
     caching: bool = True
     cache_dir: str | None = None
@@ -93,7 +92,6 @@ class Options:
             executor=executor,
             workers=resolve_workers(_count(raw("WORKERS"))),
             deadline_s=_positive(raw("DEADLINE_S"), float),
-            batching=raw("NO_BATCH") != "1",
             share_equiv=raw("NO_EQUIV_SHARE") != "1",
             caching=raw("NO_CACHE") != "1",
             cache_dir=cache_dir,

@@ -216,9 +216,6 @@ class Design:
     def signal_widths(self) -> dict[str, int]:
         return dict(self.widths)
 
-    def is_comb(self, name: str) -> bool:
-        return name in self.comb_exprs
-
     def __getstate__(self):
         # the compiled-simulation cache holds exec-generated functions,
         # which cannot pickle (workers recompile lazily on first use);

@@ -20,11 +20,9 @@ harnesses reach it over JSON lines via ``python -m repro serve``
 
 Inside: canonical-key deduplication of identical in-flight requests,
 tiered verdict caching (:mod:`repro.core.cache`, with an optional
-shared remote tier served by :mod:`repro.service.cacheserve`), and a batch
+shared remote tier served by :mod:`repro.service.cacheserve`), and a
 scheduler that groups ``prove`` requests by design signature so one
-shared prover serves each group and the group's candidate assertions
-are scored by a single bit-parallel falsification pass per design cone
-(:mod:`repro.service.batch`).
+pooled prover serves each group.
 """
 
 from .admission import AdmissionController

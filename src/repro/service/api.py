@@ -22,16 +22,16 @@ Every verdict the benchmark produces is the answer to one
 The :class:`VerifyResponse` carries the verdict fields the tasks fold
 into :class:`~repro.core.tasks.EvalRecord`\\ s (``verdict`` / ``func`` /
 ``partial`` / ``detail`` / ``meta``) plus *provenance* the records never
-see: ``cache_hit``, ``dedup_of``, ``batch_id``, ``elapsed_s``,
+see: ``cache_hit``, ``dedup_of``, ``elapsed_s``,
 ``index`` (the request's position within its batch -- the correlation
 key once the process executor streams completions out of order),
 ``worker_id`` (which process slot computed it) and
 ``degraded`` (fault/degradation events observed while producing the
 verdict -- docs/robustness.md).
 Provenance describes how the service produced the verdict; the verdict
-fields themselves are deterministic, which is what keeps cached,
-deduplicated and batch-scheduled runs record-identical to direct
-computation (docs/service.md).
+fields themselves are deterministic, which is what keeps cached and
+deduplicated runs record-identical to direct computation
+(docs/service.md).
 
 Both dataclasses have a JSON wire form (:func:`request_from_json`,
 :func:`response_to_json`) used by the ``python -m repro serve``
@@ -179,8 +179,6 @@ class VerifyResponse:
     #: request_id of the identical in-flight request this verdict was
     #: shared from (canonical-key dedup), or None if computed/cached
     dedup_of: str | None = None
-    #: batch-scheduler group this request was computed in, or None
-    batch_id: str | None = None
     elapsed_s: float = 0.0
     #: zero-based position of the request within its scheduled batch --
     #: the correlation key for out-of-order consumption (``stream()``
@@ -262,7 +260,6 @@ def response_to_json(response: VerifyResponse) -> dict:
         "meta": dict(response.meta),
         "cache_hit": response.cache_hit,
         "dedup_of": response.dedup_of,
-        "batch_id": response.batch_id,
         "elapsed_s": round(response.elapsed_s, 6),
         "index": response.index,
         "worker_id": response.worker_id,

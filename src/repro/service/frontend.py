@@ -11,8 +11,8 @@ Wire protocol (documented in docs/service.md):
 
 * one :class:`~repro.service.api.VerifyRequest` JSON object per input
   line (the in-process object fields are not accepted);
-* requests accumulate into a batch -- so the dedup and cross-sample
-  batch scheduler see them together -- and a **blank line or end of
+* requests accumulate into a batch -- so in-flight dedup and prover
+  grouping see them together -- and a **blank line or end of
   input flushes** the batch, emitting one response JSON object per
   request: in request order when the service runs batches inline (the
   default) or on a one-worker process pool, in *completion* order on

@@ -8,7 +8,7 @@ errors, drain, signals -- docs/service.md).  The frontend exposes:
 ``POST /v1/verify``
     One :class:`~repro.service.api.VerifyRequest` wire object -- or a
     JSON array of them, scheduled as one batch so in-flight dedup and
-    the cross-sample batch scheduler see them together.  The response
+    prover grouping see them together.  The response
     body mirrors the input shape (object in, object out; array in,
     array out) using the exact JSON-lines wire form
     (:func:`~repro.service.api.response_to_json`), each response

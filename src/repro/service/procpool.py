@@ -73,13 +73,13 @@ def _worker_main(conn, slot: int) -> None:
             return  # parent went away (or shut the pipe): exit quietly
         if message[0] == "stop":
             return
-        _kind, unit_id, requests, batching, share_equiv, crash = message
+        _kind, unit_id, requests, share_equiv, crash = message
         if crash:
             # parent-drawn fault injection: die exactly like a
             # segfaulted/OOM-killed worker would
             os.kill(os.getpid(), signal.SIGKILL)
         service.options = dataclasses.replace(
-            service.options, batching=batching, share_equiv=share_equiv)
+            service.options, share_equiv=share_equiv)
         base = {"profile": dict(service.profile),
                 "counters": dict(service.counters)}
         try:
@@ -307,7 +307,6 @@ class ProcessExecutor:
         payload = [unit["entries"][p][1] for p in positions]
         try:
             worker.conn.send(("unit", unit["id"], payload,
-                              unit["batching"],
                               unit.get("share_equiv"), crash))
         except (pickle.PicklingError, TypeError, AttributeError,
                 ValueError):

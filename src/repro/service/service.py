@@ -5,7 +5,6 @@ VerifyRequest` batches through one pipeline::
 
     validate -> semantic key -> in-flight dedup -> verdict cache
              -> group `prove` work by design signature
-             -> one packed falsification pass per cone (batch scheduler)
              -> compute -> cache put
 
 Two call shapes, both over the same scheduler:
@@ -24,10 +23,10 @@ the computing: answers found while planning, ``index`` stamping, the
 dedup fold, cache puts and the ``config`` fault event.  A strategy only
 produces the primaries' responses:
 
-* **inline** (``executor="thread"``, the default) computes in the
-  calling thread -- one packed pre-pass per group, then every entry in
-  request order -- so responses stream out in request order, and the
-  same-prover call order keeps the engines' counts reproducible;
+* **inline** (``executor="thread"``, the default) computes every entry
+  in the calling thread, in request order -- so responses stream out in
+  request order, and the same-prover call order keeps the engines'
+  counts reproducible;
 * **process** (``executor="process"``) ships the units to
   crash-isolated worker processes (:mod:`repro.service.procpool`);
   with more than one worker, completions stream out of order, each
@@ -47,10 +46,10 @@ be built costs that group's requests an ``ok=False`` error and nothing
 else.
 
 Scheduling only ever changes *how much work* runs, never what a verdict
-means: deduplicated, cached and batch-scheduled responses carry exactly
-the verdict fields direct computation would produce (the provenance
-fields ``cache_hit`` / ``dedup_of`` / ``batch_id`` record which shortcut
-was taken), which is what the task-parity suite pins
+means: deduplicated and cached responses carry exactly the verdict
+fields direct computation would produce (the provenance fields
+``cache_hit`` / ``dedup_of`` record which shortcut was taken), which is
+what the task-parity suite pins
 (``tests/test_service_parity.py``).
 
 The verdict cache (:class:`repro.core.cache.VerdictCache`) lives here --
@@ -148,11 +147,11 @@ class _Slot:
     group and an :class:`~repro.formal.equivalence.EquivChecker` for a
     shared-equivalence group, built from the group's first entry.
     Pinning (:meth:`VerificationService._pin`) only picks the slot; the
-    group's first compute (or its packed pre-pass) builds the engine,
-    outside every lock.  A design the simulator cannot initialise or a
-    reference that does not parse then fails inside
-    ``_compute_guarded``'s classification and costs that group's
-    requests only, never the batch; the next use tries again.
+    group's first compute builds the engine, outside every lock.  A
+    design the simulator cannot initialise or a reference that does not
+    parse then fails inside ``_compute_guarded``'s classification and
+    costs that group's requests only, never the batch; the next use
+    tries again.
     """
 
     __slots__ = ("kind", "first", "engine")
@@ -209,7 +208,6 @@ class PlanEntry:
     assumes: tuple = ()
     key_parts: object = None
     pool_key: tuple | None = None
-    batch_id: str | None = None
 
 
 @dataclass(slots=True)
@@ -221,12 +219,11 @@ class Unit:
     ``slot``) or one ungrouped computed request.  Units hold primaries
     only: in-flight duplicates are folded by the execution loop.
     ``affinity`` is the stable hash the process executor places a group
-    by (:func:`repro.service.batch.group_affinity`).
+    by (:func:`group_affinity`).
     """
 
     indices: list[int]
     group: tuple | None = None
-    batch_id: str | None = None
     slot: "_Slot | None" = None
     affinity: int | None = None
 
@@ -236,20 +233,22 @@ class VerificationService:
 
     Every configuration keyword left at None takes its
     :class:`~repro.options.Options` field from the environment, once,
-    here: ``batching`` the cross-sample packed-lane scheduler,
-    ``share_equiv`` shared-reference equivalence sessions (``False`` is
-    the isolated per-candidate oracle the parity suite pins against),
-    ``executor`` the execution strategy -- ``"thread"`` computes inline
-    in the calling thread, ``"process"`` in crash-isolated worker
-    processes -- ``workers`` the size of only that process pool,
+    here: ``share_equiv`` shared-reference equivalence sessions
+    (``False`` is the isolated per-candidate oracle the parity suite
+    pins against), ``executor`` the execution strategy -- ``"thread"``
+    computes inline in the calling thread, ``"process"`` in
+    crash-isolated worker processes -- ``workers`` the size of only
+    that process pool,
     ``deadline_s`` the default per-request deadline (a request's own
     wins; a non-positive value raises), ``cache_tiers`` the
     verdict-cache tier stack (docs/cache.md) and ``max_cache_entries`` /
     ``max_cache_bytes`` the caps on its memory tier.  ``profile`` is the
     prover-profile dict shared by every prover the service builds
-    (stage timings, win counters, ``sim_batch_passes``).  Inline
-    responses arrive in request order; the strategy never changes
-    verdicts.
+    (stage timings, win counters, ``sim_passes``).  Inline responses
+    arrive in request order; the strategy never changes verdicts.
+    ``batching`` is accepted and ignored: every prove request is
+    falsified by its own packed pass, and callers that still pass the
+    keyword keep working.
     """
 
     def __init__(self, batching: bool | None = None,
@@ -262,7 +261,7 @@ class VerificationService:
                  admission=None, cache_tiers: str | None = None,
                  share_equiv: bool | None = None):
         self.options = Options.from_env(
-            batching=batching, share_equiv=share_equiv, workers=workers,
+            share_equiv=share_equiv, workers=workers,
             deadline_s=deadline_s, executor=executor,
             cache_tiers=cache_tiers, max_cache_entries=max_cache_entries,
             max_cache_bytes=max_cache_bytes)
@@ -286,11 +285,10 @@ class VerificationService:
         #: ``max_provers`` and ``max_equiv`` of each
         self._slots: OrderedDict[tuple, _Slot] = OrderedDict()
         self.max_equiv = 16
-        #: pool keys of the batches currently executing -- pinned against
-        #: eviction so presimulated batch state survives its own batch
+        #: pool keys of the batches currently executing: a batch that
+        #: needs one of them computes on a private engine instead
         self._active: set[tuple] = set()
         self._seq = 0
-        self._batch_seq = 0
         #: scheduling counters, updated with :func:`repro.counters.bump`
         #: (a process worker's deltas merge in with the same lock).
         #: ``prover_hits`` reuse a pooled prover (sessions, unrolled
@@ -299,9 +297,8 @@ class VerificationService:
         #: hit share (docs/router.md); the ``equiv_*`` analogues count
         #: pooled shared checkers (reference cone, learned clauses)
         self.counters: dict = dict.fromkeys((
-            "requests", "dedup_hits", "batch_groups", "batch_members",
-            "prover_hits", "prover_builds", "equiv_hits", "equiv_builds"),
-            0)
+            "requests", "dedup_hits", "prover_hits", "prover_builds",
+            "equiv_hits", "equiv_builds"), 0)
         self._init_runtime()
 
     def _init_runtime(self) -> None:
@@ -311,7 +308,7 @@ class VerificationService:
         #: own stream() generators without deadlocking)
         self._sched_lock = threading.RLock()
         #: guards the short mutations shared by concurrently executing
-        #: batches (pins, the pool, the batch sequence)
+        #: batches (pins, the pool)
         self._state_lock = threading.Lock()
         self._procpool = None
 
@@ -438,12 +435,12 @@ class VerificationService:
                 # the parent keeps planning/cache/dedup; engines live in
                 # the workers, so nothing is pinned here
                 strategy = self._run_process(
-                    plan, units, options.batching, options.share_equiv,
-                    owned, self._process_pool(options.workers))
+                    plan, units, options.share_equiv, owned,
+                    self._process_pool(options.workers))
                 ordered = options.workers == 1
             else:
                 self._pin(plan, units, owned)
-                strategy = self._run_inline(plan, units, options.batching)
+                strategy = self._run_inline(plan, units)
                 ordered = True
             config_event, self._executor_error = self._executor_error, None
         try:
@@ -457,18 +454,6 @@ class VerificationService:
                     detail=config_event).as_dict())
             yield from stream
         finally:
-            # the batch memo is per-batch state: entries persist while
-            # the batch's textual duplicates read them, then go, so a
-            # long-running serve session cannot accumulate them.  Clear
-            # BEFORE unpinning: once a key leaves _active another batch
-            # may pin the shared prover and seed its own masks, which
-            # this cleanup must not wipe.
-            for unit in units:
-                # unbuilt slots and equivalence checkers carry no memo
-                memo = getattr(unit.slot and unit.slot.engine,
-                               "_batch_sim", None)
-                if memo is not None:
-                    memo.clear()
             with self._state_lock:
                 self._active.difference_update(owned)
 
@@ -524,27 +509,20 @@ class VerificationService:
                 return
             finish(*step)
 
-    def _run_inline(self, plan: list[PlanEntry], units: list[Unit],
-                    batching: bool):
+    def _run_inline(self, plan: list[PlanEntry], units: list[Unit]):
         """The inline strategy: compute *units* in the calling thread.
 
-        With batching on, each group first gets its packed pre-pass;
-        then every entry computes in request order.  That order is a
+        Every entry computes in request order.  That order is a
         contract, not a detail: a pooled prover's incremental sessions
         carry learned clauses from one proof to the next, so the engine
         counts of each verdict depend on the call order on its prover.
         """
-        if batching:
-            for unit in units:
-                if unit.group is not None:
-                    self._presimulate_group(plan, unit)
         for index in sorted(i for unit in units for i in unit.indices):
             entry = plan[index]
             yield entry, self._compute_guarded(entry)
 
     def _run_process(self, plan: list[PlanEntry], units: list[Unit],
-                     batching: bool, share_equiv: bool, owned: set,
-                     pool):
+                     share_equiv: bool, owned: set, pool):
         """The process strategy: ship *units* to the worker processes.
 
         Each unit crosses the process boundary as pickled wire requests
@@ -567,8 +545,7 @@ class VerificationService:
                 "entries": [(i, _worker_request(plan[i]))
                             for i in unit.indices],
                 "deadline_s": [plan[i].deadline_s for i in unit.indices],
-                "batching": batching, "share_equiv": share_equiv,
-                "batch_id": unit.batch_id, "affinity": unit.affinity})
+                "share_equiv": share_equiv, "affinity": unit.affinity})
         local: list[tuple[Unit, list[int]]] = []
         for event in pool.execute(wires):
             kind, wire = event[0], event[1]
@@ -580,9 +557,6 @@ class VerificationService:
                 if wire["events"]:  # crash-retry provenance
                     response.degraded = [*wire["events"],
                                          *response.degraded]
-                if response.batch_id is not None:
-                    # worker-local batch id -> this flush's id
-                    response.batch_id = wire["batch_id"]
                 yield plan[wire["entries"][position][0]], response
             else:  # ("failed", unit, positions, cause)
                 _, _, positions, cause = event
@@ -611,7 +585,7 @@ class VerificationService:
             self._pin(plan, [unit for unit, _ in local], owned)
             yield from self._run_inline(
                 plan, [dataclasses.replace(unit, indices=indices)
-                       for unit, indices in local], batching)
+                       for unit, indices in local])
 
     def _plan(self, requests: list[VerifyRequest],
               share_equiv: bool = True):
@@ -721,33 +695,28 @@ class VerificationService:
         return plan, groups
 
     def _units(self, plan: list[PlanEntry], groups: dict) -> list[Unit]:
-        """Cut a plan into units: one per work group, carrying this
-        flush's batch id, then one per remaining computed request."""
+        """Cut a plan into units: one per work group, then one per
+        remaining computed request."""
         units = [Unit([entry.index]) for entry in plan
                  if entry.group is None and entry.dup_of is None
                  and entry.response is None]
-        if not groups:  # a warm flush: skip the imports and the lock
+        if not groups:  # a warm flush: skip the import
             return units
-        from .batch import group_affinity
         from .ring import stable_hash
-        with self._state_lock:
-            first = self._batch_seq + 1
-            self._batch_seq += len(groups)
-        return [Unit(members, pool_key, f"b{first + n}",
+        return [Unit(members, pool_key,
                      # affinity on the design/routing signature alone
                      # (not the engine fingerprint): every engine variant
                      # of one cone or reference prefers the same slot
                      affinity=stable_hash(group_affinity(pool_key)))
-                for n, (pool_key, members)
-                in enumerate(groups.items())] + units
+                for pool_key, members in groups.items()] + units
 
     def _pin(self, plan: list[PlanEntry], units: list[Unit],
              owned: set) -> None:
         """Pin one engine slot per group unit for the batch.
 
         A pool key no in-flight batch owns takes its slot from (and pins
-        it in) the LRU pool, evicting the least recently used unpinned
-        slot of its kind past that kind's cap; a key another batch is
+        it in) the LRU pool, evicting the least recently used slot of
+        its kind past that kind's cap; a key another batch is
         still executing gets a fresh *private* slot instead --
         overlapping batches then share no mutable engine state, at the
         cost of one engine build.  Pinned keys join *owned*, for the
@@ -771,15 +740,13 @@ class VerificationService:
                     bump(self.counters, f"{counter}_builds", 1)
                     slot = _Slot(first)
                     if not private:
-                        # never evict a slot an executing batch pinned:
-                        # its presimulated masks must survive its batch
+                        # an evicted slot still serves the units that
+                        # pinned it; it just leaves the pool
                         cap = (self.max_provers if kind == "prove"
                                else self.max_equiv)
                         mine = [k for k, other in self._slots.items()
                                 if other.kind == kind]
-                        evictable = [k for k in mine
-                                     if k not in self._active]
-                        for k in evictable[:max(0, len(mine) - cap + 1)]:
+                        for k in mine[:max(0, len(mine) - cap + 1)]:
                             del self._slots[k]
                         self._slots[key] = slot
                 if not private:
@@ -788,45 +755,6 @@ class VerificationService:
                 unit.slot = slot
                 for index in unit.indices:
                     plan[index].slot = slot
-
-    def _presimulate_group(self, plan: list[PlanEntry], unit: Unit) -> None:
-        """Run the packed cross-sample pre-pass for one prove group.
-
-        Assume-carrying requests are excluded: their falsifier runs
-        under the environment constraints, which the unconstrained
-        pre-pass masks would not reflect.  A pre-pass failure degrades
-        to per-sample falsification (verdict-identical) rather than
-        aborting the batch.
-        """
-        from .batch import presimulate
-        if plan[unit.indices[0]].request.kind != "prove":
-            return  # equivalence groups have no packed pre-pass
-        members = [i for i in unit.indices if not plan[i].assumes]
-        if len(members) < 2:
-            return
-        try:
-            prover = unit.slot.get(self.profile)
-        except Exception:
-            return  # every member's compute reports the failed build
-        try:
-            covered = presimulate(
-                prover, [plan[i].assertion for i in members])
-        except Exception as exc:
-            # per-sample path computes the same verdicts; record the
-            # degradation on every member the pre-pass would have served
-            event = _faults().FaultEvent(
-                "packed_sim", stage="batch",
-                detail=f"packed pre-pass failed "
-                       f"({type(exc).__name__}: {exc})"[:200]).as_dict()
-            for i in members:
-                plan[i].faults.append(event)
-            return
-        n = sum(covered)
-        if n:
-            merge(self.counters, {"batch_groups": 1, "batch_members": n})
-        for i, flag in zip(members, covered):
-            if flag:
-                plan[i].batch_id = unit.batch_id
 
     def _timeout_response(self, entry: PlanEntry,
                           wire: dict) -> VerifyResponse:
@@ -914,6 +842,9 @@ class VerificationService:
             if unknown:
                 return self._error(
                     request, f"unknown engine options: {sorted(unknown)}")
+            bad = _equiv_option_error(request.engine, MAX_HORIZON)
+            if bad:
+                return self._error(request, bad)
             engine_key = ("equiv-defaults", MAX_HORIZON,
                           DEFAULT_MAX_CONFLICTS)
             if request.engine:
@@ -925,7 +856,6 @@ class VerificationService:
                 sorted(request.widths.items()),
                 sorted((request.params or {}).items()),
                 engine_key))
-            from .batch import equiv_group_key
             entry.pool_key = equiv_group_key(request,
                                              _freeze(request.engine))
             return None
@@ -1071,8 +1001,7 @@ class VerificationService:
         if self.admission is not None:
             # feed the Retry-After estimator with real unit latency
             self.admission.observe(response.elapsed_s)
-        response.batch_id = entry.batch_id
-        if entry.faults:  # planning/pre-pass degradations
+        if entry.faults:  # planning degradations
             response.degraded = [*entry.faults, *response.degraded]
         return response
 
@@ -1280,6 +1209,26 @@ def _exact(value):
     return (value.__class__, value)
 
 
+def _equiv_option_error(engine: dict, max_horizon: int) -> str | None:
+    """Why an equivalence request's engine options are out of range, or
+    None: ``horizons`` must be a non-empty list of ints in
+    ``1..max_horizon``, ``default_width`` and ``max_conflicts`` ints of
+    at least 1 (a bool is not an int here)."""
+    def count(value, high=None) -> bool:
+        return (type(value) is int and value >= 1
+                and (high is None or value <= high))
+    horizons = engine.get("horizons", [1])
+    if not (isinstance(horizons, (list, tuple)) and horizons
+            and all(count(h, max_horizon) for h in horizons)):
+        return (f"engine option horizons must be a non-empty list of "
+                f"ints in 1..{max_horizon}, got {horizons!r}")
+    for name in ("default_width", "max_conflicts"):
+        if name in engine and not count(engine[name]):
+            return (f"engine option {name} must be an int >= 1, "
+                    f"got {engine[name]!r}")
+    return None
+
+
 def _worker_request(entry: PlanEntry) -> VerifyRequest:
     """*entry*'s request as a process worker computes it: ``use_cache``
     off (the worker neither reads nor writes verdict caches) and the
@@ -1322,3 +1271,24 @@ def _freeze(value):
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(v) for v in value)
     return value
+
+
+def equiv_group_key(request: VerifyRequest, engine_fingerprint) -> tuple:
+    """Pool/group key of an equivalence request: every candidate compared
+    against one (reference, widths, params) under one engine configuration
+    lands in the same group and reuses one
+    :class:`~repro.formal.equivalence.EquivChecker` -- the equivalence
+    analogue of the per-design prove group.  The leading tag keeps the
+    keyspace disjoint from prove pool keys."""
+    from .signature import routing_signature
+    return ("equiv", routing_signature(request), engine_fingerprint)
+
+
+def group_affinity(pool_key: tuple) -> object:
+    """The value the process executor hashes for slot placement of a unit.
+
+    Prove pool keys are ``(design_signature, engine)`` -- affinity follows
+    the design signature so one design's samples stay on one slot;
+    equivalence keys are ``("equiv", routing_signature, engine)`` -- the
+    routing signature plays the same role."""
+    return pool_key[1] if pool_key[0] == "equiv" else pool_key[0]

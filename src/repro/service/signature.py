@@ -1,7 +1,7 @@
 """Design signatures: the affinity key shared by router and service.
 
 :func:`design_signature` is the assertion-independent fingerprint of an
-elaborated design -- the batch scheduler's grouping key and the design
+elaborated design -- the scheduler's prove grouping key and the design
 part of every ``prove`` cache key.  It lives here (rather than in
 :mod:`repro.service.service`, which re-exports it) so the routing tier
 can compute the *same* key without importing the whole service.
@@ -33,11 +33,11 @@ __all__ = ["design_signature", "routing_signature"]
 def design_signature(design) -> tuple:
     """Assertion-independent fingerprint of an elaborated design.
 
-    The grouping key of the batch scheduler and the design part of every
+    The prove grouping key of the scheduler and the design part of every
     ``prove`` cache key: the n samples of one problem splice different
     assertions into the *same* support logic, so equal signatures let
     them share one prover (COI cones, unrolled AIGs, incremental
-    solvers, simulation traces) and one packed falsification pass.
+    solvers, simulation traces).
 
     Computed once per elaborated base and kept in ``design.derived``,
     which every design bound from that base shares: a design is

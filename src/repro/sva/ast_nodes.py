@@ -149,10 +149,6 @@ class Delay(SeqNode):
     rhs: SeqNode
     lhs: SeqNode | None = None
 
-    @property
-    def is_unbounded(self) -> bool:
-        return self.hi is None
-
 
 @dataclass(frozen=True)
 class Repetition(SeqNode):

@@ -1,4 +1,4 @@
-"""FVEVAL_JOBS process-pool batching: parallel == serial, record for record.
+"""FVEVAL_JOBS problem fan-out: parallel == serial, record for record.
 
 How the variable itself parses is ``tests/test_options.py``.
 """

@@ -57,7 +57,7 @@ CANDS = [
 @pytest.fixture(autouse=True)
 def _hermetic_env(monkeypatch):
     for name in ("FVEVAL_CACHE", "FVEVAL_CACHE_TIERS", "FVEVAL_JOBS",
-                 "FVEVAL_NO_CACHE", "FVEVAL_NO_BATCH", "FVEVAL_WORKERS",
+                 "FVEVAL_NO_CACHE", "FVEVAL_WORKERS",
                  "FVEVAL_EXECUTOR", "FVEVAL_NO_EQUIV_SHARE"):
         monkeypatch.delenv(name, raising=False)
 

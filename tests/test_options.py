@@ -28,9 +28,9 @@ from repro.service import VerifyRequest
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: the variables Options owns (FVEVAL_FAULTS* stay in core/faults.py)
-NAMES = ("JOBS", "EXECUTOR", "WORKERS", "DEADLINE_S", "NO_BATCH",
-         "NO_EQUIV_SHARE", "CACHE", "CACHE_TIERS", "NO_CACHE",
-         "CACHE_MEM_MAX", "MAX_QUEUE", "MAX_INFLIGHT")
+NAMES = ("JOBS", "EXECUTOR", "WORKERS", "DEADLINE_S", "NO_EQUIV_SHARE",
+         "CACHE", "CACHE_TIERS", "NO_CACHE", "CACHE_MEM_MAX", "MAX_QUEUE",
+         "MAX_INFLIGHT")
 
 TYPO = ("FVEVAL_EXECUTOR='porcess' is not one of ('thread', 'process'); "
         "fell back to 'thread'")
@@ -95,10 +95,6 @@ TABLE = [
     ("DEADLINE_S", "-1", {"deadline_s": None}),
     ("DEADLINE_S", "soon", {"deadline_s": None}),
     ("DEADLINE_S", "", {"deadline_s": None}),
-    ("NO_BATCH", "1", {"batching": False}),
-    ("NO_BATCH", "0", {"batching": True}),
-    ("NO_BATCH", "yes", {"batching": True}),
-    ("NO_BATCH", "", {"batching": True}),
     ("NO_EQUIV_SHARE", "1", {"share_equiv": False}),
     ("NO_EQUIV_SHARE", "true", {"share_equiv": True}),
     ("NO_EQUIV_SHARE", "", {"share_equiv": True}),
@@ -143,16 +139,16 @@ class TestTable:
         assert Options.from_env() == Options()
         assert Options() == Options(
             jobs=1, executor="thread", workers=1, deadline_s=None,
-            batching=True, share_equiv=True, caching=True, cache_dir=None,
+            share_equiv=True, caching=True, cache_dir=None,
             cache_tiers="memory", max_cache_entries=None,
             max_cache_bytes=None, max_queue=None, max_inflight=None,
             executor_error=None)
 
     def test_reads_os_environ_by_default(self, monkeypatch):
         monkeypatch.setenv("FVEVAL_WORKERS", "3")
-        monkeypatch.setenv("FVEVAL_NO_BATCH", "1")
+        monkeypatch.setenv("FVEVAL_NO_EQUIV_SHARE", "1")
         options = Options.from_env()
-        assert (options.workers, options.batching) == (3, False)
+        assert (options.workers, options.share_equiv) == (3, False)
 
     def test_bare_disk_binds_to_the_cache_dir(self):
         assert parse(CACHE="/c", CACHE_TIERS="memory, DISK ,remote=h:1")[
@@ -275,24 +271,23 @@ class TestCacheEnv:
 class TestExplicitKeywords:
     def test_keywords_beat_the_environment(self, monkeypatch):
         for name, value in (("EXECUTOR", "porcess"), ("WORKERS", "3"),
-                            ("DEADLINE_S", "9"), ("NO_BATCH", "1"),
-                            ("NO_EQUIV_SHARE", "1"),
+                            ("DEADLINE_S", "9"), ("NO_EQUIV_SHARE", "1"),
                             ("CACHE_TIERS", "warp-drive"),
                             ("CACHE_MEM_MAX", "10,1M")):
             monkeypatch.setenv(f"FVEVAL_{name}", value)
         service = VerificationService(
-            executor="process", workers=2, deadline_s=1.5, batching=True,
+            executor="process", workers=2, deadline_s=1.5,
             share_equiv=True, cache_tiers="memory", max_cache_entries=4,
             max_cache_bytes=2048)
         assert dataclasses.asdict(service.options) == {
             **dataclasses.asdict(Options()),
             "executor": "process", "workers": 2, "deadline_s": 1.5,
-            "batching": True, "share_equiv": True, "cache_tiers": "memory",
+            "share_equiv": True, "cache_tiers": "memory",
             "max_cache_entries": 4, "max_cache_bytes": 2048}
 
     def test_none_keywords_take_the_environment(self, monkeypatch):
-        monkeypatch.setenv("FVEVAL_NO_BATCH", "1")
-        assert not VerificationService(batching=None).options.batching
+        monkeypatch.setenv("FVEVAL_NO_EQUIV_SHARE", "1")
+        assert not VerificationService(share_equiv=None).options.share_equiv
 
     def test_admission_keywords_beat_the_environment(self, monkeypatch):
         monkeypatch.setenv("FVEVAL_MAX_QUEUE", "7")
@@ -321,8 +316,8 @@ class TestReadOnce:
         service = VerificationService()
         before = service.options
         for name, value in (("EXECUTOR", "process"), ("WORKERS", "4"),
-                            ("DEADLINE_S", "0.001"), ("NO_BATCH", "1"),
-                            ("NO_EQUIV_SHARE", "1"), ("NO_CACHE", "1"),
+                            ("DEADLINE_S", "0.001"), ("NO_EQUIV_SHARE", "1"),
+                            ("NO_CACHE", "1"),
                             ("CACHE_TIERS", "warp-drive")):
             monkeypatch.setenv(f"FVEVAL_{name}", value)
         first, second = service.run([prove(use_cache=True),
@@ -344,10 +339,10 @@ class TestReadOnce:
 
     def test_pickled_service_keeps_its_options(self, monkeypatch):
         import pickle
-        monkeypatch.setenv("FVEVAL_NO_BATCH", "1")
+        monkeypatch.setenv("FVEVAL_NO_EQUIV_SHARE", "1")
         service = VerificationService()
-        monkeypatch.delenv("FVEVAL_NO_BATCH")
-        assert not pickle.loads(pickle.dumps(service)).options.batching
+        monkeypatch.delenv("FVEVAL_NO_EQUIV_SHARE")
+        assert not pickle.loads(pickle.dumps(service)).options.share_equiv
 
     def test_executor_typo_event_once(self, monkeypatch):
         monkeypatch.setenv("FVEVAL_EXECUTOR", "porcess")

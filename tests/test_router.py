@@ -59,7 +59,7 @@ def _hermetic_env(monkeypatch):
                  "FVEVAL_WORKERS", "FVEVAL_EXECUTOR",
                  "FVEVAL_MAX_QUEUE", "FVEVAL_MAX_INFLIGHT",
                  "FVEVAL_DEADLINE_S", "FVEVAL_CACHE_MEM_MAX",
-                 "FVEVAL_NO_BATCH", "FVEVAL_JOBS"):
+                 "FVEVAL_JOBS"):
         monkeypatch.delenv(name, raising=False)
 
 

@@ -1,5 +1,5 @@
 """Verification-service API: request validation, dedup/cache provenance,
-batch scheduling, the two call shapes, and the JSON-lines serve
+prover grouping, the two call shapes, and the JSON-lines serve
 frontend."""
 
 import functools
@@ -81,6 +81,34 @@ class TestRequestValidation:
             kind="prove", source=TOY_DESIGN,
             engine={"strategy": "psychic"})])
         assert not resp.ok and "unknown strategy" in resp.detail
+
+    @pytest.mark.parametrize("engine", [
+        {"horizons": [0]}, {"horizons": [-2]}, {"horizons": []},
+        {"horizons": ["x"]}, {"horizons": [True]}, {"horizons": 6},
+        {"horizons": [6, 41]}, {"horizons": [1000]},
+        {"default_width": 0}, {"default_width": "1"},
+        {"max_conflicts": 0}, {"max_conflicts": 2.5},
+        {"max_conflicts": False},
+    ], ids=repr)
+    def test_out_of_range_equivalence_option_is_rejected(self, engine):
+        """An equivalence engine option outside its range is a bad
+        request, answered like an unknown option -- never a verdict."""
+        resp = self.negated_over_the_wire(engine)
+        assert (resp.ok, resp.verdict) == (False, "error")
+        assert "engine option" in resp.detail
+
+    def test_in_range_horizons_answer_as_before(self):
+        resp = self.negated_over_the_wire({"horizons": [6]})
+        assert (resp.ok, resp.verdict) == (True, "inequivalent")
+
+    @staticmethod
+    def negated_over_the_wire(engine):
+        """``a |-> !b`` against ``a |-> b`` as a wire request."""
+        [resp] = VerificationService().run([request_from_json({
+            "kind": "equivalence", "reference": REF,
+            "candidate": "assert property (@(posedge clk) a |-> !b);",
+            "widths": EQ_WIDTHS, "engine": engine})])
+        return resp
 
 
 class TestSyntaxKind:
@@ -234,8 +262,9 @@ class TestProveKind:
         assert good.verdict == "proven"
         assert bad.verdict == "cex"
 
-    def test_batch_scheduler_packs_cone(self, monkeypatch):
-        """Two candidates on one design cone -> one packed sim pass."""
+    def test_one_cone_batch_equals_one_request_per_run(self, monkeypatch):
+        """Two candidates on one design cone, scheduled together, answer
+        exactly what each answers scheduled alone."""
         monkeypatch.delenv("FVEVAL_CACHE", raising=False)
         requests = [
             VerifyRequest(kind="prove", source=TOY_DESIGN,
@@ -245,24 +274,16 @@ class TestProveKind:
                           assertion="assert property "
                                     "(@(posedge clk) a |=> !b);"),
         ]
-        batched = VerificationService(batching=True)
-        responses = batched.run(requests)
-        assert [r.verdict for r in responses] == ["proven", "cex"]
-        assert batched.profile.get("sim_batch_passes", 0) == 1
-        assert batched.stats()["batch_groups"] == 1
-        assert batched.stats()["batch_members"] == 2
-        assert all(r.batch_id for r in responses)
+        together = VerificationService().run(requests)
+        assert [r.verdict for r in together] == ["proven", "cex"]
+        alone = [VerificationService().run([request])[0]
+                 for request in requests]
+        assert [(r.verdict, r.func, r.detail, r.meta) for r in alone] == \
+            [(r.verdict, r.func, r.detail, r.meta) for r in together]
 
-        unbatched = VerificationService(batching=False)
-        plain = unbatched.run(requests)
-        assert unbatched.profile.get("sim_batch_passes", 0) == 0
-        assert all(r.batch_id is None for r in plain)
-        assert [(r.verdict, r.func, r.detail, r.meta) for r in plain] == \
-            [(r.verdict, r.func, r.detail, r.meta) for r in responses]
-
-    def test_pool_pinning_preserves_batch_state(self, monkeypatch):
-        """More prove groups than max_provers in one batch: eviction
-        must not discard the packed masks presimulate just seeded."""
+    def test_more_groups_than_max_provers(self, monkeypatch):
+        """A batch with more prove groups than ``max_provers`` answers
+        every group and leaves at most ``max_provers`` provers pooled."""
         monkeypatch.delenv("FVEVAL_CACHE", raising=False)
         designs = [TOY_DESIGN.replace("module toy", f"module toy{i}")
                    for i in range(3)]
@@ -270,28 +291,13 @@ class TestProveKind:
                     for source in designs
                     for a in ("assert property (@(posedge clk) a |=> b);",
                               "assert property (@(posedge clk) a |=> !b);")]
-        service = VerificationService(batching=True, max_provers=2)
+        service = VerificationService(max_provers=2)
         responses = service.run(requests)
         assert [r.verdict for r in responses] == ["proven", "cex"] * 3
-        # every candidate was batch-served: no per-sample pass ran
-        assert service.profile.get("sim_batch_passes", 0) == 3
-        assert service.profile.get("sim_passes", 0) == 0
-        assert all(r.batch_id for r in responses)
-
-    def test_no_batch_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("FVEVAL_NO_BATCH", "1")
-        service = VerificationService()  # batching=None reads the env
-        service.run([
-            VerifyRequest(kind="prove", source=TOY_DESIGN,
-                          assertion="assert property "
-                                    "(@(posedge clk) a |=> b);",
-                          use_cache=False),
-            VerifyRequest(kind="prove", source=TOY_DESIGN,
-                          assertion="assert property "
-                                    "(@(posedge clk) a |=> !b);",
-                          use_cache=False),
-        ])
-        assert service.profile.get("sim_batch_passes", 0) == 0
+        assert service.stats()["prover_builds"] == 3
+        pooled = [slot for slot in service._slots.values()
+                  if slot.kind == "prove"]
+        assert len(pooled) <= 2
 
 
 #: a design whose state is an unpacked array: a text assertion reads
@@ -496,7 +502,7 @@ def verdict_fields(response):
     """Everything a response says but its ids, position and timing."""
     return (response.ok, response.verdict, response.func, response.partial,
             response.detail, response.meta, response.degraded,
-            response.cache_hit, response.batch_id)
+            response.cache_hit)
 
 
 class TestEngineBuildFailure:
@@ -652,7 +658,7 @@ class TestServeFrontend:
         wire = response_to_json(resp)
         assert set(wire) == {"request_id", "kind", "ok", "verdict", "func",
                              "partial", "detail", "meta", "cache_hit",
-                             "dedup_of", "batch_id", "elapsed_s", "index",
+                             "dedup_of", "elapsed_s", "index",
                              "worker_id", "degraded"}
 
 

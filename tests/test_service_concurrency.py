@@ -85,7 +85,7 @@ EXPECTED_MULTI_CONE = ["proven", "cex"] * 3 + ["error"]
 @pytest.fixture(autouse=True)
 def _hermetic_env(monkeypatch):
     for name in ("FVEVAL_CACHE", "FVEVAL_CACHE_TIERS", "FVEVAL_JOBS",
-                 "FVEVAL_NO_CACHE", "FVEVAL_NO_BATCH"):
+                 "FVEVAL_NO_CACHE"):
         monkeypatch.delenv(name, raising=False)
 
 

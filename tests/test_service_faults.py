@@ -71,7 +71,7 @@ def _hermetic_faults(monkeypatch):
     """Fault tests control the injection env themselves."""
     for name in ("FVEVAL_FAULTS", "FVEVAL_FAULTS_SEED", "FVEVAL_CACHE",
                  "FVEVAL_DEADLINE_S", "FVEVAL_EXECUTOR", "FVEVAL_WORKERS",
-                 "FVEVAL_NO_CACHE", "FVEVAL_NO_BATCH", "FVEVAL_JOBS"):
+                 "FVEVAL_NO_CACHE", "FVEVAL_JOBS"):
         monkeypatch.delenv(name, raising=False)
     yield
 

@@ -65,7 +65,6 @@ def _hermetic_cache(monkeypatch):
     monkeypatch.delenv("FVEVAL_CACHE_TIERS", raising=False)
     monkeypatch.delenv("FVEVAL_JOBS", raising=False)
     monkeypatch.delenv("FVEVAL_NO_CACHE", raising=False)
-    monkeypatch.delenv("FVEVAL_NO_BATCH", raising=False)
 
 
 class TestGoldenRecords:
@@ -87,35 +86,6 @@ class TestGoldenRecords:
     def test_design2sva_arbiter(self):
         records, _ = arbiter_records()
         assert records == GOLDEN["design2sva_arbiter"]
-
-
-class TestBatchedEqualsUnbatched:
-    """The cross-sample batch scheduler reschedules, never re-verdicts."""
-
-    @pytest.mark.parametrize("category", ["fsm", "pipeline"])
-    def test_design2sva(self, category):
-        batched, _ = run_records(design_task(category, batching=True))
-        unbatched, _ = run_records(design_task(category, batching=False))
-        assert batched == unbatched == GOLDEN[f"design2sva_{category}"]
-
-    def test_batch_scheduler_actually_engaged(self):
-        _, result = run_records(design_task("fsm", batching=True,
-                                            use_cache=False))
-        service = result.stats["service"]
-        assert service["batch_groups"] > 0
-        assert service["batch_members"] >= 2 * service["batch_groups"]
-
-    def test_no_batch_env_disables(self, monkeypatch):
-        monkeypatch.setenv("FVEVAL_NO_BATCH", "1")
-        records, result = run_records(design_task("fsm"))
-        assert records == GOLDEN["design2sva_fsm"]
-        assert "service" not in result.stats or \
-            result.stats["service"]["batch_groups"] == 0
-
-    def test_arbiter_batched_equals_unbatched(self):
-        batched, _ = arbiter_records(batching=True)
-        unbatched, _ = arbiter_records(batching=False)
-        assert batched == unbatched == GOLDEN["design2sva_arbiter"]
 
     def test_per_sample_evaluate_equals_batch(self):
         """evaluate() is the degenerate batch of one -- same records."""
@@ -260,19 +230,20 @@ def cone_batch():
 
 CONE_VERDICTS = ["proven", "cex", "proven", "proven", "cex", "proven", "cex",
                  "equivalent", "inequivalent"]
+#: the batch's distinct prove candidates, each falsified by its own pass
+SIM_PASSES = 6
 
 
 @pytest.mark.parametrize("executor,workers", EXECUTORS, ids=EXECUTOR_IDS)
 class TestExecutorParity:
     """Both execution strategies at both pool sizes reschedule, never
     re-verdict: the goldens pinned from the pre-service serial code
-    reproduce byte for byte, and so do the dedup and batch counters."""
+    reproduce byte for byte, and so do the dedup and simulation counters."""
 
     @pytest.fixture()
     def service(self, executor, workers):
         from repro.service import VerificationService
-        service = VerificationService(executor=executor, workers=workers,
-                                      batching=True)
+        service = VerificationService(executor=executor, workers=workers)
         yield service
         service.close()
 
@@ -293,15 +264,6 @@ class TestExecutorParity:
     def test_uncached(self, executor, workers):
         task = design_task("fsm", executor=executor, workers=workers,
                            use_cache=False)
-        try:
-            records, _ = run_records(task)
-        finally:
-            task.service.close()
-        assert records == GOLDEN["design2sva_fsm"]
-
-    def test_batching_disabled(self, executor, workers):
-        task = design_task("fsm", executor=executor, workers=workers,
-                           batching=False)
         try:
             records, _ = run_records(task)
         finally:
@@ -334,11 +296,10 @@ class TestExecutorParity:
         responses = service.run(cone_batch())
         assert [r.verdict for r in responses] == CONE_VERDICTS
         assert responses[3].dedup_of == responses[0].request_id
-        stats = service.stats()
-        assert stats["dedup_hits"] == 1
-        # one packed pre-pass per cone
-        assert (stats["batch_groups"], stats["batch_members"]) == (3, 6)
-        assert service.profile["sim_batch_passes"] == 3
+        assert service.stats()["dedup_hits"] == 1
+        # one packed pass per computed candidate, merged home from the
+        # process workers
+        assert service.profile["sim_passes"] == SIM_PASSES
 
     def test_order(self, service, executor, workers):
         responses = list(service.stream(cone_batch()))
