@@ -1,27 +1,21 @@
-"""Word-level bit-parallel simulation: 64 traces per bitwise operation.
+"""Word-level bit-parallel simulation: one bitwise operation, many lanes.
 
-The simulation-first falsification pass (docs/architecture.md decision 3) used to
-replay random traces one at a time: ``sim_traces`` scalar simulations of
-the design followed by ``sim_traces`` interpretive passes over the
-property cone.  This module packs the traces into *lanes*: every AIG node
-value is one Python int whose bit ``l`` is the node's value on trace
-``l``, so a single pass over the circuit evaluates up to 64 traces at
-once (AND is ``&``, negation is ``mask ^ v``).
-
-Two pieces:
+Every AIG node value is one Python int whose bit ``l`` is the node's
+value on lane ``l`` (AND is ``&``, negation is ``mask ^ v``), so one pass
+over a circuit evaluates every lane at once.  Two pieces:
 
 * :class:`PackedSimulator` -- compiles the design's one-step transition
   relation (:func:`repro.rtl.compile.bitblast_step`) to straight-line
-  Python over lane ints and drives it with per-lane seeded random stimulus
-  that reproduces :class:`repro.rtl.simulator.Simulator` bit for bit
-  (same RNG streams, same reset phase), and
-* :func:`packed_violation_lanes` -- evaluates a
-  :class:`~repro.formal.prover.TraceChecker`'s property cone once over a
-  :class:`PackedTraces`, returning the bitmask of violating lanes.
+  Python over lane ints, driven by per-lane seeded stimulus that
+  reproduces :class:`repro.rtl.simulator.Simulator` bit for bit; and
+* :func:`block_values` -- evaluates a ``TraceChecker``'s attempt
+  template once over (trace, attempt) lanes of a :class:`PackedTraces`:
+  block ``j`` of ``lanes`` bits reads every trace shifted by ``j``
+  cycles, through one shift of each signal's :meth:`PackedTraces.stream`.
 
-Designs whose expressions fall outside the single-frame subset
-(``$past``-style reads) raise :class:`PackedUnsupported`; the prover falls
-back to the scalar path, which is also kept as a differential oracle
+Designs outside the single-frame subset (``$past``-style reads) raise
+:class:`PackedUnsupported`; the prover then simulates word-level and
+packs the traces (:func:`pack_traces`), or replays them one by one
 (``Prover(use_packed_sim=False)``, ``tests/test_formal_bitsim.py``).
 """
 
@@ -116,6 +110,7 @@ class PackedTraces:
             else {}
         self._scalar = scalar
         self._widths = widths or {}
+        self._streams: dict[str, list[int]] = {}
 
     def series(self, name: str) -> list[list[int]] | None:
         """Per-cycle packed bit frames of one signal (None: no such
@@ -126,14 +121,15 @@ class PackedTraces:
         if self._scalar is None or name not in self._scalar[0]:
             return None
         w = self._widths.get(name, 1)
+        wmask = (1 << w) - 1
         per_lane = [trace[name] for trace in self._scalar]
         frames = []
         for t in range(self.length):
             frame = [0] * w
             for lane, values in enumerate(per_lane):
-                v = values[t]
+                v = values[t] & wmask
                 i = 0
-                while v:  # values are width-masked, so i stays < w
+                while v:
                     if v & 1:
                         frame[i] |= 1 << lane
                     v >>= 1
@@ -141,6 +137,18 @@ class PackedTraces:
             frames.append(frame)
         self._bits[name] = frames
         return frames
+
+    def stream(self, name: str) -> list[int]:
+        """Per bit of *name*, one int over all cycles: bit ``c * lanes +
+        l`` is cycle ``c`` of trace ``l`` (empty: no such signal)."""
+        streams = self._streams.get(name)
+        if streams is None:
+            frames = self.series(name) or ()
+            streams = self._streams[name] = [
+                sum(frame[i] << (c * self.lanes)
+                    for c, frame in enumerate(frames))
+                for i in range(len(frames[0]) if frames else 0)]
+        return streams
 
     def lane_trace(self, lane: int) -> dict[str, list[int]]:
         """Unpack one lane back into a scalar ``signal -> values`` trace."""
@@ -310,25 +318,28 @@ def pack_traces(traces: list[dict[str, list[int]]],
 # ---------------------------------------------------------------------------
 
 
-def _packed_cone_values(checker, packed: PackedTraces) -> dict[int, int]:
-    """Lane-int value of every AIG node in *checker*'s precomputed cone.
+def block_values(cone, packed: PackedTraces, shift: int,
+                 blocks: int) -> list[int]:
+    """Lane ints of a property cone's outputs over *blocks* blocks.
 
-    *checker* is anything with the :class:`~repro.formal.prover.
-    TraceChecker` evaluation surface: ``aig``, ``source`` (a
-    ``FreeSignalSource`` whose ``_cache`` maps ``(name, t)`` to bit
-    literals), ``_order`` (the topo-sorted cone) and ``prehistory``.
+    *cone* is ``(aig, inputs, order, outputs)``: ``inputs`` maps ``(name,
+    rel)`` to a ``FreeSignalSource``'s bit literals, ``order`` is the
+    topo-sorted cone.  Lane ``j * packed.lanes + l`` is trace ``l`` read
+    at cycle ``shift + j + rel`` (0 outside the trace), so one pass
+    evaluates every (trace, block) pair.
     """
-    mask = packed.mask
-    fanins = checker.aig._fanins
+    aig, inputs, order, outputs = cone
+    lanes = packed.lanes
+    mask = (1 << (lanes * blocks)) - 1
+    fanins = aig._fanins
     values: dict[int, int] = {0: mask}
-    length = packed.length
-    for (name, t), bits in checker.source._cache.items():
-        idx = t + checker.prehistory
-        frames = packed.series(name) if 0 <= idx < length else None
-        frame = frames[idx] if frames is not None else ()
+    for (name, rel), bits in inputs.items():
+        streams = packed.stream(name)
+        s = (shift + rel) * lanes
         for i, lit in enumerate(bits):
-            values[lit >> 1] = frame[i] if i < len(frame) else 0
-    for n in checker._order:
+            v = streams[i] if i < len(streams) else 0
+            values[lit >> 1] = (v >> s if s >= 0 else v << -s) & mask
+    for n in order:
         if n in values:
             continue
         fi = fanins[n]
@@ -343,19 +354,13 @@ def _packed_cone_values(checker, packed: PackedTraces) -> dict[int, int]:
         if b & 1:
             vb ^= mask
         values[n] = va & vb
-    return values
+    return [values[lit >> 1] ^ (mask if lit & 1 else 0) for lit in outputs]
 
 
 def packed_violation_lanes(checker, packed: PackedTraces) -> int:
     """Bitmask of lanes on which *checker*'s assertion has >= 1 violated
-    attempt.  One interpretive pass over the property cone replaces the
-    per-trace replay loop of ``TraceChecker.first_violation``."""
-    values = _packed_cone_values(checker, packed)
-    mask = packed.mask
+    attempt (:meth:`~repro.formal.prover.TraceChecker.violations`)."""
     viol = 0
-    for lit in checker.attempts.values():
-        sat = values[lit >> 1]
-        if lit & 1:
-            sat ^= mask
-        viol |= sat ^ mask
+    for _t, lanes in checker.violations(packed):
+        viol |= lanes
     return viol

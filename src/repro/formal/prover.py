@@ -76,7 +76,7 @@ from .aig import AIG, FALSE, TRUE, CnfWriter, neg
 from .bitvec import AigBackend, EvalError, ExprEvaluator, SignalSource
 from .coi import assertion_roots, cone_of_influence
 from .sat import Solver
-from .semantics import EncodingError, PropertyEncoder, horizon_of
+from .semantics import EncodingError, PropertyEncoder, horizon_of, reads_to_end
 
 #: the portfolio's default conflict-budget rungs; ``Prover.max_conflicts``
 #: is always the last rung, so the ladder's ceiling equals the other
@@ -474,58 +474,75 @@ class ProofSession:
 class TraceChecker:
     """Evaluate one assertion against many concrete traces.
 
-    Encodes the assertion once per (assertion, trace length) and replays
-    each trace through the precomputed AIG cone -- the simulation-first
-    falsifier calls this once per random trace, so re-encoding per trace
-    was pure waste (ISSUE 1 satellite).
+    Attempts ``first_attempt .. last_attempt`` (default: the last whose
+    window fits in the trace) share one **attempt template**
+    (docs/engine.md, "Bit-parallel simulation"), except where the
+    property :func:`reads_to_end` or the window does not fit: those keep
+    one encoding each over the whole trace (``attempts``).
     """
 
     def __init__(self, assertion: Assertion, length: int,
                  widths: dict[str, int], params: dict[str, int] | None = None,
                  first_attempt: int = 0, last_attempt: int | None = None,
                  prehistory: int = 0):
-        from .bitvec import FreeSignalSource
         self.length = length
         self.prehistory = prehistory
-        self.aig = AIG()
-        self.source = FreeSignalSource(self.aig, dict(widths),
-                                       default_width=1)
-        encoder = PropertyEncoder(self.aig, self.source, length, params)
+        self.widths = dict(widths)
         window = max(1, horizon_of(assertion) + 1)
         stop = last_attempt if last_attempt is not None else length - window
-        self.attempts: dict[int, int] = {}
-        for t in range(first_attempt, max(first_attempt, stop) + 1):
-            self.attempts[t] = encoder.encode_assertion(assertion, t)
-        self._lits = list(self.attempts.values())
-        self._order = self.aig.cone(self._lits)
+        fit = (first_attempt - 1 if reads_to_end(assertion.prop)
+               else length - window)
+        self.templated = range(first_attempt, min(stop, fit) + 1)
+        self.attempts = range(max(first_attempt, fit + 1), stop + 1)
+        self.template = self.exact = None
+        disable = assertion.disable
+        if self.templated:
+            self.template = self._cone(window, params, lambda enc: [
+                enc.sat(assertion.prop, 0),
+                FALSE if disable is None else enc.expr_bool(disable, 0)])
+        if self.attempts:
+            self.exact = self._cone(length, params, lambda enc: [
+                enc.encode_assertion(assertion, t) for t in self.attempts])
+
+    def _cone(self, horizon: int, params, outputs_of) -> tuple:
+        """``(aig, inputs, order, outputs)`` of a fresh encoding."""
+        from .bitvec import FreeSignalSource
+        aig = AIG()
+        source = FreeSignalSource(aig, self.widths, default_width=1)
+        outputs = outputs_of(PropertyEncoder(aig, source, horizon, params))
+        return aig, source._cache, aig.cone(outputs), outputs
+
+    def violations(self, packed):
+        """``(attempt, violating lanes)`` of *packed*, in attempt order.
+        A disable anywhere from an attempt's start to the trace end
+        aborts it."""
+        from .bitsim import block_values
+        lanes, mask = packed.lanes, packed.mask
+        if self.template is not None:
+            first = self.templated.start
+            blocks = self.length - first  # the abort reads to the end
+            sat, aborted = block_values(self.template, packed,
+                                        first + self.prehistory, blocks)
+            shift = lanes
+            while shift < blocks * lanes:  # suffix OR over the blocks
+                aborted |= aborted >> shift
+                shift *= 2
+            bad = ~(sat | aborted)
+            for j, t in enumerate(self.templated):
+                viol = (bad >> (j * lanes)) & mask
+                if viol:
+                    yield t, viol
+        if self.exact is not None:
+            values = block_values(self.exact, packed, self.prehistory, 1)
+            for t, value in zip(self.attempts, values):
+                if value != mask:
+                    yield t, value ^ mask
 
     def first_violation(self, trace: dict[str, list[int]]) -> int | None:
         """First violated attempt cycle on *trace*, or None."""
-        fanins = self.aig._fanins
-        values: dict[int, bool] = {0: True}
-        for (name, t), bits in self.source._cache.items():
-            idx = t + self.prehistory
-            series = trace.get(name, ())
-            value = series[idx] if 0 <= idx < len(series) else 0
-            for i, lit in enumerate(bits):
-                values[lit >> 1] = bool((value >> i) & 1)
-        for n in self._order:
-            if n in values:
-                continue
-            fi = fanins[n]
-            if fi is None:
-                values[n] = False  # unconstrained input defaults to 0
-                continue
-            a, b = fi
-            if (values[a >> 1] ^ bool(a & 1)) and (values[b >> 1]
-                                                   ^ bool(b & 1)):
-                values[n] = True
-            else:
-                values[n] = False
-        for t, lit in self.attempts.items():
-            if not (values[lit >> 1] ^ bool(lit & 1)):
-                return t
-        return None
+        from .bitsim import pack_traces
+        packed = pack_traces([trace], self.widths)
+        return next((t for t, _lanes in self.violations(packed)), None)
 
 
 class Prover:
@@ -868,6 +885,8 @@ class Prover:
         start = 2  # skip the reset phase
         length = self.sim_cycles + 2  # reset() contributes two frames
         last = length - window
+        if last < start:
+            return None  # no attempt's window fits in a trace
         with self._stage("sim_build_s"):
             checker = TraceChecker(assertion, length, design.widths,
                                    design.params, first_attempt=start,
@@ -876,6 +895,9 @@ class Prover:
                 TraceChecker(a, length, design.widths, design.params,
                              first_attempt=start, last_attempt=last)
                 for a in self._assumes]
+        for c in (checker, *assume_checkers):
+            bump(self.profile, "sim_templates", int(c.template is not None))
+            bump(self.profile, "sim_attempt_encodings", len(c.attempts))
         from .bitsim import MAX_LANES
         if self.use_packed_sim and 0 < self.sim_traces <= MAX_LANES:
             packed = self._packed_traces(design, cone_key)
@@ -1164,7 +1186,9 @@ def check_trace(assertion: Assertion, trace: dict[str, list[int]],
     """Evaluate an assertion on a concrete trace.
 
     Returns the first attempt cycle that is violated, or None.  Attempts
-    whose window would be truncated are skipped (their verdict is unknown).
+    whose ``horizon_of + 1``-frame window the trace would truncate are
+    skipped (their verdict is unknown; a trace shorter than the window
+    has none) unless an explicit ``last_attempt`` asks for them.
     ``prehistory`` is the index of cycle 0 within the series (earlier
     entries supply $past/$rose values before the first attempt).
 

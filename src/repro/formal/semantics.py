@@ -82,6 +82,17 @@ def horizon_of(node, base: int = 0) -> int:
     return h
 
 
+def reads_to_end(prop: PropNode) -> bool:
+    """True if *prop*'s encoding ranges to the horizon ``K`` (the
+    ``self.K`` sites below); otherwise it is the same at every horizon
+    past :func:`horizon_of`."""
+    return any(isinstance(n, (SEventually, AlwaysProp, Until))
+               or isinstance(n, Delay) and n.hi is None
+               or isinstance(n, Repetition) and (n.hi is None or n.kind != "*")
+               or isinstance(n, SeqBinary) and n.op == "throughout"
+               for n in prop.walk())
+
+
 class PropertyEncoder:
     """Encodes property satisfaction at each start cycle into AIG literals."""
 
