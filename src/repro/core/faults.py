@@ -39,8 +39,8 @@ FAULT_CODES = (
     "timeout",        # wall-clock deadline expired
     "memory",         # MemoryError during a prove
     "recursion",      # RecursionError during a prove
-    "aig_overflow",   # packed-sim AIG over budget -> word-level fallback
-    "packed_sim",     # unexpected packed-sim failure -> scalar oracle
+    "aig_overflow",   # packed-sim AIG over budget -> word-level traces
+    "packed_sim",     # unexpected packed-sim failure -> word-level traces
     "engine_error",   # unclassified engine exception
     "cache_corrupt",  # corrupt/truncated disk-cache entry quarantined
     "cache_remote",   # remote cache tier unreachable -> fail-open skip

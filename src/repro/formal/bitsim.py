@@ -13,10 +13,12 @@ over a circuit evaluates every lane at once.  Two pieces:
   block ``j`` of ``lanes`` bits reads every trace shifted by ``j``
   cycles, through one shift of each signal's :meth:`PackedTraces.stream`.
 
-Designs outside the single-frame subset (``$past``-style reads) raise
-:class:`PackedUnsupported`; the prover then simulates word-level and
-packs the traces (:func:`pack_traces`), or replays them one by one
-(``Prover(use_packed_sim=False)``, ``tests/test_formal_bitsim.py``).
+Designs outside the single-frame subset (``$past``-style reads), and
+step AIGs over the caller's node budget, raise :class:`PackedUnsupported`;
+the prover then generates that cone's traces word-level and packs them
+(:func:`pack_traces`).  Either way the check is one :func:`block_values`
+walk per pack.  ``Prover(use_packed_sim=False)`` forces the word-level
+generator on every cone: the reference of ``tests/test_formal_bitsim.py``.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ import random
 
 from ..rtl.elaborate import Design, reset_inactive_value
 
-#: lanes per packed word; a falsifier asking for more traces than this
-#: keeps the scalar per-trace loop (no chunking is attempted)
+#: lanes per packed word, and the most traces a falsifier may ask for:
+#: all of them fit one pack (no chunking is attempted)
 MAX_LANES = 64
 
 
 class PackedUnsupported(Exception):
-    """Design outside the packed-simulation subset; use the scalar path."""
+    """Design outside the packed-simulation subset or over the node
+    budget; generate its traces word-level."""
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +47,7 @@ def compile_packed_aig(aig, source_nodes: list[int], outputs: list[int]):
 
     ``V`` supplies one lane int per node in *source_nodes* (positive input
     literals' node indices); unconstrained inputs read 0 on every lane,
-    matching the scalar replay's default.  ``M`` is the lane mask.  Each
+    matching :func:`block_values`.  ``M`` is the lane mask.  Each
     AND node becomes one bitwise-and statement, so evaluating the returned
     function is one pass of straight-line code for all lanes at once.
     """

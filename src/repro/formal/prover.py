@@ -73,6 +73,10 @@ from ..sva.ast_nodes import (
     Until,
 )
 from .aig import AIG, FALSE, TRUE, CnfWriter, neg
+from .bitsim import (
+    MAX_LANES, PackedSimulator, PackedUnsupported, pack_traces,
+    packed_violation_lanes,
+)
 from .bitvec import AigBackend, EvalError, ExprEvaluator, SignalSource
 from .coi import assertion_roots, cone_of_influence
 from .sat import Solver
@@ -82,6 +86,34 @@ from .semantics import EncodingError, PropertyEncoder, horizon_of, reads_to_end
 #: is always the last rung, so the ladder's ceiling equals the other
 #: strategies' per-query budget
 DEFAULT_LADDER = (1_000, 8_000, 64_000)
+
+#: step-AIG node budget per lane of the packed simulator: above
+#: ``PACKED_NODES_PER_LANE * sim_traces`` nodes a cone is
+#: datapath-dominated and word-level trace generation is faster (16
+#: measured best on the bench suite)
+PACKED_NODES_PER_LANE = 16
+
+#: RNG seed of the falsifier's trace 0; trace ``l`` is seeded ``+ l``
+SIM_SEED = 0xF5E0A1
+
+#: the prover's int options with a range: ``name -> highest`` (None:
+#: unbounded), every one at least 0; ``sim_traces`` fits one pack
+OPTION_RANGES = {"max_bmc": None, "max_k": None, "sim_cycles": None,
+                 "sim_traces": MAX_LANES}
+
+
+def option_error(options: dict) -> str | None:
+    """Why an int in *options* is outside its :data:`OPTION_RANGES`
+    range, or None.  Only ints are judged (a bool is not one here); a
+    value of another type fails where the engines first use it."""
+    for name, high in OPTION_RANGES.items():
+        value = options.get(name)
+        if type(value) is int and (value < 0
+                                   or high is not None and value > high):
+            span = ">= 0" if high is None else f"in 0..{high}"
+            return f"engine option {name} must be an int {span}, " \
+                   f"got {value!r}"
+    return None
 
 
 def _faults():
@@ -562,13 +594,17 @@ class Prover:
                  sim_cycles: int = 40, use_coi: bool = True,
                  use_simulation: bool = True,
                  use_packed_sim: bool = True, simplify: bool = True,
-                 packed_max_nodes: int | None = None,
                  strategy: str = "auto",
                  portfolio_ladder: tuple[int, ...] | None = None,
                  profile: dict | None = None):
         if strategy not in self.STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; "
                              f"expected one of {self.STRATEGIES}")
+        bad = option_error({"max_bmc": max_bmc, "max_k": max_k,
+                            "sim_cycles": sim_cycles,
+                            "sim_traces": sim_traces})
+        if bad:
+            raise ValueError(bad)
         self.design = design
         self.max_bmc = max_bmc
         self.max_k = max_k
@@ -577,6 +613,8 @@ class Prover:
         self.sim_cycles = sim_cycles
         self.use_coi = use_coi
         self.use_simulation = use_simulation
+        #: False forces word-level trace generation on every cone (the
+        #: falsifier's reference); the check is the same either way
         self.use_packed_sim = use_packed_sim
         self.simplify = simplify
         #: the order :meth:`_schedule` issues BMC depth probes and
@@ -588,12 +626,6 @@ class Prover:
         #: conflict-budget rungs of the portfolio (None: the module
         #: default, 1k -> 8k -> 64k -> ``max_conflicts``)
         self.portfolio_ladder = portfolio_ladder
-        #: step-AIG node budget for packed simulation; above it the cone is
-        #: datapath-dominated and the scalar compiled simulator is faster
-        #: (the budget scales with the lane count the bit-parallel pass
-        #: amortizes over; 16 nodes/lane measured best on the bench suite)
-        self.packed_max_nodes = (packed_max_nodes if packed_max_nodes
-                                 is not None else 16 * sim_traces)
         #: per-stage wall-clock and solver totals, accumulated across
         #: prove() calls; pass a shared dict to aggregate over provers
         self.profile: dict = profile if profile is not None else {}
@@ -607,9 +639,9 @@ class Prover:
         self._coi_cache: dict[frozenset, Design] = {}
         self._sessions: dict[tuple[frozenset, bool], ProofSession] = {}
         self._trace_cache: dict[frozenset, list[dict[str, list[int]]]] = {}
-        #: cone -> PackedTraces, or None where the design is outside the
-        #: packed subset (those cones fall back to the scalar replay)
-        self._packed_cache: dict[frozenset, object] = {}
+        #: cone -> its PackedSimulator pack (None: word-level traces), and
+        #: (cone, lanes) -> a pack of its first word-level traces
+        self._packed_cache: dict = {}
         #: why the design's reset state cannot be simulated (an
         #: :class:`EvalError`, e.g. an unsupported system function in
         #: its logic), or None: every prove() then answers ``error``
@@ -802,91 +834,83 @@ class Prover:
 
     # -- simulation falsifier --------------------------------------------------------
 
-    def _sim_trace(self, design: Design, cone_key: frozenset,
-                   trial: int) -> dict[str, list[int]]:
-        """Random simulation trace *trial* of the reduced design, cached
-        per cone and materialized lazily.
+    def _packs(self, design: Design, cone_key: frozenset):
+        """The cone's random traces as packs, in check order, each built
+        on first use and cached per cone (simulation is seeded, so trace
+        ``l`` of a cone is the same on every prove() call).
 
-        Simulation is seeded, so trace ``trial`` of a cone is identical on
-        every prove() call; re-running the simulator per assertion (the
-        pre-refactor behaviour) recomputed exactly these values.  Laziness
-        keeps the easy-counterexample path (violation on the first trace)
-        as cheap as it was.
+        A cone that bit-blasts within :data:`PACKED_NODES_PER_LANE` per
+        lane yields one :class:`~.bitsim.PackedSimulator` pack.  Any
+        other cone, and every cone under ``use_packed_sim=False``, gets
+        word-level :class:`~repro.rtl.simulator.Simulator` traces: trace
+        0 alone first -- most flawed samples die on it, before the other
+        traces are generated -- then all of them.  Lane ``l`` is the same
+        trace on both generators.
         """
-        traces = self._trace_cache.setdefault(cone_key, [])
-        while len(traces) <= trial:
-            from ..rtl.simulator import Simulator
-            sim = Simulator(design, seed=0xF5E0A1 + len(traces))
-            sim.reset()
-            sim.run_random(self.sim_cycles)
-            traces.append(sim.trace())
-        return traces[trial]
+        packed = (self._packed_sim(design, cone_key)
+                  if self.use_packed_sim else None)
+        if packed is not None:
+            yield packed
+            return
+        yield self._word_pack(design, cone_key, 1)
+        if self.sim_traces > 1:
+            yield self._word_pack(design, cone_key, self.sim_traces)
 
-    def _packed_traces(self, design: Design, cone_key: frozenset):
-        """Packed random traces of the reduced design (None: unsupported).
-
-        One bit-parallel run replaces ``sim_traces`` scalar simulations;
-        the per-lane RNG streams match :meth:`_sim_trace` exactly, so the
-        packed and scalar paths see bit-identical stimulus.
-        """
-        from .bitsim import MAX_LANES, PackedSimulator, PackedUnsupported
+    def _packed_sim(self, design: Design, cone_key: frozenset):
+        """The cone's bit-parallel pack, or None where the step AIG is
+        over budget or outside the packed subset (recorded, not fatal)."""
         cached = self._packed_cache.get(cone_key, False)
         if cached is not False:
             return cached
         packed = None
-        if self.sim_traces <= MAX_LANES:
-            try:
-                with self._stage("sim_gen_s"):
-                    sim = PackedSimulator(
-                        design, max_nodes=self.packed_max_nodes)
-                    packed = sim.run(lanes=self.sim_traces,
-                                     seed_base=0xF5E0A1,
-                                     cycles=self.sim_cycles)
-            except PackedUnsupported as exc:
-                # the documented word-level fallback (AIG over budget /
-                # outside the packed subset) -- recorded, not fatal
-                self._record_fault("aig_overflow", stage="simulation",
-                                   detail=str(exc)[:200])
-                packed = None
-            except Exception as exc:
-                # unexpected packed-sim failure: the scalar oracle
-                # computes the same verdicts (degradation ladder rung)
-                self._record_fault("packed_sim", stage="simulation",
-                                   detail=f"{type(exc).__name__}: "
-                                          f"{exc}"[:200])
-                packed = None
+        try:
+            with self._stage("sim_gen_s"):
+                sim = PackedSimulator(
+                    design, max_nodes=PACKED_NODES_PER_LANE * self.sim_traces)
+                packed = sim.run(lanes=self.sim_traces, seed_base=SIM_SEED,
+                                 cycles=self.sim_cycles)
+        except PackedUnsupported as exc:
+            self._record_fault("aig_overflow", stage="simulation",
+                               detail=str(exc)[:200])
+        except Exception as exc:
+            # unexpected packed-sim failure: the word-level generator
+            # yields the same traces (degradation ladder rung)
+            self._record_fault("packed_sim", stage="simulation",
+                               detail=f"{type(exc).__name__}: {exc}"[:200])
         self._packed_cache[cone_key] = packed
         return packed
 
-    def _packed_scalar(self, design: Design, cone_key: frozenset):
-        """Scalar-generated traces of a cone in packed (lane) form.
-
-        The fallback for datapath-heavy cones: the compiled word-level
-        simulator generates the traces (cheaper than bit-blasting a wide
-        cone), then one transpose packs them so the property check still
-        runs bit-parallel.
-        """
-        key = (cone_key, "scalar")
+    def _word_pack(self, design: Design, cone_key: frozenset, lanes: int):
+        """The cone's first *lanes* word-level traces as a lazily
+        transposing pack (a wide datapath is one opcode here, hundreds
+        of ANDs bit-blasted)."""
+        key = (cone_key, lanes)
         packed = self._packed_cache.get(key)
         if packed is None:
+            from ..rtl.simulator import Simulator
             with self._stage("sim_gen_s"):
-                traces = [self._sim_trace(design, cone_key, trial)
-                          for trial in range(self.sim_traces)]
-                from .bitsim import pack_traces
-                packed = pack_traces(traces, design.widths)
+                traces = self._trace_cache.setdefault(cone_key, [])
+                while len(traces) < lanes:
+                    sim = Simulator(design, seed=SIM_SEED + len(traces))
+                    sim.reset()
+                    sim.run_random(self.sim_cycles)
+                    traces.append(sim.trace())
+                packed = pack_traces(traces[:lanes], design.widths)
             self._packed_cache[key] = packed
         return packed
 
     def _simulate_falsify(self, design: Design, cone_key: frozenset,
                           assertion: Assertion) -> dict | None:
+        """The first random trace that violates *assertion* and no
+        assume, or None: per pack, one check of every lane."""
         bump(self.profile, "sim_candidates", 1)
         bump(self.profile, "sim_passes", 1)
         window = max(1, horizon_of(assertion) + 1)
         start = 2  # skip the reset phase
         length = self.sim_cycles + 2  # reset() contributes two frames
         last = length - window
-        if last < start:
-            return None  # no attempt's window fits in a trace
+        if last < start or not self.sim_traces:
+            return None  # no trace, or no attempt's window fits in one
         with self._stage("sim_build_s"):
             checker = TraceChecker(assertion, length, design.widths,
                                    design.params, first_attempt=start,
@@ -898,49 +922,14 @@ class Prover:
         for c in (checker, *assume_checkers):
             bump(self.profile, "sim_templates", int(c.template is not None))
             bump(self.profile, "sim_attempt_encodings", len(c.attempts))
-        from .bitsim import MAX_LANES
-        if self.use_packed_sim and 0 < self.sim_traces <= MAX_LANES:
-            packed = self._packed_traces(design, cone_key)
-            if packed is None:
-                # hybrid: the lazy scalar front kills most flawed samples
-                # on trial 0; survivors get one bit-parallel pass over the
-                # scalar traces instead of a per-trace replay loop
-                with self._stage("sim_gen_s"):
-                    trace = self._sim_trace(design, cone_key, 0)
-                with self._stage("sim_check_s"):
-                    ok0 = not any(c.first_violation(trace) is not None
-                                  for c in assume_checkers)
-                    bad0 = ok0 and checker.first_violation(trace) is not None
-                if bad0:
-                    return {name: values for name, values in trace.items()}
-                if self.sim_traces == 1:
-                    return None
-                packed = self._packed_scalar(design, cone_key)
-            from .bitsim import packed_violation_lanes
+        for packed in self._packs(design, cone_key):
             with self._stage("sim_check_s"):
                 eligible = packed.mask
                 for c in assume_checkers:
                     eligible &= ~packed_violation_lanes(c, packed)
                 viol = packed_violation_lanes(checker, packed) & eligible
-            if not viol:
-                return None
-            # lowest violating lane == the scalar loop's first trial
-            return packed.lane_trace((viol & -viol).bit_length() - 1)
-        for trial in range(self.sim_traces):
-            if (self._deadline_at is not None
-                    and time.monotonic() >= self._deadline_at):
-                return None  # prove() converts the verdict to timeout
-            with self._stage("sim_gen_s"):
-                trace = self._sim_trace(design, cone_key, trial)
-            with self._stage("sim_check_s"):
-                skip = any(c.first_violation(trace) is not None
-                           for c in assume_checkers)
-                bad = (not skip
-                       and checker.first_violation(trace) is not None)
-            if skip:
-                continue  # random stimulus broke an assumption; discard
-            if bad:
-                return {name: values for name, values in trace.items()}
+            if viol:
+                return packed.lane_trace((viol & -viol).bit_length() - 1)
         return None
 
     def _environment(self, encoder: PropertyEncoder, attempts: int) -> int:

@@ -873,7 +873,7 @@ class VerificationService:
         last assertion the text binds is the one proved.  Parsed ones
         are taken as given: they are already bound.
         """
-        from ..formal.prover import Prover
+        from ..formal.prover import Prover, option_error
         from ..rtl.elaborate import ElaborationError, bind_text, elaborate
         unknown = set(request.engine) - _prover_engine_opts()
         if unknown:
@@ -884,6 +884,9 @@ class VerificationService:
             return self._error(
                 request, f"unknown strategy {strategy!r}; expected one of "
                          f"{Prover.STRATEGIES}")
+        bad = option_error(request.engine)
+        if bad:
+            return self._error(request, bad)
         design = request.design
         if design is None:
             try:

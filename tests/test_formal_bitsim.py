@@ -1,10 +1,11 @@
-"""Bit-parallel simulation: packed engine vs the scalar oracle.
+"""Bit-parallel simulation: the packed generator vs the word-level one.
 
 The packed simulator must reproduce the scalar ``Simulator``'s traces bit
 for bit (same seeded RNG streams, same reset phase), the packed property
 replay must agree with ``TraceChecker.first_violation`` lane by lane, and
-a ``Prover`` with the packed falsifier must produce record-identical
-results to ``use_packed_sim=False``.
+a ``Prover`` whose falsifier takes the packed generator must produce
+record-identical results to ``use_packed_sim=False``, which forces the
+word-level generator through the same check.
 """
 
 import random
@@ -13,6 +14,7 @@ import pytest
 
 from repro.core.tasks import Design2SvaTask
 from repro.datasets.design2sva.testbench_gen import merge_for_eval
+from repro.formal import prover as prover_mod
 from repro.formal.bitsim import (
     MAX_LANES,
     PackedSimulator,
@@ -21,7 +23,7 @@ from repro.formal.bitsim import (
     packed_violation_lanes,
 )
 from repro.formal.coi import assertion_roots, cone_of_influence
-from repro.formal.prover import Prover, TraceChecker
+from repro.formal.prover import Prover, TraceChecker, check_trace
 from repro.formal.semantics import horizon_of
 from repro.rtl.compile import Uncompilable, bitblast_step
 from repro.rtl.elaborate import elaborate
@@ -162,16 +164,18 @@ class TestPackedTraces:
         assert bitblast_step(design) is full
         assert bitblast_step(design, max_nodes=len(full[0])) is full
 
-    def test_degraded_events_do_not_depend_on_call_order(self):
+    def test_degraded_events_do_not_depend_on_call_order(self,
+                                                         monkeypatch):
         """Two provers on one design object: the first probes the packed
-        budget and then unrolls (a full bit-blast lands in the cache),
-        the second finds the full result first.  Same ``aig_overflow``
-        event, same verdict."""
+        budget (8 nodes: 1 per lane over 8 lanes) and then unrolls (a
+        full bit-blast lands in the cache), the second finds the full
+        result first.  Same ``aig_overflow`` event, same verdict."""
+        monkeypatch.setattr(prover_mod, "PACKED_NODES_PER_LANE", 1)
         design = elaborate(COUNTER)
         assertion = parse_assertion(
             "assert property (@(posedge clk) disable iff (!reset_) "
             "q <= 4'd15);")
-        results = [Prover(design, use_coi=False, packed_max_nodes=8)
+        results = [Prover(design, use_coi=False, sim_traces=8)
                    .prove(assertion) for _ in range(2)]
         assert bitblast_step(design)  # the unroller's, unbudgeted
         first, second = results
@@ -209,7 +213,7 @@ class TestPackedReplay:
         for lane, trace in enumerate(traces):
             if checker.first_violation(trace) is not None:
                 expected |= 1 << lane
-        # both backings must agree with the scalar replay
+        # both backings must agree with the one-trace checks
         packed_sim = PackedSimulator(design).run(lanes=lanes,
                                                  seed_base=0xF5E0A1,
                                                  cycles=cycles)
@@ -219,7 +223,8 @@ class TestPackedReplay:
 
 
 class TestProverParity:
-    """Packed falsifier vs scalar path: identical records on the bench."""
+    """Packed generator vs the word-level one: identical records on the
+    bench."""
 
     @pytest.mark.parametrize("category", ["fsm", "pipeline", "arbiter"])
     def test_prover_results_identical(self, category):
@@ -244,3 +249,47 @@ class TestProverParity:
         assert a.status == b.status == "cex"
         assert a.engine == b.engine == "simulation"
         assert a.counterexample == b.counterexample
+
+    @pytest.mark.parametrize("read", ["$past(d)", "d"],
+                             ids=["word-level-cone", "packed-cone"])
+    def test_assume_masks_trace_zero(self, read):
+        """Trace 0 violates the assume and the assertion, so the witness
+        is the first trace that violates the assertion and no assume --
+        on a cone only the word-level generator takes (``$past`` in
+        RTL) and on one the packed generator takes, under both
+        ``use_packed_sim`` settings."""
+        design = elaborate(f"""
+module m; input clk, reset_; input [3:0] d; output reg [3:0] q;
+wire [3:0] w;
+assign w = {read};
+always @(posedge clk) begin
+  if (!reset_) q <= 4'd0; else q <= w;
+end
+endmodule
+""")
+        assertion = parse_assertion(
+            "assert property (@(posedge clk) q != 4'd3);")
+        assume = parse_assertion(
+            "assume property (@(posedge clk) d != 4'd1);")
+        lanes, cycles = 6, 8
+        traces = _scalar_traces(design, lanes, prover_mod.SIM_SEED, cycles)
+
+        def violated(prop, trace):
+            return check_trace(prop, trace, design.widths,
+                               first_attempt=2) is not None
+
+        assert violated(assertion, traces[0]) and violated(assume, traces[0])
+        witness = next(k for k, trace in enumerate(traces)
+                       if violated(assertion, trace)
+                       and not violated(assume, trace))
+        assert witness > 1  # some lanes between are masked or pass
+        for use_packed_sim in (True, False):
+            result = Prover(design, use_coi=False, sim_traces=lanes,
+                            sim_cycles=cycles,
+                            use_packed_sim=use_packed_sim).prove(
+                assertion, assumes=(assume,))
+            assert (result.status, result.engine) == ("cex", "simulation")
+            assert result.counterexample == traces[witness], use_packed_sim
+            refused = use_packed_sim and read != "d"
+            assert [e["code"] for e in result.degraded] \
+                == (["aig_overflow"] if refused else [])

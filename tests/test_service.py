@@ -101,6 +101,40 @@ class TestRequestValidation:
         resp = self.negated_over_the_wire({"horizons": [6]})
         assert (resp.ok, resp.verdict) == (True, "inequivalent")
 
+    @pytest.mark.parametrize("engine", [
+        {"max_bmc": -1}, {"max_k": -1}, {"sim_cycles": -1},
+        {"sim_traces": -1}, {"sim_traces": 65},
+        {"use_simulation": False, "max_bmc": -1},
+    ], ids=repr)
+    def test_out_of_range_prove_option_is_rejected(self, engine):
+        """A prove engine option outside its range is a bad request
+        over the wire, and a ValueError from ``Prover`` itself."""
+        from repro.formal import Prover
+        from repro.rtl.elaborate import elaborate
+        [resp] = self.prove_over_the_wire(engine)
+        assert (resp.ok, resp.verdict) == (False, "error")
+        assert "engine option" in resp.detail
+        with pytest.raises(ValueError, match="engine option"):
+            Prover(elaborate(TOY_DESIGN), **engine)
+
+    @pytest.mark.parametrize("engine,verdict,detail,depth", [
+        ({"sim_traces": 64}, "proven", "", 1),
+        ({"sim_traces": 0, "max_bmc": 0}, "proven", "", 1),
+        ({"max_k": 0, "sim_cycles": 0}, "undetermined",
+         "not inductive up to k=0", 0),
+    ], ids=repr)
+    def test_in_range_prove_options_answer_as_before(self, engine, verdict,
+                                                     detail, depth):
+        [resp] = self.prove_over_the_wire(engine)
+        assert (resp.ok, resp.verdict, resp.detail) == (True, verdict, detail)
+        assert resp.meta == {"engine": "k-induction", "depth": depth,
+                             "vacuous": False}
+
+    @staticmethod
+    def prove_over_the_wire(engine):
+        return VerificationService().run([request_from_json({
+            "kind": "prove", "source": TOY_DESIGN, "engine": engine})])
+
     @staticmethod
     def negated_over_the_wire(engine):
         """``a |-> !b`` against ``a |-> b`` as a wire request."""

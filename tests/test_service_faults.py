@@ -363,7 +363,7 @@ class TestDegradationLadder:
         monkeypatch.setattr(PackedSimulator, "run", broken_run)
         service = VerificationService()
         [resp] = service.run([prove_request()])
-        # scalar oracle computes the identical verdict (ladder rung 3)
+        # word-level traces give the identical verdict (ladder rung 3)
         assert resp.verdict == baseline.verdict
         assert "packed_sim" in codes(resp)
 
